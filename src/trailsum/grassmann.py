@@ -11,6 +11,14 @@ interleaved.
 
 Zero coefficients are pruned eagerly, so equality of elements (and matrices)
 is plain structural equality.  All values are immutable after construction.
+
+The standard polynomial s_k is evaluated by a dynamic program over subsets
+of used arguments rather than over orderings.  The state is the set U of
+arguments placed so far, holding one row of the signed sum over all
+orderings of U.  Appending argument i flips the sign when |{j in U : j > i}|
+is odd, a count that depends on U alone, so orderings sharing a set merge.
+One row costs O(2^k * k) sparse row-times-matrix updates, and only two
+popcount layers of states are live at once.
 """
 
 from __future__ import annotations
@@ -25,7 +33,12 @@ class ShapeError(ValueError):
 
 
 class ArityCapError(RuntimeError):
-    """Alternating-sum evaluation requested above the factorial-cost cap."""
+    """Alternating-sum evaluation requested above the arity cap.
+
+    The subset DP behind ``standard_polynomial`` costs time and memory
+    exponential in the number of arguments, so arities above the cap are
+    refused unless the caller opts in.
+    """
 
 
 def mask_from_indices(indices, m: int) -> int:
@@ -354,56 +367,88 @@ def mat_mul(a: GrassmannMatrix, b: GrassmannMatrix) -> GrassmannMatrix:
     return GrassmannMatrix(n, m, rows)
 
 
+def _alternating_row(entries, s: int) -> dict:
+    """Row s of the alternating sum, as a sparse {column: terms} dict.
+
+    ``entries[i]`` maps a row index of argument i to the nonzero entries of
+    that row, as (column, (terms, negated terms)) pairs.  ``layer`` maps each
+    set U of placed arguments of one popcount to row s of the signed sum
+    over the orderings of U; a state whose row cancels to zero is dropped,
+    and a layer is released as soon as the next one is built.
+    """
+    k = len(entries)
+    layer = {0: {s: {0: 1}}}
+    for _ in range(k):
+        nxt: dict = {}
+        for used, row in layer.items():
+            for i in range(k):
+                bit = 1 << i
+                if used & bit:
+                    continue
+                by_row = entries[i]
+                flip = (used >> (i + 1)).bit_count() & 1
+                target = None
+                for col, terms in row.items():
+                    for j, signed in by_row.get(col, ()):
+                        prod = _mul_terms(terms, signed[flip])
+                        if not prod:
+                            continue
+                        if target is None:
+                            target = nxt.setdefault(used | bit, {})
+                        old = target.get(j)
+                        target[j] = _add_terms(old, prod) if old else prod
+        layer = {}
+        for used, row in nxt.items():
+            row = {j: t for j, t in row.items() if t}
+            if row:
+                layer[used] = row
+    return layer.get((1 << k) - 1, {})
+
+
 def standard_polynomial(xs, cap: int = DEFAULT_ARITY_CAP,
                         allow_large: bool = False) -> GrassmannMatrix:
     """Alternating sum over all orderings: sum of sgn(pi) x_pi(1) ... x_pi(k).
 
-    Evaluated by depth-first expansion over argument orderings with shared
-    prefix products; a vanishing partial product prunes its whole subtree,
-    which collapses the k! blow-up to the number of nonzero product chains.
-    The permutation sign is accumulated incrementally: appending argument i
-    after a set U of placed arguments contributes the parity of |{j in U :
-    j > i}| inversions.
+    Evaluated one row at a time by a dynamic program over subsets of used
+    arguments, after Rosset's exterior-algebra view of s_k (S. Rosset, "A new
+    proof of the Amitsur-Levitzki identity", Israel J. Math. 23, 1976).
+    The sign of appending argument i after a set U of placed arguments
+    depends only on U, not on the order inside it, so
+
+        P(U | {i}) += (-1)^|{j in U : j > i}| * P(U) * x_i
+
+    and the result is P(all arguments).  Each of the n rows costs O(2^k * k)
+    sparse row-times-matrix updates, where the orderings number k!.
     """
     xs = list(xs)
     k = len(xs)
     if k == 0:
         raise ValueError("standard polynomial needs at least one argument")
-    n, m = xs[0].n, xs[0].m
     for x in xs:
         if not isinstance(x, GrassmannMatrix):
             raise TypeError("arguments must be GrassmannMatrix")
+    n, m = xs[0].n, xs[0].m
+    for x in xs:
         if x.n != n or x.m != m:
             raise ShapeError("arguments do not share one matrix algebra")
     if k > cap and not allow_large:
         raise ArityCapError(
             f"{k} arguments exceed the cap of {cap}; pass allow_large=True to override")
 
-    acc = [[{} for _ in range(n)] for _ in range(n)]
-    full = (1 << k) - 1
-
-    def expand(prod: GrassmannMatrix, used: int, parity: int):
-        if used == full:
-            sg = -1 if parity & 1 else 1
-            for i in range(n):
-                row = prod.rows[i]
-                for j in range(n):
-                    t = row[j].terms
-                    if t:
-                        acc[i][j] = _add_terms(acc[i][j], {mk: sg * c for mk, c in t.items()})
-            return
-        for i in range(k):
-            bit = 1 << i
-            if used & bit:
-                continue
-            nxt = xs[i] if prod is None else mat_mul(prod, xs[i])
-            if nxt.is_zero():
-                continue
-            expand(nxt, used | bit, parity + (used >> (i + 1)).bit_count())
-
-    expand(None, 0, 0)
-    return GrassmannMatrix(n, m, [[GrassmannElement(m, acc[i][j]) for j in range(n)]
-                                  for i in range(n)])
+    entries = []
+    for x in xs:
+        by_row: dict = {}
+        for r, row in enumerate(x.rows):
+            for j, e in enumerate(row):
+                if e.terms:
+                    neg = {mk: -c for mk, c in e.terms.items()}
+                    by_row.setdefault(r, []).append((j, (e.terms, neg)))
+        entries.append(by_row)
+    rows = []
+    for s in range(n):
+        row = _alternating_row(entries, s)
+        rows.append([GrassmannElement(m, row.get(j)) for j in range(n)])
+    return GrassmannMatrix(n, m, rows)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -94,6 +95,25 @@ class TestCrossCheck:
             entry = naive[g.s - 1][g.t - 1]
             coeff = entry.get(tuple(range(1, simp.ell + 1)), 0)
             assert abs(coeff) == signed_sum(g).T
+
+    def test_witness_graphs_match_naive_oracle(self):
+        for mbar, expected in ((1, 4), (2, 36)):
+            g = make_gn(2, mbar)
+            mats = graph_to_simplified(g).to_matrices()
+            got = standard_polynomial(mats)
+            naive = o_standard_polynomial([matrix_to_oracle(x) for x in mats], g.n)
+            assert matrix_to_oracle(got) == naive
+            top = GrassmannElement.monomial(2 * mbar, range(1, 2 * mbar + 1), expected)
+            assert got.entry(g.s, g.t) == top
+
+    def test_witness_closed_forms_on_algebra_side(self):
+        for n, mbar, expected in ((3, 1, 4), (3, 2, 64), (3, 3, 1440),
+                                  (4, 1, 16), (4, 2, 320)):
+            assert expected == (2 * mbar * math.factorial(mbar + n - 1)
+                                * math.factorial(mbar) // 3)
+            rep = cross_check(make_gn(n, mbar), allow_large=True)
+            assert rep.agrees and rep.T == expected
+            assert abs(rep.lhs_entry.coefficient(range(1, 2 * mbar + 1))) == expected
 
     def test_random_agreement(self):
         rng = random.Random(43)

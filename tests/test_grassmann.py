@@ -241,6 +241,8 @@ class TestStandardPolynomial:
     def test_empty_and_shape_errors(self):
         with pytest.raises(ValueError):
             standard_polynomial([])
+        with pytest.raises(TypeError):
+            standard_polynomial([1, 2])
         with pytest.raises(ShapeError):
             standard_polynomial([GrassmannMatrix.identity(2, 0),
                                  GrassmannMatrix.identity(3, 0)])
