@@ -2,9 +2,10 @@
 verification suites, and exhaustive search over small marked graphs.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure, 3 graph file
-format error, 4 search budget exceeded.  All reports are plain text with one
-key=value line per case; identical invocations produce byte-identical stdout
-(wall-clock timings go to stderr).
+format error, 4 search budget exceeded, memory exhausted or recursion limit
+hit.  All reports are plain text with one key=value line per case;
+identical invocations produce byte-identical stdout (wall-clock timings go
+to stderr).
 """
 
 from __future__ import annotations
@@ -440,6 +441,12 @@ def main(argv=None) -> int:
         return 3
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 4
+    except RecursionError:
+        print("error: Python recursion limit exceeded", file=sys.stderr)
         return 4
 
 

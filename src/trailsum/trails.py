@@ -12,15 +12,25 @@ the marked edges).  The central quantities are
 computed exactly with arbitrary-precision integers.
 
 Enumeration is a depth-first extension of the trail from the source root,
-taking candidate edges in ascending index order, which yields trails in
-lexicographic order of the sigma sequence.  A branch is pruned when some
-unused edge can no longer be reached from the current head (the prune is
-completeness-preserving: balance plus reachability guarantee a completion
-exists).  The full sum does not enumerate trails one by one: contributions
-factor through states (set of used edges, current head), because the sign
-increment of appending an edge depends only on which indices are already
-used, so the sum is computed by memoization over those states.  Both routes
-are exact and are cross-checked in the tests.
+kept on an explicit stack, taking candidate edges in ascending index order,
+which yields trails in lexicographic order of the sigma sequence.  Listing
+is output-sensitive, so a branch is pruned when some unused edge can no
+longer be reached from the current head (a flood over per-vertex incident-
+edge bitmasks; completeness-preserving, since balance plus reachability
+guarantee a completion exists).
+
+The sums do not list trails.  The sign increment of appending edge e after
+the set U of used edges depends on U alone, not on the order inside it, so
+contributions factor through states (U, head).  signed_sum is a forward DP
+with one layer per |U|, in the manner of Held and Karp ("A dynamic
+programming approach to sequencing problems", 1962): each state carries the
+signed weight and the number of trail prefixes reaching it, a layer is
+dropped once the next one is built, and nothing is pruned, since a state
+that cannot be completed just never reaches (all edges, t).
+filtered_signed_sum runs the same DP with its constraints as state: a
+position is a check on |U|, consecutive runs become a forced next edge in
+the state, and the order of two runs is a check on U.  Both routes are
+exact and are cross-checked in the tests.
 """
 
 from __future__ import annotations
@@ -59,6 +69,12 @@ class TrailPermutation:
 
 @dataclass(frozen=True)
 class SignedSumReport:
+    """Result of signed_sum.
+
+    ``nodes`` is the number of DP states (used-edge set, head) created, the
+    start state included; it is the quantity max_nodes bounds, and 0 when no
+    DP ran (no edges, or no trail can exist).
+    """
     S: int
     T: int
     trail_count: int
@@ -151,35 +167,46 @@ def is_trail(g: MarkedDigraph, sigma) -> bool:
 
 # -- enumeration --------------------------------------------------------------
 
-def _completable(edges, k: int, used: int, head: int, t: int) -> bool:
-    # Every unused edge must stay weakly reachable from the head, where t
-    # counts as adjacent to the head (the finished trail returns to t).
-    rem = [i for i in range(1, k + 1) if not used >> (i - 1) & 1]
-    if not rem:
-        return True
-    adj: dict[int, list[int]] = {}
-    for i in rem:
-        u, v = edges[i - 1]
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    adj.setdefault(t, []).append(head)
-    adj.setdefault(head, []).append(t)
-    seen = {head}
-    stack = [head]
+def _out_edges(g: MarkedDigraph) -> dict[int, list[int]]:
+    """Edge indices leaving each touched vertex, ascending."""
+    out: dict[int, list[int]] = {}
+    for i, (u, _) in enumerate(g.edges, start=1):
+        out.setdefault(u, []).append(i)
+    return out
+
+
+def _reaches_all(incident: dict[int, int], edges, rem: int, head: int, t: int) -> bool:
+    """Whether every edge in the mask rem is weakly reachable from head.
+
+    The flood runs over rem only, with t counted as adjacent to head (the
+    finished trail returns to t); ``incident`` maps each vertex to the mask
+    of its incident edges.
+    """
+    reached = 0
+    seen = {head, t}
+    stack = [head, t]
     while stack:
-        x = stack.pop()
-        for y in adj.get(x, ()):
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return all(edges[i - 1][0] in seen for i in rem)
+        new = incident.get(stack.pop(), 0) & rem & ~reached
+        reached |= new
+        if reached == rem:
+            return True
+        while new:
+            low = new & -new
+            new ^= low
+            for w in edges[low.bit_length() - 1]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+    return False
 
 
 def enumerate_trails(g: MarkedDigraph, max_nodes: int = DEFAULT_NODE_BUDGET):
     """Yield every Eulerian trail of g exactly once, in lexicographic order.
 
     Infeasible graphs yield nothing.  Raises BudgetExceededError once more
-    than max_nodes extension steps have been attempted.
+    than max_nodes extension steps have been attempted.  The depth-first
+    search keeps one iterator per trail position on an explicit stack, so
+    trail length is not bounded by the recursion limit.
     """
     if g.k == 0:
         if g.s == g.t:
@@ -187,45 +214,117 @@ def enumerate_trails(g: MarkedDigraph, max_nodes: int = DEFAULT_NODE_BUDGET):
         return
     if not validate(g).feasible:
         return
-    k = g.k
     edges = g.edges
-    out_edges: list[list[int]] = [[] for _ in range(g.n + 1)]
-    for i, (u, _) in enumerate(edges, start=1):
-        out_edges[u].append(i)
+    t = g.t
+    full = (1 << g.k) - 1
+    steps = {u: [(e, 1 << (e - 1), edges[e - 1][1]) for e in out]
+             for u, out in _out_edges(g).items()}
+    incident: dict[int, int] = {}
+    for i, (u, v) in enumerate(edges):
+        incident[u] = incident.get(u, 0) | 1 << i
+        incident[v] = incident.get(v, 0) | 1 << i
     seq: list[int] = []
+    used = 0
+    frames = [iter(steps[g.s])]
     nodes = 0
-
-    def dfs(used: int, head: int):
-        nonlocal nodes
-        if len(seq) == k:
-            yield TrailPermutation(tuple(seq))
-            return
-        for e in out_edges[head]:
-            bit = 1 << (e - 1)
+    while frames:
+        for e, bit, nxt in frames[-1]:
             if used & bit:
                 continue
             nodes += 1
             if nodes > max_nodes:
                 raise BudgetExceededError(nodes, max_nodes)
-            nxt = edges[e - 1][1]
-            if not _completable(edges, k, used | bit, nxt, g.t):
+            rem = full & ~(used | bit)
+            if rem and not _reaches_all(incident, edges, rem, nxt, t):
                 continue
             seq.append(e)
-            yield from dfs(used | bit, nxt)
-            seq.pop()
+            if not rem:
+                yield TrailPermutation(tuple(seq))
+                seq.pop()
+                continue
+            used |= bit
+            frames.append(iter(steps.get(nxt, ())))
+            break
+        else:
+            frames.pop()
+            if seq:
+                used ^= 1 << (seq.pop() - 1)
 
-    yield from dfs(0, g.s)
+
+# -- the layered subset DP ------------------------------------------------------
+
+def _sign_masks(g: MarkedDigraph) -> list[int]:
+    """Entry e: the used edges whose presence flips the sign of appending e.
+
+    Appending e after the used set U contributes (-1)**|{j in U : j > e}|,
+    times (-1)**|{j in U, marked : j > e}| when e is marked; the product is
+    the parity of U restricted to the indices above e, less the marked ones
+    when e itself is marked.
+    """
+    full = (1 << g.k) - 1
+    mmask = 0
+    for j in g.marked:
+        mmask |= 1 << (j - 1)
+    masks = [0]
+    for e in range(1, g.k + 1):
+        above = full & ~((1 << e) - 1)
+        masks.append(above & ~mmask if e in g.marked else above)
+    return masks
+
+
+def _layered_sum(g: MarkedDigraph, moves, max_nodes: int) -> tuple[int, int, int]:
+    """Forward DP over trail prefixes, one layer per number of used edges.
+
+    A layer maps (head, forced) to {used edge mask: [signed weight, count]},
+    where ``forced`` is the edge that must come next (0: none).
+    ``moves(depth, head, forced)`` lists the edges that may be appended at
+    trail position depth + 1 as tuples (mask, need, dest, sign mask, next
+    forced): a state with used set U takes the move when U & mask == need.
+    Nothing is pruned; a state that cannot be completed just never reaches
+    (all edges, t).  Each layer is dropped once the next is built.  Returns
+    (signed sum, trail count, states created), and raises
+    BudgetExceededError as soon as the states created pass max_nodes.
+    """
+    nodes = 1
+    if nodes > max_nodes:
+        raise BudgetExceededError(nodes, max_nodes)
+    layer = {(g.s, 0): {0: [1, 1]}}
+    for depth in range(g.k):
+        nxt: dict[tuple[int, int], dict[int, list[int]]] = {}
+        for (head, forced), states in layer.items():
+            for mask, need, dest, smask, nforced in moves(depth, head, forced):
+                target = nxt.setdefault((dest, nforced), {})
+                for used, (w, c) in states.items():
+                    if used & mask != need:
+                        continue
+                    if (used & smask).bit_count() & 1:
+                        w = -w
+                    nused = used | mask
+                    cur = target.get(nused)
+                    if cur is None:
+                        nodes += 1
+                        if nodes > max_nodes:
+                            raise BudgetExceededError(nodes, max_nodes)
+                        target[nused] = [w, c]
+                    else:
+                        cur[0] += w
+                        cur[1] += c
+        layer = nxt
+    w, c = layer.get((g.t, 0), {}).get((1 << g.k) - 1, (0, 0))
+    return w, c, nodes
 
 
 def signed_sum(g: MarkedDigraph, max_nodes: int = DEFAULT_NODE_BUDGET) -> SignedSumReport:
     """Exact signed trail sum S, its absolute value T, and the trail count.
 
-    Contributions are summed state by state: the sign increment of placing
-    edge e after the used set U is the parity of |{used indices above e}|,
-    times the same count within the marked set when e is marked, so the sum
-    over all completions of a state (U, head) is a function of the state
-    alone and is memoized.  The result is identical to folding trail_signs
-    over enumerate_trails.
+    A forward DP over states (U, head), one layer per |U|, where U is the
+    set of used edges.  The sign increment of placing edge e after U is the
+    parity of |{used indices above e}|, times the same count within the
+    marked set when e is marked; it depends on U alone, so each state holds
+    the signed weight and the number of trail prefixes reaching it.  No
+    branch is pruned: states that cannot be completed contribute nothing.
+    Only two layers are alive at a time.  The result is identical to folding
+    trail_signs over enumerate_trails.
     """
     start = time.perf_counter()
     if g.k == 0:
@@ -234,53 +333,11 @@ def signed_sum(g: MarkedDigraph, max_nodes: int = DEFAULT_NODE_BUDGET) -> Signed
                                time.perf_counter() - start, 0)
     if not validate(g).feasible:
         return SignedSumReport(0, 0, 0, time.perf_counter() - start, 0)
-
-    k = g.k
-    edges = g.edges
-    t = g.t
-    dst = [0] * (k + 1)
-    out_edges: list[list[int]] = [[] for _ in range(g.n + 1)]
-    for i, (u, v) in enumerate(edges, start=1):
-        dst[i] = v
-        out_edges[u].append(i)
-    mmask = 0
-    for j in g.marked:
-        mmask |= 1 << (j - 1)
-    full = (1 << k) - 1
-    stride = g.n + 1
-    memo: dict[int, tuple[int, int]] = {}
-    nodes = 0
-
-    def rec(used: int, head: int) -> tuple[int, int]:
-        nonlocal nodes
-        if used == full:
-            return (1, 1) if head == t else (0, 0)
-        key = used * stride + head
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        nodes += 1
-        if nodes > max_nodes:
-            raise BudgetExceededError(nodes, max_nodes)
-        total = 0
-        count = 0
-        for e in out_edges[head]:
-            bit = 1 << (e - 1)
-            if used & bit:
-                continue
-            nused = used | bit
-            if not _completable(edges, k, nused, dst[e], t):
-                continue
-            inc = -1 if (used >> e).bit_count() & 1 else 1
-            if bit & mmask and ((used & mmask) >> e).bit_count() & 1:
-                inc = -inc
-            sub_s, sub_c = rec(nused, dst[e])
-            total += inc * sub_s
-            count += sub_c
-        memo[key] = (total, count)
-        return total, count
-
-    S, count = rec(0, g.s)
+    smask = _sign_masks(g)
+    plain = {head: [(1 << (e - 1), 0, g.edges[e - 1][1], smask[e], 0) for e in out]
+             for head, out in _out_edges(g).items()}
+    S, count, nodes = _layered_sum(g, lambda depth, head, forced: plain.get(head, ()),
+                                   max_nodes)
     return SignedSumReport(S, abs(S), count, time.perf_counter() - start, nodes)
 
 
@@ -357,25 +414,59 @@ TrailConstraint = Subtrail | Precedes | AtPosition
 
 def filtered_signed_sum(g: MarkedDigraph, constraints,
                         max_nodes: int = DEFAULT_NODE_BUDGET) -> int:
-    """Signed sum restricted to trails satisfying every constraint."""
-    constraints = list(constraints)
+    """Signed sum restricted to trails satisfying every constraint.
+
+    Runs the layered DP of signed_sum with the constraints folded into the
+    moves, without listing trails.  AtPosition pins an edge to the layer
+    equal to its position minus one.  The runs of Subtrail and Precedes
+    become a successor map: the state carries the forced next edge, and an
+    edge with a forced predecessor is placed only when it is forced.
+    Precedes also lets second[0] be placed only once first[-1] is used.
+    Contradictory constraints give 0.
+    """
+    slot: dict[int, int] = {}     # position -> edge
+    place: dict[int, int] = {}    # edge -> position
+    succ: dict[int, int] = {}
+    pred: dict[int, int] = {}
+    need = [0] * (g.k + 1)        # edges that must be used before edge e
+    contradictory = False
     for c in constraints:
         if isinstance(c, AtPosition):
             if c.position > g.k or c.edge > g.k:
                 raise ValueError(f"constraint {c} outside a {g.k}-edge graph")
-        elif isinstance(c, (Subtrail, Precedes)):
-            seqs = [c.seq] if isinstance(c, Subtrail) else [c.first, c.second]
-            for seq in seqs:
-                if any(e > g.k for e in seq):
-                    raise ValueError(f"constraint {c} outside a {g.k}-edge graph")
-        else:
+            contradictory |= (slot.setdefault(c.position, c.edge) != c.edge
+                              or place.setdefault(c.edge, c.position) != c.position)
+            continue
+        if not isinstance(c, (Subtrail, Precedes)):
             raise TypeError(f"unsupported constraint {c!r}")
-    total = 0
-    for trail in enumerate_trails(g, max_nodes=max_nodes):
-        if all(c.satisfied(trail.sigma) for c in constraints):
-            sg, sm = trail_signs(g, trail)
-            total += sg * sm
-    return total
+        for run in [c.seq] if isinstance(c, Subtrail) else [c.first, c.second]:
+            if any(e > g.k for e in run):
+                raise ValueError(f"constraint {c} outside a {g.k}-edge graph")
+            for a, b in zip(run, run[1:]):
+                contradictory |= succ.setdefault(a, b) != b or pred.setdefault(b, a) != a
+        if isinstance(c, Precedes):
+            contradictory |= c.first[-1] == c.second[0]
+            need[c.second[0]] |= 1 << (c.first[-1] - 1)
+    if g.k == 0:
+        return 1 if g.s == g.t else 0
+    if contradictory or not validate(g).feasible:
+        return 0
+
+    smask = _sign_masks(g)
+    out_edges = _out_edges(g)
+    free = {head: [e for e in out if e not in pred] for head, out in out_edges.items()}
+
+    def moves(depth, head, forced):
+        pos = depth + 1
+        if forced:
+            cands = (forced,) if g.edges[forced - 1][0] == head else ()
+        else:
+            cands = free.get(head, ())
+        return [(1 << (e - 1) | need[e], need[e], g.edges[e - 1][1], smask[e],
+                 succ.get(e, 0))
+                for e in cands if slot.get(pos, e) == e and place.get(e, pos) == pos]
+
+    return _layered_sum(g, moves, max_nodes)[0]
 
 
 # -- parallel-subtrail swap ----------------------------------------------------

@@ -136,6 +136,38 @@ def brute_signed_sum(g):
     return total, count
 
 
+def _run_offset(per, run):
+    """Start of run as a consecutive block of per, found by trying every offset."""
+    run = list(run)
+    for i in range(len(per) - len(run) + 1):
+        if list(per[i:i + len(run)]) == run:
+            return i
+    return None
+
+
+def _meets(per, c):
+    from trailsum.trails import AtPosition, Precedes, Subtrail
+    if isinstance(c, AtPosition):
+        return per[c.position - 1] == c.edge
+    if isinstance(c, Subtrail):
+        return _run_offset(per, c.seq) is not None
+    if isinstance(c, Precedes):
+        i = _run_offset(per, c.first)
+        j = _run_offset(per, c.second)
+        return i is not None and j is not None and i + len(c.first) - 1 < j
+    raise TypeError(c)
+
+
+def brute_filtered_sum(g, constraints):
+    """Signed sum over the brute-force trails that meet every constraint."""
+    marked = set(g.marked)
+    total = 0
+    for per in brute_trails(g):
+        if all(_meets(per, c) for c in constraints):
+            total += inversion_sign(per) * inversion_sign([e for e in per if e in marked])
+    return total
+
+
 # -- random generators ----------------------------------------------------------
 
 def random_element(rng, m, max_terms=8, coeff_bound=5):

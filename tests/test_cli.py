@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from trailsum import cli
@@ -82,6 +86,42 @@ class TestSignedSumCommand:
         code, _, err = run(capsys, ["signed-sum", str(path), "--budget", "4"])
         assert code == 4
         assert "budget" in err
+
+    def test_long_path_lists_its_trail(self, capsys, tmp_path):
+        path = tmp_path / "path.graph"
+        path.write_text("n 1201 s 1 t 1201\n"
+                        + "".join(f"{i} {i + 1} 0\n" for i in range(1, 1201)),
+                        encoding="utf-8")
+        code, out, _ = run(capsys, ["signed-sum", str(path), "--list-trails"])
+        assert code == 0
+        assert out.splitlines() == [
+            "trail=" + ",".join(str(i) for i in range(1, 1201)) + " sgn=+1 sgn_M=+1",
+            "S=1 T=1 trails=1"]
+
+    @pytest.mark.parametrize("exc", [MemoryError, RecursionError])
+    def test_resource_errors_exit_4(self, capsys, monkeypatch, g2_file, exc):
+        def fail(*args, **kwargs):
+            raise exc()
+        monkeypatch.setattr(cli, "signed_sum", fail)
+        code, out, err = run(capsys, ["signed-sum", g2_file])
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_memory_exhaustion_exits_4_under_rlimit(self, tmp_path):
+        pytest.importorskip("resource")
+        path = tmp_path / "huge.graph"
+        path.write_text("n 1000000000 s 1 t 1\n1 1 0\n", encoding="utf-8")
+        src = Path(cli.__file__).resolve().parents[1]
+        script = ("import resource, sys\n"
+                  f"resource.setrlimit(resource.RLIMIT_AS, ({1 << 30}, {1 << 30}))\n"
+                  f"sys.path.insert(0, {str(src)!r})\n"
+                  "from trailsum.cli import main\n"
+                  f"sys.exit(main(['signed-sum', {str(path)!r}]))\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr == "error: out of memory\n"
 
 
 class TestGnCommand:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import brute_signed_sum, brute_trails
+from oracles import brute_filtered_sum, brute_signed_sum, brute_trails
 from trailsum.digraph import (MarkedDigraph, enumerate_marked_graphs, extend,
                               make_gn, opposite, random_feasible_graph)
 from trailsum.trails import (AtPosition, BudgetExceededError, Precedes,
@@ -15,6 +15,10 @@ from trailsum.trails import (AtPosition, BudgetExceededError, Precedes,
 
 def graph(n, edges, s, t, marked=()):
     return MarkedDigraph(n, tuple(edges), s, t, frozenset(marked))
+
+
+def path_graph(k):
+    return graph(k + 1, [(i, i + 1) for i in range(1, k + 1)], 1, k + 1)
 
 
 def random_graphs(seed, count, n_max=3, k_max=6, bmax=3, k_min=1):
@@ -105,6 +109,10 @@ class TestEnumerateTrails:
         with pytest.raises(BudgetExceededError):
             list(enumerate_trails(make_gn(2, 2), max_nodes=3))
 
+    def test_long_path_is_not_bounded_by_recursion(self):
+        trails = list(enumerate_trails(path_graph(1200)))
+        assert [t.sigma for t in trails] == [tuple(range(1, 1201))]
+
 
 class TestSignedSum:
     def test_g2_closed_form(self):
@@ -146,6 +154,17 @@ class TestSignedSum:
     def test_budget_exceeded(self):
         with pytest.raises(BudgetExceededError):
             signed_sum(make_gn(3, 2), max_nodes=5)
+
+    def test_budget_boundary_is_exact(self):
+        g = make_gn(3, 2)
+        r = signed_sum(g)
+        assert signed_sum(g, max_nodes=r.nodes).S == r.S
+        with pytest.raises(BudgetExceededError):
+            signed_sum(g, max_nodes=r.nodes - 1)
+
+    def test_long_path_is_not_bounded_by_recursion(self):
+        r = signed_sum(path_graph(1200))
+        assert (r.S, r.T, r.trail_count) == (1, 1, 1)
 
     def test_report_sanity(self):
         r = signed_sum(make_gn(2, 2))
@@ -210,6 +229,78 @@ class TestFilteredSums:
                           for sg, sm in [trail_signs(g, trail)]
                           if not c.satisfied(trail.sigma))
             assert inside + outside == signed_sum(g).S
+
+
+def random_constraints(rng, g, base):
+    """One to three constraints, drawn so that contradictions come up often:
+    two AtPosition on one slot, overlapping Subtrail runs, and Precedes in
+    both directions.  Runs are mostly cut from the trail base."""
+    k = g.k
+
+    def run():
+        if rng.random() < 0.7:
+            i = rng.randrange(k)
+            return base[i:rng.randint(i + 1, min(k, i + 3))]
+        return tuple(rng.sample(range(1, k + 1), rng.randint(1, min(k, 3))))
+
+    def at(p):
+        return AtPosition(base[p - 1] if rng.random() < 0.5 else rng.randint(1, k), p)
+
+    want = rng.randint(1, 3)
+    out = []
+    while len(out) < want:
+        kind = rng.choice(("at", "subtrail", "precedes")
+                          + (("same-slot", "overlap", "both-ways") if want - len(out) >= 2
+                             else ()))
+        if kind == "at":
+            out.append(at(rng.randint(1, k)))
+        elif kind == "subtrail":
+            out.append(Subtrail(run()))
+        elif kind == "precedes":
+            out.append(Precedes(run(), run()))
+        elif kind == "same-slot":
+            p = rng.randint(1, k)
+            out += [at(p), at(p)]
+        elif kind == "overlap" and k >= 3:
+            i = rng.randrange(k - 2)
+            if rng.random() < 0.5:
+                out += [Subtrail(base[i:i + 2]), Subtrail(base[i + 1:i + 3])]
+            else:
+                x, y, z = rng.sample(range(1, k + 1), 3)
+                out += [Subtrail((x, y)), Subtrail((x, z))]
+        elif kind == "both-ways":
+            first, second = run(), run()
+            out += [Precedes(first, second), Precedes(second, first)]
+    return out
+
+
+class TestFilteredOracle:
+    def test_matches_brute_filtered_sum(self):
+        nonzero = 0
+        contradictory = 0
+        for seed in (41, 42, 43):
+            for g, rng in random_graphs(seed, 150, k_max=6):
+                base = rng.choice(brute_trails(g))
+                cs = random_constraints(rng, g, base)
+                expected = brute_filtered_sum(g, cs)
+                assert filtered_signed_sum(g, cs) == expected, (g, cs)
+                nonzero += expected != 0
+                ats = [c for c in cs if isinstance(c, AtPosition)]
+                contradictory += len({(c.position, c.edge) for c in ats}) > len(
+                    {c.position for c in ats})
+        # the draw must exercise both satisfiable and contradictory sets
+        assert nonzero >= 50
+        assert contradictory >= 10
+
+    def test_precedes_both_ways_is_zero(self):
+        g = make_gn(2, 2)
+        assert filtered_signed_sum(g, [Precedes([1], [4]), Precedes([4], [1])]) == 0
+        assert filtered_signed_sum(g, [Precedes([2], [2])]) == 0
+        assert brute_filtered_sum(g, [Precedes([2], [2])]) == 0
+
+    def test_budget_exceeded(self):
+        with pytest.raises(BudgetExceededError):
+            filtered_signed_sum(make_gn(3, 2), [AtPosition(1, 1)], max_nodes=5)
 
 
 class TestSwap:
