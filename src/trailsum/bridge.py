@@ -15,7 +15,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .digraph import (MarkedDigraph, enumerate_marked_graphs, random_feasible_graph)
+from .digraph import (MarkedDigraph, enumerate_marked_graphs, random_feasible_graph,
+                      search_space)
 from .grassmann import (DEFAULT_ARITY_CAP, GrassmannElement, GrassmannMatrix,
                         standard_polynomial)
 from .trails import DEFAULT_NODE_BUDGET, signed_sum
@@ -148,8 +149,7 @@ def identity_verdict(n: int, m: int, k: int, mode: str = "exhaustive",
     max_classes graph classes.
     """
     if mode == "exhaustive":
-        import math
-        space = math.comb(2 * n * n + k - 1, k) * n * n
+        space = search_space(n, k)
         if space > max_classes:
             raise ValueError(
                 f"exhaustive space of {space} classes exceeds the guard of {max_classes}")

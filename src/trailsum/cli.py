@@ -351,7 +351,7 @@ def cmd_verify(args) -> int:
 def cmd_exhaustive(args) -> int:
     if args.n < 1 or args.k < 1 or args.bmax < 0:
         raise _UsageError("need --n, --k >= 1 and --bmax >= 0")
-    space = math.comb(2 * args.n * args.n + args.k - 1, args.k) * args.n * args.n
+    space = digraph.search_space(args.n, args.k)
     if space > args.max_classes:
         raise _UsageError(f"search space of {space} classes exceeds the guard of "
                           f"{args.max_classes}; raise --max-classes to proceed")

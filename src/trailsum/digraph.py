@@ -15,6 +15,7 @@ format used by the command line tools.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
@@ -214,7 +215,20 @@ class MarkedGraphEnumeration:
     skipped and counted (their trail set is empty), so every yielded graph
     is balanced with at least one Eulerian trail.
 
-    Single-pass iterator; the skip counters update as items are consumed.
+    For each root pair the multisets are walked depth first over the 2n^2
+    edge types in (source, target, marked) order, each type's multiplicity
+    tried from high to low: the order of
+    ``itertools.combinations_with_replacement``.  The walk carries the
+    balance d(v) = indeg + [v = s] - outdeg - [v = t] and cuts a subtree
+    when it holds no balanced multiset: some vertex whose outgoing types
+    are all behind has d(v) > 0, or the sum of the positive d(v) exceeds
+    the edges left.  Only balanced multisets are built and validated.
+
+    Single-pass iterator; the counters update as items are consumed, in
+    stream order.  A cut subtree adds its size (multisets with at most
+    bmax marked edges) to ``skipped_unbalanced`` when the walk reaches it,
+    so after every yield the counters equal those of building and
+    validating every multiset in turn.
     """
 
     def __init__(self, n: int, k: int, bmax: int):
@@ -237,22 +251,91 @@ class MarkedGraphEnumeration:
     def _generate(self):
         n, k = self.n, self.k
         types = [(u, v, f) for u in range(1, n + 1) for v in range(1, n + 1) for f in (0, 1)]
-        for s, t in itertools.product(range(1, n + 1), repeat=2):
-            for combo in itertools.combinations_with_replacement(types, k):
-                if sum(f for _, _, f in combo) > self.bmax:
-                    continue
-                edges = tuple((u, v) for u, v, _ in combo)
-                marked = frozenset(i for i, (_, _, f) in enumerate(combo, start=1) if f)
-                g = MarkedDigraph(n, edges, s, t, marked)
-                prof = validate(g)
-                if not prof.balanced:
-                    self.skipped_unbalanced += 1
-                    continue
-                if not prof.feasible:
+        width = 2 * n                   # types per source vertex
+        last = len(types)
+        sizes: dict[tuple[int, int, int], int] = {}
+
+        def size(i: int, r: int, beta: int) -> int:
+            """Multisets of r edges from types[i:] with at most beta marked."""
+            key = (i, r, beta)
+            if key not in sizes:
+                unmarked = (last - i) // 2      # types alternate unmarked, marked
+                marked = last - i - unmarked
+                sizes[key] = sum(_multichoose(marked, j) * _multichoose(unmarked, r - j)
+                                 for j in range(min(beta, r) + 1))
+            return sizes[key]
+
+        d = [0] * (n + 1)
+        picked: list[tuple[int, int, int, int]] = []
+
+        def walk(i: int, r: int, beta: int, pos: int):
+            # Invariant: the multiset so far can still be balanced and pos is
+            # the sum of the positive d(v).  Pick the next type j >= i to use
+            # and its multiplicity m >= 1.  Once the walk is past a vertex's
+            # last outgoing type that vertex is closed: its d(v) can only grow.
+            if r == 0:
+                edges: list[tuple[int, int]] = []
+                marked: list[int] = []
+                for u, v, f, m in picked:
+                    for _ in range(m):
+                        edges.append((u, v))
+                        if f:
+                            marked.append(len(edges))
+                g = MarkedDigraph(n, tuple(edges), s, t, frozenset(marked))
+                if not validate(g).feasible:
                     self.skipped_infeasible += 1
-                    continue
+                    return
                 self.yielded += 1
                 yield g
+                return
+            for j in range(i, last):
+                if j % width == 0 and j and d[j // width] > 0:
+                    self.skipped_unbalanced += size(j, r, beta)
+                    return
+                u, v, f = types[j]
+                closes = (j + 1) % width == 0   # the last outgoing type of u
+                for m in range(min(r, beta) if f else r, 0, -1):
+                    rest, beta_rest = r - m, beta - m * f
+                    if u == v:
+                        dead = pos > rest or (closes and d[u] > 0)
+                        new_pos = pos
+                    else:
+                        du, dv = d[u], d[v]
+                        new_pos = (pos - max(du, 0) + max(du - m, 0)
+                                   - max(dv, 0) + max(dv + m, 0))
+                        dead = (new_pos > rest or (closes and du - m > 0)
+                                or (v < u and dv + m > 0))
+                    if dead:
+                        self.skipped_unbalanced += size(j + 1, rest, beta_rest)
+                        continue
+                    d[u] -= m
+                    d[v] += m
+                    picked.append((u, v, f, m))
+                    yield from walk(j + 1, rest, beta_rest, new_pos)
+                    picked.pop()
+                    d[u] += m
+                    d[v] -= m
+
+        for s, t in itertools.product(range(1, n + 1), repeat=2):
+            d[s] += 1
+            d[t] -= 1
+            yield from walk(0, k, self.bmax, int(s != t))
+            d[s] -= 1
+            d[t] += 1
+
+
+def _multichoose(kinds: int, r: int) -> int:
+    """Multisets of size r over the given number of kinds."""
+    return math.comb(kinds + r - 1, r) if kinds else int(r == 0)
+
+
+def search_space(n: int, k: int) -> int:
+    """Root pairs times multisets of k edge types, ignoring the mark bound.
+
+    The size of the unrestricted class search on n vertices and k edges;
+    the exhaustive commands refuse a search when it exceeds their guard.
+    """
+    return math.comb(2 * n * n + k - 1, k) * n * n
 
 
 def enumerate_marked_graphs(n: int, k: int, bmax: int) -> MarkedGraphEnumeration:

@@ -91,17 +91,23 @@ def _as_sequence(perm) -> tuple[int, ...]:
 
 
 def sgn_perm(perm) -> int:
-    """Parity sign of a permutation of 1..k, by direct inversion count."""
+    """Parity sign of a permutation of 1..k: (-1)^(k - number of cycles)."""
     seq = _as_sequence(perm)
     k = len(seq)
-    if sorted(seq) != list(range(1, k + 1)):
-        raise ValueError(f"{seq} is not a permutation of 1..{k}")
-    inv = 0
-    for i in range(k):
-        for j in range(i + 1, k):
-            if seq[i] > seq[j]:
-                inv += 1
-    return -1 if inv & 1 else 1
+    seen = [False] * (k + 1)
+    for x in seq:
+        if not 1 <= x <= k or seen[x]:
+            raise ValueError(f"{seq} is not a permutation of 1..{k}")
+        seen[x] = True
+    parity = k
+    for start in range(1, k + 1):
+        if seen[start]:                 # unvisited: walk its cycle
+            parity -= 1
+            x = start
+            while seen[x]:
+                seen[x] = False
+                x = seq[x - 1]
+    return -1 if parity & 1 else 1
 
 
 def invert_permutation(perm) -> tuple[int, ...]:

@@ -168,6 +168,56 @@ def brute_filtered_sum(g, constraints):
     return total
 
 
+class _BruteMarkedGraphs:
+    """Every multiset of (source, target, marked) triples, built and validated.
+
+    The generator body is the package's original enumerator: for each root
+    pair it draws every multiset with at most bmax marked edges, builds the
+    graph and lets ``validate`` sort it into the counters.
+    """
+
+    def __init__(self, n, k, bmax):
+        self.n = n
+        self.k = k
+        self.bmax = bmax
+        self.yielded = 0
+        self.skipped_unbalanced = 0
+        self.skipped_infeasible = 0
+        self._it = self._generate()
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        return next(self._it)
+
+    def _generate(self):
+        from trailsum.digraph import MarkedDigraph, validate
+        n, k = self.n, self.k
+        types = [(u, v, f) for u in range(1, n + 1) for v in range(1, n + 1) for f in (0, 1)]
+        for s, t in itertools.product(range(1, n + 1), repeat=2):
+            for combo in itertools.combinations_with_replacement(types, k):
+                if sum(f for _, _, f in combo) > self.bmax:
+                    continue
+                edges = tuple((u, v) for u, v, _ in combo)
+                marked = frozenset(i for i, (_, _, f) in enumerate(combo, start=1) if f)
+                g = MarkedDigraph(n, edges, s, t, marked)
+                prof = validate(g)
+                if not prof.balanced:
+                    self.skipped_unbalanced += 1
+                    continue
+                if not prof.feasible:
+                    self.skipped_infeasible += 1
+                    continue
+                self.yielded += 1
+                yield g
+
+
+def brute_marked_graphs(n, k, bmax):
+    """Reference class stream with the counters of MarkedGraphEnumeration."""
+    return _BruteMarkedGraphs(n, k, bmax)
+
+
 # -- random generators ----------------------------------------------------------
 
 def random_element(rng, m, max_terms=8, coeff_bound=5):

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from oracles import brute_marked_graphs, brute_signed_sum
 from trailsum import cli
 from trailsum.digraph import format_graph, make_gn, parse_graph
 
@@ -194,6 +195,16 @@ class TestExhaustiveCommand:
                                     "--bmax", "2", "--stop-on-witness"])
         assert code == 0
         assert "witness T=" in out
+        stream = brute_marked_graphs(2, 5, 2)
+        for g in stream:
+            S, _ = brute_signed_sum(g)
+            if S != 0:
+                break
+        lines = out.splitlines()
+        assert f"witness T={abs(S)} {g.compact()}" in lines
+        assert lines[-1] == (f"classes={stream.yielded} "
+                             f"skipped_unbalanced={stream.skipped_unbalanced} "
+                             f"skipped_infeasible={stream.skipped_infeasible}")
 
     def test_identity_range_is_all_zero(self, capsys):
         code, out, _ = run(capsys, ["exhaustive", "--n", "2", "--k", "6", "--bmax", "3"])

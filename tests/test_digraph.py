@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import brute_marked_graphs
 from trailsum.digraph import (GraphFormatError, MarkedDigraph,
                               enumerate_marked_graphs, extend, format_graph,
                               make_gn, opposite, parse_graph,
@@ -202,6 +204,22 @@ class TestEnumeration:
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             enumerate_marked_graphs(0, 1, 0)
+
+    @pytest.mark.parametrize("n, k, bmax", [
+        (1, 1, 0), (1, 2, 2), (2, 3, 1), (2, 4, 0), (2, 4, 2),
+        (2, 5, 5), (2, 6, 3), (3, 4, 1), (3, 5, 2), (3, 6, 2),
+    ])
+    def test_matches_brute_force_stream(self, n, k, bmax):
+        def counters(stream):
+            return stream.yielded, stream.skipped_unbalanced, stream.skipped_infeasible
+
+        fast = enumerate_marked_graphs(n, k, bmax)
+        brute = brute_marked_graphs(n, k, bmax)
+        for a, b in itertools.zip_longest(fast, brute):
+            assert a == b
+            assert counters(fast) == counters(brute)
+        assert counters(fast) == counters(brute)
+        assert fast.yielded > 0
 
 
 class TestRandomFeasible:

@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import brute_filtered_sum, brute_signed_sum, brute_trails
+from oracles import (brute_filtered_sum, brute_signed_sum, brute_trails,
+                     inversion_sign)
 from trailsum.digraph import (MarkedDigraph, enumerate_marked_graphs, extend,
                               make_gn, opposite, random_feasible_graph)
 from trailsum.trails import (AtPosition, BudgetExceededError, Precedes,
@@ -44,6 +47,25 @@ class TestSgnPerm:
 
     def test_accepts_trail_permutation(self):
         assert sgn_perm(TrailPermutation((2, 1))) == -1
+
+    @settings(derandomize=True, max_examples=300)
+    @given(st.integers(0, 12).flatmap(lambda k: st.permutations(range(1, k + 1))))
+    def test_matches_inversion_count(self, perm):
+        assert sgn_perm(perm) == inversion_sign(perm)
+
+    @settings(derandomize=True, max_examples=300)
+    @given(st.lists(st.integers(-1, 10), max_size=9))
+    @example([0])
+    @example([1, 3])
+    @example([2, 2])
+    @example([3, 1, 3])
+    @example([-1, 1])
+    def test_rejects_exactly_the_non_permutations(self, seq):
+        if sorted(seq) == list(range(1, len(seq) + 1)):
+            assert sgn_perm(seq) == inversion_sign(seq)
+        else:
+            with pytest.raises(ValueError):
+                sgn_perm(seq)
 
 
 class TestSigmaM:
