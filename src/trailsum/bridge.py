@@ -15,8 +15,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .digraph import (MarkedDigraph, enumerate_marked_graphs, random_feasible_graph,
-                      search_space)
+from .digraph import (MarkedDigraph, OrbitMemo, enumerate_marked_graphs,
+                      random_feasible_graph, search_space)
 from .grassmann import (DEFAULT_ARITY_CAP, GrassmannElement, GrassmannMatrix,
                         standard_polynomial)
 from .trails import DEFAULT_NODE_BUDGET, signed_sum
@@ -144,16 +144,21 @@ def identity_verdict(n: int, m: int, k: int, mode: str = "exhaustive",
     with at most m marked edges?
 
     Exhaustive mode walks every graph class in canonical order and reports
-    the first counterexample; sampled mode draws seeded random feasible
+    the first counterexample, computing T once per orbit under vertex
+    relabelling and reversal; sampled mode draws seeded random feasible
     graphs instead.  Exhaustive mode refuses search spaces larger than
     max_classes graph classes.
     """
+    def T(g: MarkedDigraph) -> int:
+        return signed_sum(g, max_nodes=max_nodes).T
+
     if mode == "exhaustive":
-        space = search_space(n, k)
+        space = search_space(n, k, m)
         if space > max_classes:
             raise ValueError(
                 f"exhaustive space of {space} classes exceeds the guard of {max_classes}")
         graphs = enumerate_marked_graphs(n, k, bmax=m)
+        T = OrbitMemo(T)
     elif mode == "sampled":
         rng = random.Random(seed)
         graphs = (random_feasible_graph(rng, n, k, bmax=m) for _ in range(samples))
@@ -163,6 +168,6 @@ def identity_verdict(n: int, m: int, k: int, mode: str = "exhaustive",
     checked = 0
     for g in graphs:
         checked += 1
-        if signed_sum(g, max_nodes=max_nodes).T != 0:
+        if T(g) != 0:
             return IdentityVerdict(False, g, checked)
     return IdentityVerdict(True, None, checked)

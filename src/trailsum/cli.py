@@ -351,16 +351,18 @@ def cmd_verify(args) -> int:
 def cmd_exhaustive(args) -> int:
     if args.n < 1 or args.k < 1 or args.bmax < 0:
         raise _UsageError("need --n, --k >= 1 and --bmax >= 0")
-    space = digraph.search_space(args.n, args.k)
+    start = time.perf_counter()
+    space = digraph.search_space(args.n, args.k, args.bmax)
     if space > args.max_classes:
         raise _UsageError(f"search space of {space} classes exceeds the guard of "
                           f"{args.max_classes}; raise --max-classes to proceed")
     print(f"n={args.n} k={args.k} bmax={args.bmax}")
     stream = enumerate_marked_graphs(args.n, args.k, args.bmax)
+    memo = digraph.OrbitMemo(lambda g: signed_sum(g, max_nodes=args.budget).T)
     histogram: dict[int, int] = {}
     witness = None
     for g in stream:
-        value = signed_sum(g, max_nodes=args.budget).T
+        value = memo(g)
         histogram[value] = histogram.get(value, 0) + 1
         if value > 0 and witness is None:
             witness = (value, g)
@@ -372,6 +374,8 @@ def cmd_exhaustive(args) -> int:
         print(f"witness T={witness[0]} {witness[1].compact()}")
     print(f"classes={stream.yielded} skipped_unbalanced={stream.skipped_unbalanced} "
           f"skipped_infeasible={stream.skipped_infeasible}")
+    print(f"orbits={memo.orbits} reused={memo.reused} "
+          f"elapsed={time.perf_counter() - start:.3f}s", file=sys.stderr)
     return 0
 
 

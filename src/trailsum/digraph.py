@@ -7,15 +7,18 @@ distinguished edges.
 
 The module also provides the witness family ``make_gn``, the root-absorbing
 extension, the opposite graph, the two loop-creating edge surgeries, an
-exhaustive enumerator of small marked graphs up to edge relabelling, a
-seeded sampler of trail-feasible graphs, and a strict line-oriented text
+exhaustive enumerator of small marked graphs up to edge relabelling, orbit
+keys of those classes under vertex relabelling and reversal, a seeded
+sampler of trail-feasible graphs, and a strict line-oriented text
 format used by the command line tools.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 
@@ -260,9 +263,7 @@ class MarkedGraphEnumeration:
             key = (i, r, beta)
             if key not in sizes:
                 unmarked = (last - i) // 2      # types alternate unmarked, marked
-                marked = last - i - unmarked
-                sizes[key] = sum(_multichoose(marked, j) * _multichoose(unmarked, r - j)
-                                 for j in range(min(beta, r) + 1))
+                sizes[key] = _bounded_multisets(last - i - unmarked, unmarked, r, beta)
             return sizes[key]
 
         d = [0] * (n + 1)
@@ -329,13 +330,104 @@ def _multichoose(kinds: int, r: int) -> int:
     return math.comb(kinds + r - 1, r) if kinds else int(r == 0)
 
 
-def search_space(n: int, k: int) -> int:
-    """Root pairs times multisets of k edge types, ignoring the mark bound.
+def _bounded_multisets(marked: int, unmarked: int, r: int, beta: int) -> int:
+    """Multisets of size r over marked and unmarked kinds, at most beta marked."""
+    return sum(_multichoose(marked, j) * _multichoose(unmarked, r - j)
+               for j in range(min(beta, r) + 1))
 
-    The size of the unrestricted class search on n vertices and k edges;
-    the exhaustive commands refuse a search when it exceeds their guard.
+
+def search_space(n: int, k: int, bmax: int) -> int:
+    """Root pairs times multisets of k edge types with at most bmax marked.
+
+    Every multiset the class walk accounts for: once a stream is drained,
+    ``yielded + skipped_unbalanced + skipped_infeasible`` equals this.  The
+    exhaustive commands refuse a search when it exceeds their guard.
     """
-    return math.comb(2 * n * n + k - 1, k) * n * n
+    pairs = n * n
+    return pairs * _bounded_multisets(pairs, pairs, k, bmax)
+
+
+@functools.lru_cache(maxsize=8)
+def _orbit_maps(n: int) -> tuple[operator.itemgetter, ...]:
+    """One itemgetter per element of S_n x {id, reversal} on class vectors.
+
+    A class vector holds the count of each edge type (u, v, f) at slot
+    2((u-1)n + v-1) + f, then a 1 at slot 2n^2 + (s-1)n + t-1 for the
+    roots.  Applied to a vector, each getter returns the vector of the
+    image class.
+    """
+    pairs = n * n
+    maps = []
+    for p in itertools.permutations(range(n)):
+        for reverse in (False, True):
+            source = [0] * (3 * pairs)      # the slot sent to each slot
+            for u in range(n):
+                for v in range(n):
+                    a, b = (p[v], p[u]) if reverse else (p[u], p[v])
+                    pair, image = u * n + v, a * n + b
+                    source[2 * image] = 2 * pair
+                    source[2 * image + 1] = 2 * pair + 1
+                    source[2 * pairs + image] = 2 * pairs + pair
+            maps.append(operator.itemgetter(*source))
+    return tuple(maps)
+
+
+def orbit_key(g: MarkedDigraph) -> bytes:
+    """Canonical form of g's class under vertex relabelling and reversal.
+
+    The group is S_n x {id, opposite}: a permutation p of the vertices
+    sends each edge (u, v) to (p(u), p(v)) and the roots to (p(s), p(t));
+    reversal sends (u, v) to (v, u) and swaps the roots; marks stay with
+    their edges.  Vertices that are neither roots nor on an edge can be
+    permuted freely, so the r others are first renumbered 1..r in order.
+    The key is the least image, over the 2 r! elements of S_r x {id,
+    opposite}, of the class vector (edge-type counts and roots, see
+    ``_orbit_maps``), packed one byte per slot.  Two graphs on n vertices
+    share a key exactly when their classes lie in one orbit.
+
+    T is constant on an orbit.  A relabelled graph has the same trails, as
+    edge sequences, so the same S; listing the class's edges in another
+    order changes S only by the relabel sign.  The opposite graph's trails
+    are the reversed trails, and S changes only by a sign fixed by k and
+    the number of marked edges.  Costs O(r! r^2) per call, with
+    r <= min(n, 2k + 2); for k < 256.
+    """
+    if g.k > 255:
+        raise ValueError("orbit keys pack edge counts in bytes; need k < 256")
+    index = {v: i for i, v in enumerate(sorted({g.s, g.t}.union(*g.edges)))}
+    r = len(index)
+    vec = [0] * (3 * r * r)
+    marked = g.marked
+    for i, (u, v) in enumerate(g.edges, start=1):
+        vec[2 * (index[u] * r + index[v]) + (i in marked)] += 1
+    vec[2 * r * r + index[g.s] * r + index[g.t]] = 1
+    return bytes(min([image(vec) for image in _orbit_maps(r)]))
+
+
+class OrbitMemo:
+    """Values of an orbit-invariant function, computed once per orbit.
+
+    Calling the memo on a graph returns ``fn`` of the first graph seen with
+    the same ``orbit_key``, so ``fn`` must be constant on orbits, as T is.
+    ``orbits`` counts the keys seen and ``reused`` the answers from the memo.
+    """
+
+    def __init__(self, fn):
+        self._fn = fn
+        self._values: dict[bytes, object] = {}
+        self.reused = 0
+
+    @property
+    def orbits(self) -> int:
+        return len(self._values)
+
+    def __call__(self, g: MarkedDigraph):
+        key = orbit_key(g)
+        if key in self._values:
+            self.reused += 1
+            return self._values[key]
+        value = self._values[key] = self._fn(g)
+        return value
 
 
 def enumerate_marked_graphs(n: int, k: int, bmax: int) -> MarkedGraphEnumeration:

@@ -4,10 +4,11 @@ import random
 import pytest
 
 from oracles import matrix_to_oracle, o_standard_polynomial
-from trailsum.bridge import (SimplifiedSet, cross_check, graph_to_simplified,
-                             identity_verdict, simplified_to_graph)
+from trailsum.bridge import (IdentityVerdict, SimplifiedSet, cross_check,
+                             graph_to_simplified, identity_verdict,
+                             simplified_to_graph)
 from trailsum.digraph import (MarkedDigraph, enumerate_marked_graphs, make_gn,
-                              random_feasible_graph)
+                              random_feasible_graph, search_space)
 from trailsum.grassmann import (GrassmannElement, simplify_basis_tuple,
                                 standard_polynomial, substitute_generators)
 from trailsum.trails import signed_sum
@@ -203,6 +204,23 @@ class TestIdentityVerdict:
     def test_exhaustive_guard(self):
         with pytest.raises(ValueError):
             identity_verdict(4, 3, 12, mode="exhaustive")
+
+    def test_guard_counts_the_mark_bound(self):
+        space = search_space(2, 5, 2)
+        assert not identity_verdict(2, 2, 5, max_classes=space).holds
+        with pytest.raises(ValueError):
+            identity_verdict(2, 2, 5, max_classes=space - 1)
+
+    @pytest.mark.parametrize("n, m, k", [(2, 2, 5), (3, 2, 5), (2, 3, 6)])
+    def test_exhaustive_matches_one_sum_per_class(self, n, m, k):
+        checked, witness = 0, None
+        for g in enumerate_marked_graphs(n, k, m):
+            checked += 1
+            if signed_sum(g).T != 0:
+                witness = g
+                break
+        verdict = identity_verdict(n, m, k, mode="exhaustive")
+        assert verdict == IdentityVerdict(witness is None, witness, checked)
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):

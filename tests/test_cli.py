@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -6,7 +7,9 @@ import pytest
 
 from oracles import brute_marked_graphs, brute_signed_sum
 from trailsum import cli
-from trailsum.digraph import format_graph, make_gn, parse_graph
+from trailsum.digraph import (enumerate_marked_graphs, format_graph, make_gn,
+                              parse_graph, search_space)
+from trailsum.trails import signed_sum
 
 
 @pytest.fixture
@@ -222,6 +225,44 @@ class TestExhaustiveCommand:
         _, first, _ = run(capsys, ["exhaustive", "--n", "2", "--k", "4", "--bmax", "1"])
         _, second, _ = run(capsys, ["exhaustive", "--n", "2", "--k", "4", "--bmax", "1"])
         assert first == second
+
+    def test_guard_counts_the_mark_bound(self, capsys):
+        argv = ["exhaustive", "--n", "2", "--k", "4", "--bmax", "1", "--max-classes"]
+        code, _, _ = run(capsys, argv + [str(search_space(2, 4, 1))])
+        assert code == 0
+        code, _, err = run(capsys, argv + [str(search_space(2, 4, 1) - 1)])
+        assert code == 1
+        assert "guard" in err
+
+    @pytest.mark.parametrize("n, k, bmax", [(2, 5, 2), (2, 6, 3), (3, 5, 2)])
+    def test_stdout_matches_one_sum_per_class(self, capsys, n, k, bmax):
+        stream = enumerate_marked_graphs(n, k, bmax)
+        histogram, witness = {}, None
+        for g in stream:
+            T = signed_sum(g).T
+            histogram[T] = histogram.get(T, 0) + 1
+            if T and witness is None:
+                witness = f"witness T={T} {g.compact()}"
+        expected = [f"n={n} k={k} bmax={bmax}"]
+        expected += [f"T={T} classes={histogram[T]}" for T in sorted(histogram)]
+        expected += [witness] if witness else []
+        expected.append(f"classes={stream.yielded} skipped_unbalanced={stream.skipped_unbalanced} "
+                        f"skipped_infeasible={stream.skipped_infeasible}")
+        code, out, _ = run(capsys, ["exhaustive", "--n", str(n), "--k", str(k),
+                                    "--bmax", str(bmax)])
+        assert code == 0
+        assert out == "\n".join(expected) + "\n"
+
+    def test_orbit_line_on_stderr(self, capsys):
+        code, out, err = run(capsys, ["exhaustive", "--n", "3", "--k", "6", "--bmax", "2"])
+        assert code == 0
+        match = re.fullmatch(r"orbits=(\d+) reused=(\d+) elapsed=\d+\.\d{3}s\n", err)
+        assert match is not None
+        orbits, reused = int(match[1]), int(match[2])
+        assert (orbits, reused) == (1127, 11125)
+        classes = re.fullmatch(r"classes=(\d+) .*", out.splitlines()[-1])
+        assert int(classes[1]) == orbits + reused
+        assert "orbits" not in out
 
 
 class TestUsageAndHelp:

@@ -1,16 +1,19 @@
 import itertools
+import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_marked_graphs
-from trailsum.digraph import (GraphFormatError, MarkedDigraph,
+from oracles import brute_marked_graphs, brute_orbit_ids
+from trailsum import digraph
+from trailsum.digraph import (GraphFormatError, MarkedDigraph, OrbitMemo,
                               enumerate_marked_graphs, extend, format_graph,
-                              make_gn, opposite, parse_graph,
-                              random_feasible_graph, surgery_in, surgery_out,
-                              validate)
+                              make_gn, opposite, orbit_key, parse_graph,
+                              random_feasible_graph, search_space, surgery_in,
+                              surgery_out, validate)
+from trailsum.trails import signed_sum
 
 
 def graph(n, edges, s, t, marked=()):
@@ -220,6 +223,75 @@ class TestEnumeration:
             assert counters(fast) == counters(brute)
         assert counters(fast) == counters(brute)
         assert fast.yielded > 0
+        assert sum(counters(fast)) == search_space(n, k, bmax)
+
+
+class TestSearchSpace:
+    @pytest.mark.parametrize("n, k, bmax, space", [
+        (3, 6, 2, 331_749), (3, 7, 2, 822_393), (1, 2, 2, 3), (2, 3, 0, 80),
+    ])
+    def test_values(self, n, k, bmax, space):
+        assert search_space(n, k, bmax) == space
+
+    def test_large_space_exceeds_default_guard(self):
+        assert 2.5e10 < search_space(4, 12, 3) < 2.7e10
+
+    def test_bound_above_k_counts_every_multiset(self):
+        assert search_space(2, 5, 5) == search_space(2, 5, 9) == 4 * math.comb(12, 5)
+
+
+def _relabelled(rng, g):
+    """g with its vertices permuted at random and its edges listed in random order."""
+    p = list(range(1, g.n + 1))
+    rng.shuffle(p)
+    order = list(range(1, g.k + 1))
+    rng.shuffle(order)
+    edges = tuple((p[g.edges[i - 1][0] - 1], p[g.edges[i - 1][1] - 1]) for i in order)
+    marked = frozenset(j for j, i in enumerate(order, start=1) if i in g.marked)
+    return MarkedDigraph(g.n, edges, p[g.s - 1], p[g.t - 1], marked)
+
+
+class TestOrbitKey:
+    @settings(derandomize=True, max_examples=150)
+    @given(st.randoms(use_true_random=False))
+    def test_invariant_under_relabelling_and_opposite(self, rng):
+        g = random_feasible_graph(rng, rng.randint(1, 4), rng.randint(1, 7), bmax=3)
+        key, T = orbit_key(g), signed_sum(g).T
+        for h in (_relabelled(rng, g), opposite(g), opposite(_relabelled(rng, g))):
+            assert orbit_key(h) == key
+            assert signed_sum(h).T == T
+
+    def test_group_acts_on_touched_vertices_only(self, monkeypatch):
+        maps = digraph._orbit_maps
+
+        def small_maps(r):
+            assert r == 2, f"a group on {r} vertices"
+            return maps(r)
+
+        monkeypatch.setattr(digraph, "_orbit_maps", small_maps)
+        g = graph(9, [(7, 3), (3, 7)], 7, 7, marked=[2])
+        assert orbit_key(g) == orbit_key(graph(9, [(1, 2), (2, 1)], 2, 2, marked=[1]))
+        assert orbit_key(g) != orbit_key(graph(9, [(1, 2), (2, 1)], 2, 2))
+
+    def test_too_many_edges(self):
+        with pytest.raises(ValueError):
+            orbit_key(graph(1, [(1, 1)] * 256, 1, 1))
+
+    @pytest.mark.parametrize("n, k, bmax", [(2, 6, 3), (3, 5, 2)])
+    def test_keys_are_exactly_the_orbits(self, n, k, bmax):
+        classes = list(enumerate_marked_graphs(n, k, bmax))
+        keys = [orbit_key(g) for g in classes]
+        ids = brute_orbit_ids(classes)
+        assert len(set(keys)) == len(set(ids)) == len(set(zip(keys, ids)))
+        assert len(set(ids)) < len(classes)
+
+    @pytest.mark.parametrize("n, k, bmax", [(2, 6, 3), (3, 5, 2), (2, 5, 2)])
+    def test_memoized_T_is_T(self, n, k, bmax):
+        memo = OrbitMemo(lambda g: signed_sum(g).T)
+        classes = list(enumerate_marked_graphs(n, k, bmax))
+        assert [memo(g) for g in classes] == [signed_sum(g).T for g in classes]
+        assert memo.orbits == len({orbit_key(g) for g in classes})
+        assert memo.orbits + memo.reused == len(classes)
 
 
 class TestRandomFeasible:
