@@ -7,8 +7,8 @@ from .digraph import (DegreeProfile, GraphFormatError, MarkedDigraph,
                       opposite, parse_graph, random_feasible_graph,
                       read_graph_file, surgery_in, surgery_out, validate,
                       write_graph_file)
-from .grassmann import (ArityCapError, GrassmannElement, GrassmannMatrix,
-                        ShapeError, SimplifiedBasisTuple, ext_mul, mat_mul,
+from .grassmann import (GrassmannElement, GrassmannMatrix, ShapeError,
+                        SimplifiedBasisTuple, ext_mul, mat_mul,
                         simplify_basis_tuple, standard_polynomial,
                         substitute_generators)
 from .trails import (AtPosition, BudgetExceededError, Precedes,
@@ -22,7 +22,7 @@ from .bridge import (CrossCheckReport, IdentityVerdict, SimplifiedSet,
                      simplified_to_graph)
 
 __all__ = [
-    "ArityCapError", "AtPosition", "BudgetExceededError", "CrossCheckReport",
+    "AtPosition", "BudgetExceededError", "CrossCheckReport",
     "DegreeProfile", "GraphFormatError", "GrassmannElement", "GrassmannMatrix",
     "IdentityVerdict", "MarkedDigraph", "Precedes", "ShapeError",
     "SignedSumReport", "SimplifiedBasisTuple", "SimplifiedSet", "Subtrail",

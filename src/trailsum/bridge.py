@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 from .digraph import (MarkedDigraph, OrbitMemo, enumerate_marked_graphs,
                       random_feasible_graph, search_space)
-from .grassmann import (DEFAULT_ARITY_CAP, GrassmannElement, GrassmannMatrix,
-                        standard_polynomial)
+from .grassmann import GrassmannElement, GrassmannMatrix, standard_polynomial
 from .trails import DEFAULT_NODE_BUDGET, signed_sum
 
 
@@ -100,18 +99,17 @@ class CrossCheckReport:
     observed_sign: int
 
 
-def cross_check(g: MarkedDigraph, cap: int = DEFAULT_ARITY_CAP,
-                allow_large: bool = False,
-                max_nodes: int = DEFAULT_NODE_BUDGET) -> CrossCheckReport:
+def cross_check(g: MarkedDigraph, max_nodes: int = DEFAULT_NODE_BUDGET) -> CrossCheckReport:
     """Compare the algebra side against the trail side on one graph.
 
     The algebra side is the (s, t) entry of the alternating sum over the
     matrices of graph_to_simplified(g); the trail side is T(g).  They agree
     when the entry equals sign * T * v_1...v_l for a sign in {+1, -1}, or
-    when both vanish (observed_sign 0).
+    when both vanish (observed_sign 0).  max_nodes bounds the states of each
+    side's DP.
     """
     simp = graph_to_simplified(g)
-    value = standard_polynomial(simp.to_matrices(), cap=cap, allow_large=allow_large)
+    value = standard_polynomial(simp.to_matrices(), max_nodes=max_nodes)
     entry = value.entry(g.s, g.t)
     rep = signed_sum(g, max_nodes=max_nodes)
     ell = simp.ell
@@ -136,7 +134,6 @@ class IdentityVerdict:
 
 def identity_verdict(n: int, m: int, k: int, mode: str = "exhaustive",
                      seed: int = 0, samples: int = 100,
-                     cap: int = DEFAULT_ARITY_CAP, allow_large: bool = False,
                      max_nodes: int = DEFAULT_NODE_BUDGET,
                      max_classes: int = 10 ** 6) -> IdentityVerdict:
     """Does the degree-k alternating sum vanish on n-by-n matrices with m

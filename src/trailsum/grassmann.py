@@ -18,27 +18,19 @@ arguments placed so far, holding one row of the signed sum over all
 orderings of U.  Appending argument i flips the sign when |{j in U : j > i}|
 is odd, a count that depends on U alone, so orderings sharing a set merge.
 One row costs O(2^k * k) sparse row-times-matrix updates, and only two
-popcount layers of states are live at once.
+popcount layers of states are live at once.  The states created count
+against the same max_nodes budget as the trail-side DP.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-DEFAULT_ARITY_CAP = 9
+from .trails import DEFAULT_NODE_BUDGET, BudgetExceededError
 
 
 class ShapeError(ValueError):
     """Operands belong to different algebras or have incompatible dimensions."""
-
-
-class ArityCapError(RuntimeError):
-    """Alternating-sum evaluation requested above the arity cap.
-
-    The subset DP behind ``standard_polynomial`` costs time and memory
-    exponential in the number of arguments, so arities above the cap are
-    refused unless the caller opts in.
-    """
 
 
 def mask_from_indices(indices, m: int) -> int:
@@ -367,14 +359,17 @@ def mat_mul(a: GrassmannMatrix, b: GrassmannMatrix) -> GrassmannMatrix:
     return GrassmannMatrix(n, m, rows)
 
 
-def _alternating_row(entries, s: int) -> dict:
+def _alternating_row(entries, s: int, nodes: int, max_nodes: int) -> tuple[dict, int]:
     """Row s of the alternating sum, as a sparse {column: terms} dict.
 
     ``entries[i]`` maps a row index of argument i to the nonzero entries of
     that row, as (column, (terms, negated terms)) pairs.  ``layer`` maps each
     set U of placed arguments of one popcount to row s of the signed sum
     over the orderings of U; a state whose row cancels to zero is dropped,
-    and a layer is released as soon as the next one is built.
+    and a layer is released as soon as the next one is built.  Returns the
+    row and ``nodes`` plus the states created (the empty set is not
+    counted), and raises BudgetExceededError as soon as that total passes
+    max_nodes.
     """
     k = len(entries)
     layer = {0: {s: {0: 1}}}
@@ -394,7 +389,12 @@ def _alternating_row(entries, s: int) -> dict:
                         if not prod:
                             continue
                         if target is None:
-                            target = nxt.setdefault(used | bit, {})
+                            target = nxt.get(used | bit)
+                            if target is None:
+                                nodes += 1
+                                if nodes > max_nodes:
+                                    raise BudgetExceededError(nodes, max_nodes)
+                                target = nxt[used | bit] = {}
                         old = target.get(j)
                         target[j] = _add_terms(old, prod) if old else prod
         layer = {}
@@ -402,11 +402,10 @@ def _alternating_row(entries, s: int) -> dict:
             row = {j: t for j, t in row.items() if t}
             if row:
                 layer[used] = row
-    return layer.get((1 << k) - 1, {})
+    return layer.get((1 << k) - 1, {}), nodes
 
 
-def standard_polynomial(xs, cap: int = DEFAULT_ARITY_CAP,
-                        allow_large: bool = False) -> GrassmannMatrix:
+def standard_polynomial(xs, max_nodes: int = DEFAULT_NODE_BUDGET) -> GrassmannMatrix:
     """Alternating sum over all orderings: sum of sgn(pi) x_pi(1) ... x_pi(k).
 
     Evaluated one row at a time by a dynamic program over subsets of used
@@ -418,7 +417,9 @@ def standard_polynomial(xs, cap: int = DEFAULT_ARITY_CAP,
         P(U | {i}) += (-1)^|{j in U : j > i}| * P(U) * x_i
 
     and the result is P(all arguments).  Each of the n rows costs O(2^k * k)
-    sparse row-times-matrix updates, where the orderings number k!.
+    sparse row-times-matrix updates, where the orderings number k!.  Raises
+    BudgetExceededError once the states created over all rows pass
+    max_nodes.
     """
     xs = list(xs)
     k = len(xs)
@@ -431,9 +432,6 @@ def standard_polynomial(xs, cap: int = DEFAULT_ARITY_CAP,
     for x in xs:
         if x.n != n or x.m != m:
             raise ShapeError("arguments do not share one matrix algebra")
-    if k > cap and not allow_large:
-        raise ArityCapError(
-            f"{k} arguments exceed the cap of {cap}; pass allow_large=True to override")
 
     entries = []
     for x in xs:
@@ -445,8 +443,9 @@ def standard_polynomial(xs, cap: int = DEFAULT_ARITY_CAP,
                     by_row.setdefault(r, []).append((j, (e.terms, neg)))
         entries.append(by_row)
     rows = []
+    nodes = 0
     for s in range(n):
-        row = _alternating_row(entries, s)
+        row, nodes = _alternating_row(entries, s, nodes, max_nodes)
         rows.append([GrassmannElement(m, row.get(j)) for j in range(n)])
     return GrassmannMatrix(n, m, rows)
 

@@ -44,10 +44,11 @@ DEFAULT_NODE_BUDGET = 10 ** 8
 
 
 class BudgetExceededError(RuntimeError):
-    """The search visited more nodes than the configured budget allows."""
+    """The states created by a DP (either side), or the extension steps of
+    enumerate_trails, passed the max_nodes budget."""
 
     def __init__(self, nodes: int, limit: int):
-        super().__init__(f"search budget exceeded: {nodes} nodes visited, limit {limit}")
+        super().__init__(f"budget exceeded: {nodes} states or steps, limit {limit}")
         self.nodes = nodes
         self.limit = limit
 
@@ -423,25 +424,21 @@ def filtered_signed_sum(g: MarkedDigraph, constraints,
     """Signed sum restricted to trails satisfying every constraint.
 
     Runs the layered DP of signed_sum with the constraints folded into the
-    moves, without listing trails.  AtPosition pins an edge to the layer
-    equal to its position minus one.  The runs of Subtrail and Precedes
-    become a successor map: the state carries the forced next edge, and an
-    edge with a forced predecessor is placed only when it is forced.
-    Precedes also lets second[0] be placed only once first[-1] is used.
-    Contradictory constraints give 0.
+    moves, without listing trails.  AtPosition admits only its edge at its
+    position, and the runs of Subtrail and Precedes become a successor map:
+    the state carries the forced next edge.  Precedes also lets second[0]
+    be placed only once first[-1] is used.  Contradictory constraints give
+    0, since no edge can be placed twice.
     """
     slot: dict[int, int] = {}     # position -> edge
-    place: dict[int, int] = {}    # edge -> position
     succ: dict[int, int] = {}
-    pred: dict[int, int] = {}
     need = [0] * (g.k + 1)        # edges that must be used before edge e
     contradictory = False
     for c in constraints:
         if isinstance(c, AtPosition):
             if c.position > g.k or c.edge > g.k:
                 raise ValueError(f"constraint {c} outside a {g.k}-edge graph")
-            contradictory |= (slot.setdefault(c.position, c.edge) != c.edge
-                              or place.setdefault(c.edge, c.position) != c.position)
+            contradictory |= slot.setdefault(c.position, c.edge) != c.edge
             continue
         if not isinstance(c, (Subtrail, Precedes)):
             raise TypeError(f"unsupported constraint {c!r}")
@@ -449,9 +446,8 @@ def filtered_signed_sum(g: MarkedDigraph, constraints,
             if any(e > g.k for e in run):
                 raise ValueError(f"constraint {c} outside a {g.k}-edge graph")
             for a, b in zip(run, run[1:]):
-                contradictory |= succ.setdefault(a, b) != b or pred.setdefault(b, a) != a
+                contradictory |= succ.setdefault(a, b) != b
         if isinstance(c, Precedes):
-            contradictory |= c.first[-1] == c.second[0]
             need[c.second[0]] |= 1 << (c.first[-1] - 1)
     if g.k == 0:
         return 1 if g.s == g.t else 0
@@ -460,17 +456,16 @@ def filtered_signed_sum(g: MarkedDigraph, constraints,
 
     smask = _sign_masks(g)
     out_edges = _out_edges(g)
-    free = {head: [e for e in out if e not in pred] for head, out in out_edges.items()}
 
     def moves(depth, head, forced):
         pos = depth + 1
         if forced:
             cands = (forced,) if g.edges[forced - 1][0] == head else ()
         else:
-            cands = free.get(head, ())
+            cands = out_edges.get(head, ())
         return [(1 << (e - 1) | need[e], need[e], g.edges[e - 1][1], smask[e],
                  succ.get(e, 0))
-                for e in cands if slot.get(pos, e) == e and place.get(e, pos) == pos]
+                for e in cands if slot.get(pos, e) == e]
 
     return _layered_sum(g, moves, max_nodes)[0]
 

@@ -11,7 +11,7 @@ from trailsum.digraph import (MarkedDigraph, enumerate_marked_graphs, make_gn,
                               random_feasible_graph, search_space)
 from trailsum.grassmann import (GrassmannElement, simplify_basis_tuple,
                                 standard_polynomial, substitute_generators)
-from trailsum.trails import signed_sum
+from trailsum.trails import BudgetExceededError, signed_sum
 
 
 def graph(n, edges, s, t, marked=()):
@@ -112,7 +112,7 @@ class TestCrossCheck:
                                   (4, 1, 16), (4, 2, 320)):
             assert expected == (2 * mbar * math.factorial(mbar + n - 1)
                                 * math.factorial(mbar) // 3)
-            rep = cross_check(make_gn(n, mbar), allow_large=True)
+            rep = cross_check(make_gn(n, mbar))
             assert rep.agrees and rep.T == expected
             assert abs(rep.lhs_entry.coefficient(range(1, 2 * mbar + 1))) == expected
 
@@ -122,12 +122,13 @@ class TestCrossCheck:
             g = random_feasible_graph(rng, rng.randint(1, 3), rng.randint(1, 7), bmax=3)
             assert cross_check(g).agrees
 
-    def test_cap_propagates(self):
-        from trailsum.grassmann import ArityCapError
-        g = graph(1, [(1, 1)] * 4, 1, 1, marked=[1, 2])
-        with pytest.raises(ArityCapError):
-            cross_check(g, cap=3)
-        assert cross_check(g, cap=3, allow_large=True).agrees
+    def test_budget_bounds_both_sides(self):
+        # the trail DP of G_2 (mbar=1) creates 22 states, the algebra DP 34
+        g = make_gn(2, 1)
+        assert signed_sum(g, max_nodes=22).nodes == 22
+        with pytest.raises(BudgetExceededError):
+            cross_check(g, max_nodes=33)
+        assert cross_check(g, max_nodes=34).agrees
 
 
 class TestSimplifyThenCrossCheck:

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 from oracles import (element_to_oracle, matrix_to_oracle,
                      o_standard_polynomial, oe_mul, random_basis_matrix,
                      random_matrix)
-from trailsum.grassmann import (ArityCapError, GrassmannElement, GrassmannMatrix,
-                                ShapeError, ext_mul, mat_mul, simplify_basis_tuple,
+from trailsum.grassmann import (GrassmannElement, GrassmannMatrix, ShapeError,
+                                ext_mul, mat_mul, simplify_basis_tuple,
                                 standard_polynomial, substitute_generators)
+from trailsum.trails import BudgetExceededError
 
 
 def elem(m, *terms):
@@ -232,11 +233,12 @@ class TestStandardPolynomial:
                       for _ in range(2 * n)]
                 assert standard_polynomial(xs).is_zero()
 
-    def test_arity_cap(self):
+    def test_budget_boundary_is_exact(self):
+        # 4 singletons, then 6 pairs created before their rows cancel
         xs = [GrassmannMatrix.identity(1, 0)] * 4
-        with pytest.raises(ArityCapError):
-            standard_polynomial(xs, cap=3)
-        assert standard_polynomial(xs, cap=3, allow_large=True).is_zero()
+        assert standard_polynomial(xs, max_nodes=10).is_zero()
+        with pytest.raises(BudgetExceededError):
+            standard_polynomial(xs, max_nodes=9)
 
     def test_empty_and_shape_errors(self):
         with pytest.raises(ValueError):
