@@ -15,8 +15,8 @@ from .trails import (AtPosition, BudgetExceededError, Precedes,
                      SignedSumReport, Subtrail, TrailPermutation,
                      enumerate_trails, filtered_signed_sum, invert_permutation,
                      is_trail, marked_order_sign, relabel, sgn_perm, sigma_M,
-                     signed_sum, swan_identity, swap_parallel_subtrails,
-                     trail_signs)
+                     signed_sum, signed_trails, swan_identity,
+                     swap_parallel_subtrails, trail_signs)
 from .bridge import (CrossCheckReport, IdentityVerdict, SimplifiedSet,
                      cross_check, graph_to_simplified, identity_verdict,
                      simplified_to_graph)
@@ -32,6 +32,7 @@ __all__ = [
     "invert_permutation", "is_trail", "make_gn", "marked_order_sign",
     "mat_mul", "opposite", "parse_graph", "random_feasible_graph",
     "read_graph_file", "relabel", "sgn_perm", "sigma_M", "signed_sum",
+    "signed_trails",
     "simplified_to_graph", "simplify_basis_tuple", "standard_polynomial",
     "substitute_generators", "surgery_in", "surgery_out", "swan_identity",
     "swap_parallel_subtrails", "trail_signs", "validate", "write_graph_file",

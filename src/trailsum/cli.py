@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from . import bridge, digraph, trails
 from .digraph import GraphFormatError, MarkedDigraph, enumerate_marked_graphs, make_gn
 from .trails import (AtPosition, BudgetExceededError, Precedes, Subtrail,
-                     enumerate_trails, filtered_signed_sum, signed_sum)
+                     enumerate_trails, filtered_signed_sum, signed_sum, signed_trails)
 
 DEFAULT_BUDGET = trails.DEFAULT_NODE_BUDGET
 
@@ -307,19 +307,31 @@ def parse_constraint(spec: str):
 
 
 def cmd_signed_sum(args) -> int:
+    start = time.perf_counter()
     g = digraph.read_graph_file(args.graph_file)
     constraints = [parse_constraint(spec) for spec in args.filter]
+    walk = None
     if args.list_trails:
-        for trail in enumerate_trails(g, max_nodes=args.budget):
-            sg, sm = trails.trail_signs(g, trail)
-            seq = ",".join(str(e) for e in trail.sigma)
-            print(f"trail={seq} sgn={sg:+d} sgn_M={sm:+d}")
+        # Streamed line by line: a listing can be far larger than the graph.
+        walk = signed_trails(g, max_nodes=args.budget)
+        write = sys.stdout.write
+        total = listed = 0
+        for trail, sg, sm in walk:
+            write(f"trail={','.join(map(str, trail.sigma))} sgn={sg:+d} sgn_M={sm:+d}\n")
+            total += sg * sm
+            listed += 1
     r = signed_sum(g, max_nodes=args.budget)
     print(f"S={r.S} T={r.T} trails={r.trail_count}")
+    if walk is not None and (total, listed) != (r.S, r.trail_count):
+        print(f"error: the listed trails give S={total} trails={listed}, "
+              f"the DP S={r.S} trails={r.trail_count}", file=sys.stderr)
+        return 2
     if constraints:
         part = filtered_signed_sum(g, constraints, max_nodes=args.budget)
         print(f"filtered={part}")
-    print(f"elapsed={r.elapsed:.3f}s", file=sys.stderr)
+    stats = "" if walk is None else (f"listed={listed} steps={walk.steps} "
+                                     f"floods={walk.floods} ")
+    print(f"{stats}elapsed={time.perf_counter() - start:.3f}s", file=sys.stderr)
     return 0
 
 

@@ -11,13 +11,18 @@ the marked edges).  The central quantities are
 
 computed exactly with arbitrary-precision integers.
 
-Enumeration is a depth-first extension of the trail from the source root,
-kept on an explicit stack, taking candidate edges in ascending index order,
-which yields trails in lexicographic order of the sigma sequence.  Listing
-is output-sensitive, so a branch is pruned when some unused edge can no
-longer be reached from the current head (a flood over per-vertex incident-
-edge bitmasks; completeness-preserving, since balance plus reachability
-guarantee a completion exists).
+Listing is one depth-first walk (signed_trails) that extends the trail from
+the source root, kept on an explicit stack, taking candidate edges in
+ascending index order, which yields trails in lexicographic order of the
+sigma sequence; enumerate_trails is the same walk without the signs.  The
+walk carries both signs on its stack, one popcount per step each, and
+prunes a step when some unused edge can no longer be reached from the new
+head (a flood over per-vertex incident-edge bitmasks; completeness-
+preserving, since balance plus reachability guarantee a completion
+exists).  The flood's verdict depends only on (used edges, head), so it is
+memoized per walk, one entry at most per step, which max_nodes bounds.
+trail_signs recomputes both signs of one trail from scratch and stays the
+independent route.
 
 The sums do not list trails.  The sign increment of appending edge e after
 the set U of used edges depends on U alone, not on the order inside it, so
@@ -45,7 +50,8 @@ DEFAULT_NODE_BUDGET = 10 ** 8
 
 class BudgetExceededError(RuntimeError):
     """The states created by a DP (either side), or the extension steps of
-    enumerate_trails, passed the max_nodes budget."""
+    the trail walk (signed_trails, enumerate_trails), passed the max_nodes
+    budget."""
 
     def __init__(self, nodes: int, limit: int):
         super().__init__(f"budget exceeded: {nodes} states or steps, limit {limit}")
@@ -207,55 +213,133 @@ def _reaches_all(incident: dict[int, int], edges, rem: int, head: int, t: int) -
     return False
 
 
+class SignedTrailWalk:
+    """Every Eulerian trail of g with its two signs, in lexicographic order.
+
+    Iterating yields ``(trail, sgn(sigma), marked-order sign)``.  The walk
+    extends the trail depth first from the source root, one iterator per
+    trail position on an explicit stack (so trail length is not bounded by
+    the recursion limit), taking candidate edges in ascending index order.
+
+    Signs are carried on the stack: appending e after the used set U flips
+    sgn(sigma) by the parity of |{j in U : j > e}| and, when e is marked,
+    the marked-order sign by the parity of the same count within the marked
+    set; both are one popcount.
+
+    An extension step is pruned when some unused edge can no longer be
+    reached from the new head (a flood over per-vertex incident-edge
+    bitmasks; balance plus reachability guarantee a completion exists).
+    The verdict depends only on the state (used edges, head), so it is
+    kept in a dict local to the walk and each state is flooded once.  At
+    most one entry is added per step, so max_nodes bounds the memo too.
+
+    Single-pass iterator.  ``steps`` counts the extension steps attempted
+    and ``floods`` the memo misses, both up to date after every yield; more
+    than max_nodes steps raise BudgetExceededError.  Infeasible graphs yield
+    nothing.
+    """
+
+    def __init__(self, g: MarkedDigraph, max_nodes: int = DEFAULT_NODE_BUDGET):
+        self.steps = 0
+        self.floods = 0
+        self._it = self._walk(g, max_nodes)
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> tuple[TrailPermutation, int, int]:
+        return next(self._it)
+
+    def _walk(self, g: MarkedDigraph, max_nodes: int):
+        if g.k == 0:
+            if g.s == g.t:
+                yield TrailPermutation(()), 1, 1
+            return
+        if not validate(g).feasible:
+            return
+        edges = g.edges
+        t = g.t
+        full = (1 << g.k) - 1
+        mmask = 0
+        for j in g.marked:
+            mmask |= 1 << (j - 1)
+        moves = {}
+        for u, out in _out_edges(g).items():
+            moves[u] = []
+            for e in out:
+                above = full & ~((1 << e) - 1)
+                marked_above = above & mmask if e in g.marked else 0
+                moves[u].append((e, 1 << (e - 1), edges[e - 1][1], above, marked_above))
+        incident: dict[int, int] = {}
+        for i, (u, v) in enumerate(edges):
+            incident[u] = incident.get(u, 0) | 1 << i
+            incident[v] = incident.get(v, 0) | 1 << i
+        completable: dict[tuple[int, int], bool] = {}
+        seq: list[int] = []
+        signs = [(1, 1)]                # (sgn, sgn_M) of the prefix per frame
+        used = 0
+        frames = [iter(moves[g.s])]
+        steps = floods = 0
+        try:
+            while frames:
+                for e, bit, nxt, above, marked_above in frames[-1]:
+                    if used & bit:
+                        continue
+                    steps += 1
+                    if steps > max_nodes:
+                        raise BudgetExceededError(steps, max_nodes)
+                    nused = used | bit
+                    if nused != full:
+                        ok = completable.get((nused, nxt))
+                        if ok is None:
+                            floods += 1
+                            ok = _reaches_all(incident, edges, full ^ nused, nxt, t)
+                            completable[nused, nxt] = ok
+                        if not ok:
+                            continue
+                    sg, sm = signs[-1]
+                    if (used & above).bit_count() & 1:
+                        sg = -sg
+                    if (used & marked_above).bit_count() & 1:
+                        sm = -sm
+                    seq.append(e)
+                    if nused == full:
+                        self.steps, self.floods = steps, floods
+                        yield TrailPermutation(tuple(seq)), sg, sm
+                        seq.pop()
+                        continue
+                    used = nused
+                    signs.append((sg, sm))
+                    frames.append(iter(moves.get(nxt, ())))
+                    break
+                else:
+                    frames.pop()
+                    signs.pop()
+                    if seq:
+                        used ^= 1 << (seq.pop() - 1)
+        finally:
+            self.steps, self.floods = steps, floods
+
+
+def signed_trails(g: MarkedDigraph, max_nodes: int = DEFAULT_NODE_BUDGET) -> SignedTrailWalk:
+    """Walk every trail of g, yielding (trail, sgn(sigma), marked-order sign).
+
+    Lexicographic order; see SignedTrailWalk for the memoized prune, the
+    incremental signs and the ``steps``/``floods`` counters.  The signs
+    equal trail_signs(g, trail), which stays the independent route.
+    """
+    return SignedTrailWalk(g, max_nodes)
+
+
 def enumerate_trails(g: MarkedDigraph, max_nodes: int = DEFAULT_NODE_BUDGET):
     """Yield every Eulerian trail of g exactly once, in lexicographic order.
 
-    Infeasible graphs yield nothing.  Raises BudgetExceededError once more
-    than max_nodes extension steps have been attempted.  The depth-first
-    search keeps one iterator per trail position on an explicit stack, so
-    trail length is not bounded by the recursion limit.
+    The trails of signed_trails without their signs: the same walk, the
+    same memoized prune, and BudgetExceededError once more than max_nodes
+    extension steps have been attempted.  Infeasible graphs yield nothing.
     """
-    if g.k == 0:
-        if g.s == g.t:
-            yield TrailPermutation(())
-        return
-    if not validate(g).feasible:
-        return
-    edges = g.edges
-    t = g.t
-    full = (1 << g.k) - 1
-    steps = {u: [(e, 1 << (e - 1), edges[e - 1][1]) for e in out]
-             for u, out in _out_edges(g).items()}
-    incident: dict[int, int] = {}
-    for i, (u, v) in enumerate(edges):
-        incident[u] = incident.get(u, 0) | 1 << i
-        incident[v] = incident.get(v, 0) | 1 << i
-    seq: list[int] = []
-    used = 0
-    frames = [iter(steps[g.s])]
-    nodes = 0
-    while frames:
-        for e, bit, nxt in frames[-1]:
-            if used & bit:
-                continue
-            nodes += 1
-            if nodes > max_nodes:
-                raise BudgetExceededError(nodes, max_nodes)
-            rem = full & ~(used | bit)
-            if rem and not _reaches_all(incident, edges, rem, nxt, t):
-                continue
-            seq.append(e)
-            if not rem:
-                yield TrailPermutation(tuple(seq))
-                seq.pop()
-                continue
-            used |= bit
-            frames.append(iter(steps.get(nxt, ())))
-            break
-        else:
-            frames.pop()
-            if seq:
-                used ^= 1 << (seq.pop() - 1)
+    for trail, _, _ in signed_trails(g, max_nodes):
+        yield trail
 
 
 # -- the layered subset DP ------------------------------------------------------

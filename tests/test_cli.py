@@ -9,7 +9,7 @@ from oracles import brute_marked_graphs, brute_signed_sum
 from trailsum import cli
 from trailsum.digraph import (enumerate_marked_graphs, format_graph, make_gn,
                               parse_graph, search_space)
-from trailsum.trails import signed_sum
+from trailsum.trails import signed_sum, signed_trails
 
 
 @pytest.fixture
@@ -46,6 +46,25 @@ class TestSignedSumCommand:
         assert lines[0] == "trail=1,2,3,4,5 sgn=+1 sgn_M=+1"
         assert all(line.startswith("trail=") for line in lines[:-1])
         assert lines[-1] == "S=4 T=4 trails=8"
+
+    def test_list_trails_reports_the_walk_on_stderr(self, capsys, g2_file):
+        walk = signed_trails(make_gn(2, 1))
+        assert sum(1 for _ in walk) == 8
+        code, _, err = run(capsys, ["signed-sum", g2_file, "--list-trails"])
+        assert code == 0
+        assert re.fullmatch(rf"listed=8 steps={walk.steps} floods={walk.floods} "
+                            r"elapsed=\d+\.\d{3}s\n", err)
+
+    def test_list_trails_fold_disagreeing_with_the_sum_exits_2(self, capsys, monkeypatch,
+                                                               g2_file):
+        def one_sign_flipped(g, max_nodes):
+            for i, (trail, sg, sm) in enumerate(signed_trails(g, max_nodes)):
+                yield trail, sg, -sm if i == 3 else sm
+        monkeypatch.setattr(cli, "signed_trails", one_sign_flipped)
+        code, out, err = run(capsys, ["signed-sum", g2_file, "--list-trails"])
+        assert code == 2
+        assert out.splitlines()[-1] == "S=4 T=4 trails=8"
+        assert err == "error: the listed trails give S=2 trails=8, the DP S=4 trails=8\n"
 
     def test_filter_partial_sums_add_up(self, capsys, tmp_path):
         path = tmp_path / "two.graph"

@@ -12,8 +12,8 @@ from trailsum.trails import (AtPosition, BudgetExceededError, Precedes,
                              Subtrail, TrailPermutation, enumerate_trails,
                              filtered_signed_sum, invert_permutation, is_trail,
                              marked_order_sign, relabel, sgn_perm, sigma_M,
-                             signed_sum, swan_identity, swap_parallel_subtrails,
-                             trail_signs)
+                             signed_sum, signed_trails, swan_identity,
+                             swap_parallel_subtrails, trail_signs)
 
 
 def graph(n, edges, s, t, marked=()):
@@ -134,6 +134,58 @@ class TestEnumerateTrails:
     def test_long_path_is_not_bounded_by_recursion(self):
         trails = list(enumerate_trails(path_graph(1200)))
         assert [t.sigma for t in trails] == [tuple(range(1, 1201))]
+
+
+def listed(walk):
+    return [(trail.sigma, sg, sm) for trail, sg, sm in walk]
+
+
+class TestSignedTrails:
+    def test_matches_trail_signs_and_brute_force(self):
+        for g, _ in random_graphs(27, 80, k_max=6, bmax=4):
+            got = listed(signed_trails(g))
+            assert got == [(t.sigma, *trail_signs(g, t)) for t in enumerate_trails(g)]
+            marked = set(g.marked)
+            assert got == [(per, inversion_sign(per),
+                            inversion_sign([e for e in per if e in marked]))
+                           for per in sorted(brute_trails(g))]
+
+    def test_witness_graph_counts_and_budget(self):
+        # G_3 mbar=3: 51,840 trails, 294,351 extension steps, 1,981 states
+        # (used edges, head) flooded
+        g = make_gn(3, 3)
+        walk = signed_trails(g, max_nodes=294351)
+        got = listed(walk)
+        assert got == [(t.sigma, *trail_signs(g, t)) for t in enumerate_trails(g)]
+        assert len(got) == 51840
+        assert (walk.steps, walk.floods) == (294351, 1981)
+        with pytest.raises(BudgetExceededError):
+            listed(signed_trails(g, max_nodes=294350))
+
+    def test_budget_boundary_is_exact(self):
+        g = make_gn(3, 2)
+        walk = signed_trails(g)
+        trails = listed(walk)
+        assert listed(signed_trails(g, max_nodes=walk.steps)) == trails
+        with pytest.raises(BudgetExceededError):
+            listed(signed_trails(g, max_nodes=walk.steps - 1))
+
+    def test_counters_follow_the_stream(self):
+        walk = signed_trails(make_gn(2, 2))
+        assert (walk.steps, walk.floods) == (0, 0)
+        next(walk)
+        first = (walk.steps, walk.floods)
+        assert first[0] >= 5 and first[1] >= 1
+        listed(walk)
+        assert walk.steps > first[0] and walk.floods >= first[1]
+
+    def test_empty_and_infeasible(self):
+        assert listed(signed_trails(graph(1, [], 1, 1))) == [((), 1, 1)]
+        assert listed(signed_trails(graph(2, [], 1, 2))) == []
+        assert listed(signed_trails(graph(2, [(1, 2)], 1, 1))) == []
+
+    def test_long_path_is_not_bounded_by_recursion(self):
+        assert listed(signed_trails(path_graph(1200))) == [(tuple(range(1, 1201)), 1, 1)]
 
 
 class TestSignedSum:
