@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 
 from .digraph import (MarkedDigraph, OrbitMemo, enumerate_marked_graphs,
-                      random_feasible_graph, search_space)
+                      random_feasible_graph, root_orbits, search_space)
 from .grassmann import GrassmannElement, GrassmannMatrix, standard_polynomial
 from .trails import DEFAULT_NODE_BUDGET, signed_sum
 
@@ -140,31 +140,39 @@ def identity_verdict(n: int, m: int, k: int, mode: str = "exhaustive",
     generators?  Equivalently: is T zero for every n-vertex, k-edge graph
     with at most m marked edges?
 
-    Exhaustive mode walks every graph class in canonical order and reports
-    the first counterexample, computing T once per orbit under vertex
-    relabelling and reversal; sampled mode draws seeded random feasible
-    graphs instead.  Exhaustive mode refuses search spaces larger than
-    max_classes graph classes.
+    Exhaustive mode walks the graph classes at root pairs (1, 1) and (1, 2)
+    in canonical order, computing T once per orbit under vertex relabelling
+    and reversal; every other root pair repeats one of these two up to
+    relabelling (``root_orbits``).  The first counterexample of the full
+    stream is the first one of this walk, and ``checked`` counts the classes
+    before it, itself included, or, when the identity holds, every class of
+    the full stream.  Sampled mode draws seeded random feasible graphs
+    instead.  Exhaustive mode refuses search spaces larger than max_classes
+    graph classes.
     """
     def T(g: MarkedDigraph) -> int:
         return signed_sum(g, max_nodes=max_nodes).T
 
-    if mode == "exhaustive":
-        space = search_space(n, k, m)
-        if space > max_classes:
-            raise ValueError(
-                f"exhaustive space of {space} classes exceeds the guard of {max_classes}")
-        graphs = enumerate_marked_graphs(n, k, bmax=m)
-        T = OrbitMemo(T)
-    elif mode == "sampled":
+    if mode == "sampled":
         rng = random.Random(seed)
-        graphs = (random_feasible_graph(rng, n, k, bmax=m) for _ in range(samples))
-    else:
+        for checked in range(1, samples + 1):
+            g = random_feasible_graph(rng, n, k, bmax=m)
+            if T(g) != 0:
+                return IdentityVerdict(False, g, checked)
+        return IdentityVerdict(True, None, samples)
+    if mode != "exhaustive":
         raise ValueError(f"unknown mode {mode!r}")
-
-    checked = 0
-    for g in graphs:
-        checked += 1
-        if T(g) != 0:
-            return IdentityVerdict(False, g, checked)
-    return IdentityVerdict(True, None, checked)
+    space = search_space(n, k, m)
+    if space > max_classes:
+        raise ValueError(
+            f"exhaustive space of {space} classes exceeds the guard of {max_classes}")
+    T = OrbitMemo(T)
+    walked = everything = 0
+    for roots, size in root_orbits(n):
+        walk = enumerate_marked_graphs(n, k, m, [roots])
+        for g in walk:
+            if T(g) != 0:
+                return IdentityVerdict(False, g, walked + walk.yielded)
+        walked += walk.yielded
+        everything += size * walk.yielded
+    return IdentityVerdict(True, None, everything)

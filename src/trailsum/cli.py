@@ -369,24 +369,41 @@ def cmd_exhaustive(args) -> int:
         raise _UsageError(f"search space of {space} classes exceeds the guard of "
                           f"{args.max_classes}; raise --max-classes to proceed")
     print(f"n={args.n} k={args.k} bmax={args.bmax}")
-    stream = enumerate_marked_graphs(args.n, args.k, args.bmax)
     memo = digraph.OrbitMemo(lambda g: signed_sum(g, max_nodes=args.budget).T)
-    histogram: dict[int, int] = {}
+    walks = []      # (root-orbit size, T histogram, class stream) per walked root pair
     witness = None
-    for g in stream:
-        value = memo(g)
-        histogram[value] = histogram.get(value, 0) + 1
-        if value > 0 and witness is None:
-            witness = (value, g)
-            if args.stop_on_witness:
-                break
-    for value in sorted(histogram):
-        print(f"T={value} classes={histogram[value]}")
+    stopped = False
+    for roots, size in digraph.root_orbits(args.n):
+        stream = enumerate_marked_graphs(args.n, args.k, args.bmax, [roots])
+        histogram: dict[int, int] = {}
+        walks.append((size, histogram, stream))
+        for g in stream:
+            value = memo(g)
+            histogram[value] = histogram.get(value, 0) + 1
+            if value > 0 and witness is None:
+                witness = (value, g)
+                stopped = args.stop_on_witness
+                if stopped:
+                    break
+        if stopped:
+            # The walked prefix is the full stream's prefix up to the witness.
+            walks = [(1, histogram, stream) for _, histogram, stream in walks]
+            break
+    total: dict[int, int] = {}
+    for size, histogram, _ in walks:
+        for value, count in histogram.items():
+            total[value] = total.get(value, 0) + size * count
+    for value in sorted(total):
+        print(f"T={value} classes={total[value]}")
     if witness is not None:
         print(f"witness T={witness[0]} {witness[1].compact()}")
-    print(f"classes={stream.yielded} skipped_unbalanced={stream.skipped_unbalanced} "
-          f"skipped_infeasible={stream.skipped_infeasible}")
-    print(f"orbits={memo.orbits} reused={memo.reused} "
+    yielded, unbalanced, infeasible = (
+        sum(size * getattr(stream, counter) for size, _, stream in walks)
+        for counter in ("yielded", "skipped_unbalanced", "skipped_infeasible"))
+    print(f"classes={yielded} skipped_unbalanced={unbalanced} "
+          f"skipped_infeasible={infeasible}")
+    walked = sum(stream.yielded for _, _, stream in walks)
+    print(f"orbits={memo.orbits} reused={memo.reused} walked={walked} "
           f"elapsed={time.perf_counter() - start:.3f}s", file=sys.stderr)
     return 0
 

@@ -20,6 +20,7 @@ import itertools
 import math
 import operator
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 
@@ -218,28 +219,37 @@ class MarkedGraphEnumeration:
     skipped and counted (their trail set is empty), so every yielded graph
     is balanced with at least one Eulerian trail.
 
-    For each root pair the multisets are walked depth first over the 2n^2
-    edge types in (source, target, marked) order, each type's multiplicity
-    tried from high to low: the order of
+    The walk covers the given root pairs in the given order, by default all
+    n^2 pairs in lexicographic order.  For each root pair the multisets are
+    walked depth first over the 2n^2 edge types in (source, target, marked)
+    order, each type's multiplicity tried from high to low: the order of
     ``itertools.combinations_with_replacement``.  The walk carries the
     balance d(v) = indeg + [v = s] - outdeg - [v = t] and cuts a subtree
     when it holds no balanced multiset: some vertex whose outgoing types
     are all behind has d(v) > 0, or the sum of the positive d(v) exceeds
-    the edges left.  Only balanced multisets are built and validated.
+    the edges left.  At a balanced leaf it decides feasibility from the
+    picked types (both roots touched, touched vertices weakly connected)
+    and builds a graph only for the feasible ones.
 
-    Single-pass iterator; the counters update as items are consumed, in
-    stream order.  A cut subtree adds its size (multisets with at most
-    bmax marked edges) to ``skipped_unbalanced`` when the walk reaches it,
-    so after every yield the counters equal those of building and
-    validating every multiset in turn.
+    Single-pass iterator; the counters cover the root pairs walked and
+    update as items are consumed, in stream order.  A cut subtree adds its
+    size (multisets with at most bmax marked edges) to
+    ``skipped_unbalanced`` when the walk reaches it, so after every yield
+    the counters equal those of building and validating every multiset of
+    the walked root pairs in turn.
     """
 
-    def __init__(self, n: int, k: int, bmax: int):
+    def __init__(self, n: int, k: int, bmax: int,
+                 roots: Iterable[tuple[int, int]] | None = None):
         if n < 1 or k < 1 or bmax < 0:
             raise ValueError("need n, k >= 1 and bmax >= 0")
         self.n = n
         self.k = k
         self.bmax = bmax
+        self.roots = (tuple(itertools.product(range(1, n + 1), repeat=2)) if roots is None
+                      else tuple(roots))
+        if not all(1 <= s <= n and 1 <= t <= n for s, t in self.roots):
+            raise ValueError(f"root pairs must lie in 1..{n}")
         self.yielded = 0
         self.skipped_unbalanced = 0
         self.skipped_infeasible = 0
@@ -269,12 +279,32 @@ class MarkedGraphEnumeration:
         d = [0] * (n + 1)
         picked: list[tuple[int, int, int, int]] = []
 
+        def feasible() -> bool:
+            # A balanced leaf has an Eulerian trail from s to t exactly when
+            # both roots are touched and the touched vertices are weakly
+            # connected.  Balance touches t when t != s, so it is enough that
+            # a flood from s over the neighbour bitmasks reaches exactly the
+            # touched vertices.
+            near = [0] * (n + 1)
+            for u, v, _, _ in picked:
+                near[u] |= 1 << v
+                near[v] |= 1 << u
+            seen, stack = 1 << s, [s]
+            while stack:
+                fresh = near[stack.pop()] & ~seen
+                seen |= fresh
+                stack.extend(x for x in range(1, n + 1) if fresh >> x & 1)
+            return seen == functools.reduce(operator.or_, near)
+
         def walk(i: int, r: int, beta: int, pos: int):
             # Invariant: the multiset so far can still be balanced and pos is
             # the sum of the positive d(v).  Pick the next type j >= i to use
             # and its multiplicity m >= 1.  Once the walk is past a vertex's
             # last outgoing type that vertex is closed: its d(v) can only grow.
             if r == 0:
+                if not feasible():
+                    self.skipped_infeasible += 1
+                    return
                 edges: list[tuple[int, int]] = []
                 marked: list[int] = []
                 for u, v, f, m in picked:
@@ -282,12 +312,8 @@ class MarkedGraphEnumeration:
                         edges.append((u, v))
                         if f:
                             marked.append(len(edges))
-                g = MarkedDigraph(n, tuple(edges), s, t, frozenset(marked))
-                if not validate(g).feasible:
-                    self.skipped_infeasible += 1
-                    return
                 self.yielded += 1
-                yield g
+                yield MarkedDigraph(n, tuple(edges), s, t, frozenset(marked))
                 return
             for j in range(i, last):
                 if j % width == 0 and j and d[j // width] > 0:
@@ -317,12 +343,26 @@ class MarkedGraphEnumeration:
                     d[u] += m
                     d[v] -= m
 
-        for s, t in itertools.product(range(1, n + 1), repeat=2):
+        for s, t in self.roots:
             d[s] += 1
             d[t] -= 1
             yield from walk(0, k, self.bmax, int(s != t))
             d[s] -= 1
             d[t] += 1
+
+
+def root_orbits(n: int) -> tuple[tuple[tuple[int, int], int], ...]:
+    """Root pairs (1, 1) and, for n >= 2, (1, 2), each with its orbit's size.
+
+    A vertex relabelling p with p(1) = s (and p(2) = t) maps the classes at
+    (1, 1) one to one onto those at (s, s) (and the classes at (1, 2) onto
+    those at (s, t)), keeping k, the number of marked edges, balance,
+    feasibility and T.  So the n pairs with s = t all have the counts of
+    (1, 1), and the n(n - 1) pairs with s != t those of (1, 2).  Both come
+    first in the full stream, and the first class there with T > 0 lies at
+    (1, 1), or failing that at (1, 2).
+    """
+    return (((1, 1), n), ((1, 2), n * (n - 1)))[:min(n, 2)]
 
 
 def _multichoose(kinds: int, r: int) -> int:
@@ -430,8 +470,10 @@ class OrbitMemo:
         return value
 
 
-def enumerate_marked_graphs(n: int, k: int, bmax: int) -> MarkedGraphEnumeration:
-    return MarkedGraphEnumeration(n, k, bmax)
+def enumerate_marked_graphs(n: int, k: int, bmax: int,
+                            roots: Iterable[tuple[int, int]] | None = None
+                            ) -> MarkedGraphEnumeration:
+    return MarkedGraphEnumeration(n, k, bmax, roots)
 
 
 def random_feasible_graph(rng: random.Random, n: int, k: int, bmax: int,

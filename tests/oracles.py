@@ -172,14 +172,17 @@ class _BruteMarkedGraphs:
     """Every multiset of (source, target, marked) triples, built and validated.
 
     The generator body is the package's original enumerator: for each root
-    pair it draws every multiset with at most bmax marked edges, builds the
-    graph and lets ``validate`` sort it into the counters.
+    pair (all n^2 of them unless ``roots`` names some) it draws every
+    multiset with at most bmax marked edges, builds the graph and lets
+    ``validate`` sort it into the counters.
     """
 
-    def __init__(self, n, k, bmax):
+    def __init__(self, n, k, bmax, roots=None):
         self.n = n
         self.k = k
         self.bmax = bmax
+        self.roots = (list(itertools.product(range(1, n + 1), repeat=2)) if roots is None
+                      else list(roots))
         self.yielded = 0
         self.skipped_unbalanced = 0
         self.skipped_infeasible = 0
@@ -195,7 +198,7 @@ class _BruteMarkedGraphs:
         from trailsum.digraph import MarkedDigraph, validate
         n, k = self.n, self.k
         types = [(u, v, f) for u in range(1, n + 1) for v in range(1, n + 1) for f in (0, 1)]
-        for s, t in itertools.product(range(1, n + 1), repeat=2):
+        for s, t in self.roots:
             for combo in itertools.combinations_with_replacement(types, k):
                 if sum(f for _, _, f in combo) > self.bmax:
                     continue
@@ -213,9 +216,9 @@ class _BruteMarkedGraphs:
                 yield g
 
 
-def brute_marked_graphs(n, k, bmax):
+def brute_marked_graphs(n, k, bmax, roots=None):
     """Reference class stream with the counters of MarkedGraphEnumeration."""
-    return _BruteMarkedGraphs(n, k, bmax)
+    return _BruteMarkedGraphs(n, k, bmax, roots)
 
 
 def brute_orbit_ids(graphs):

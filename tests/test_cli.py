@@ -1,12 +1,13 @@
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
 from oracles import brute_marked_graphs, brute_signed_sum
-from trailsum import cli
+from trailsum import bridge, cli
 from trailsum.digraph import (enumerate_marked_graphs, format_graph, make_gn,
                               parse_graph, search_space)
 from trailsum.trails import signed_sum, signed_trails
@@ -253,35 +254,88 @@ class TestExhaustiveCommand:
         assert code == 1
         assert "guard" in err
 
-    @pytest.mark.parametrize("n, k, bmax", [(2, 5, 2), (2, 6, 3), (3, 5, 2)])
-    def test_stdout_matches_one_sum_per_class(self, capsys, n, k, bmax):
-        stream = enumerate_marked_graphs(n, k, bmax)
-        histogram, witness = {}, None
-        for g in stream:
-            T = signed_sum(g).T
-            histogram[T] = histogram.get(T, 0) + 1
-            if T and witness is None:
-                witness = f"witness T={T} {g.compact()}"
-        expected = [f"n={n} k={k} bmax={bmax}"]
-        expected += [f"T={T} classes={histogram[T]}" for T in sorted(histogram)]
-        expected += [witness] if witness else []
-        expected.append(f"classes={stream.yielded} skipped_unbalanced={stream.skipped_unbalanced} "
-                        f"skipped_infeasible={stream.skipped_infeasible}")
-        code, out, _ = run(capsys, ["exhaustive", "--n", str(n), "--k", str(k),
-                                    "--bmax", str(bmax)])
+    @pytest.mark.parametrize("n, k, bmax, stop", [
+        pytest.param(n, k, bmax, stop, id=f"{n}-{k}-{bmax}" + ("-stop" if stop else ""))
+        for n, k, bmax, stop in [
+            (2, 5, 2, False), (2, 5, 2, True), (2, 6, 3, False), (3, 5, 2, False),
+            (3, 5, 2, True), (1, 3, 2, False), (1, 3, 2, True), (3, 6, 2, False),
+        ]])
+    def test_stdout_matches_one_sum_per_class(self, capsys, n, k, bmax, stop):
+        argv = ["exhaustive", "--n", str(n), "--k", str(k), "--bmax", str(bmax)]
+        argv += ["--stop-on-witness"] if stop else []
+        code, out, _ = run(capsys, argv)
         assert code == 0
-        assert out == "\n".join(expected) + "\n"
+        assert out == _one_sum_per_class(n, k, bmax, stop, lambda g: signed_sum(g).T)
 
     def test_orbit_line_on_stderr(self, capsys):
         code, out, err = run(capsys, ["exhaustive", "--n", "3", "--k", "6", "--bmax", "2"])
         assert code == 0
-        match = re.fullmatch(r"orbits=(\d+) reused=(\d+) elapsed=\d+\.\d{3}s\n", err)
+        match = re.fullmatch(r"orbits=(\d+) reused=(\d+) walked=(\d+) elapsed=\d+\.\d{3}s\n",
+                             err)
         assert match is not None
-        orbits, reused = int(match[1]), int(match[2])
-        assert (orbits, reused) == (1127, 11125)
-        classes = re.fullmatch(r"classes=(\d+) .*", out.splitlines()[-1])
-        assert int(classes[1]) == orbits + reused
+        orbits, reused, walked = int(match[1]), int(match[2]), int(match[3])
+        assert (orbits, reused, walked) == (1127, 1557, 2684)
+        assert orbits + reused == walked
+        assert out.splitlines()[-1].startswith("classes=12252 ")
         assert "orbits" not in out
+
+
+def _one_sum_per_class(n, k, bmax, stop, T):
+    """The exhaustive report folded over the full class stream, T once per class."""
+    stream = enumerate_marked_graphs(n, k, bmax)
+    histogram, witness = {}, None
+    for g in stream:
+        value = T(g)
+        histogram[value] = histogram.get(value, 0) + 1
+        if value and witness is None:
+            witness = f"witness T={value} {g.compact()}"
+            if stop:
+                break
+    expected = [f"n={n} k={k} bmax={bmax}"]
+    expected += [f"T={value} classes={histogram[value]}" for value in sorted(histogram)]
+    expected += [witness] if witness else []
+    expected.append(f"classes={stream.yielded} skipped_unbalanced={stream.skipped_unbalanced} "
+                    f"skipped_infeasible={stream.skipped_infeasible}")
+    return "\n".join(expected) + "\n"
+
+
+def _loops_between_distinct_roots(g):
+    """A stand-in for T: constant on orbits, nonzero only when s != t."""
+    return sum(u == v for u, v in g.edges) if g.s != g.t else 0
+
+
+class TestDistinctRootsWitness:
+    """No real size has its first witness at s != t, so T is replaced."""
+
+    @pytest.fixture(autouse=True)
+    def fake_sum(self, monkeypatch):
+        def fake(g, max_nodes=None):
+            return types.SimpleNamespace(T=_loops_between_distinct_roots(g))
+        monkeypatch.setattr(cli, "signed_sum", fake)
+        monkeypatch.setattr(bridge, "signed_sum", fake)
+
+    @pytest.mark.parametrize("n, k, bmax", [(2, 5, 2), (3, 5, 2)])
+    @pytest.mark.parametrize("stop", [False, True])
+    def test_exhaustive_stdout(self, capsys, n, k, bmax, stop):
+        argv = ["exhaustive", "--n", str(n), "--k", str(k), "--bmax", str(bmax)]
+        argv += ["--stop-on-witness"] if stop else []
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        expected = _one_sum_per_class(n, k, bmax, stop, _loops_between_distinct_roots)
+        assert "witness T=" in expected and " s=1 t=2 " in expected
+        assert out == expected
+
+    @pytest.mark.parametrize("n, m, k", [(2, 2, 5), (3, 2, 5), (3, 0, 4)])
+    def test_identity_verdict(self, n, m, k):
+        checked, witness = 0, None
+        for g in enumerate_marked_graphs(n, k, m):
+            checked += 1
+            if _loops_between_distinct_roots(g):
+                witness = g
+                break
+        assert witness is not None and (witness.s, witness.t) == (1, 2)
+        verdict = bridge.identity_verdict(n, m, k, mode="exhaustive")
+        assert verdict == bridge.IdentityVerdict(False, witness, checked)
 
 
 class TestUsageAndHelp:

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -224,6 +225,30 @@ class TestEnumeration:
         assert counters(fast) == counters(brute)
         assert fast.yielded > 0
         assert sum(counters(fast)) == search_space(n, k, bmax)
+
+    @pytest.mark.parametrize("n, k, bmax", [(2, 5, 2), (3, 5, 2)])
+    def test_root_pairs_of_one_kind_look_alike(self, n, k, bmax):
+        # The exhaustive searches walk (1, 1) and (1, 2) only and scale by
+        # the size of the root orbit; this is the invariance that rests on.
+        def counters(stream):
+            return stream.yielded, stream.skipped_unbalanced, stream.skipped_infeasible
+
+        tallies = {True: set(), False: set()}
+        for s, t in itertools.product(range(1, n + 1), repeat=2):
+            fast = enumerate_marked_graphs(n, k, bmax, [(s, t)])
+            brute = brute_marked_graphs(n, k, bmax, [(s, t)])
+            histogram = collections.Counter()
+            for a, b in itertools.zip_longest(fast, brute):
+                assert a == b
+                histogram[signed_sum(a).T] += 1
+            assert counters(fast) == counters(brute)
+            tallies[s == t].add((counters(brute), frozenset(histogram.items())))
+        assert len(tallies[True]) == len(tallies[False]) == 1
+        assert [size for _, size in digraph.root_orbits(n)] == [n, n * (n - 1)]
+
+    def test_root_pairs_out_of_range(self):
+        with pytest.raises(ValueError):
+            enumerate_marked_graphs(2, 3, 1, [(1, 3)])
 
 
 class TestSearchSpace:
