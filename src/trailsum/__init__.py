@@ -13,9 +13,9 @@ from .grassmann import (GrassmannElement, GrassmannMatrix, ShapeError,
                         substitute_generators)
 from .trails import (AtPosition, BudgetExceededError, Precedes,
                      SignedSumReport, Subtrail, TrailPermutation,
-                     enumerate_trails, filtered_signed_sum, invert_permutation,
-                     is_trail, marked_order_sign, relabel, sgn_perm, sigma_M,
-                     signed_sum, signed_trails, swan_identity,
+                     check_constraint, enumerate_trails, filtered_signed_sum,
+                     invert_permutation, is_trail, marked_order_sign, relabel,
+                     sgn_perm, sigma_M, signed_sum, signed_trails, swan_identity,
                      swap_parallel_subtrails, trail_signs)
 from .bridge import (CrossCheckReport, IdentityVerdict, SimplifiedSet,
                      cross_check, graph_to_simplified, identity_verdict,
@@ -26,7 +26,7 @@ __all__ = [
     "DegreeProfile", "GraphFormatError", "GrassmannElement", "GrassmannMatrix",
     "IdentityVerdict", "MarkedDigraph", "Precedes", "ShapeError",
     "SignedSumReport", "SimplifiedBasisTuple", "SimplifiedSet", "Subtrail",
-    "TrailPermutation", "cross_check", "enumerate_marked_graphs",
+    "TrailPermutation", "check_constraint", "cross_check", "enumerate_marked_graphs",
     "enumerate_trails", "ext_mul", "extend", "filtered_signed_sum",
     "format_graph", "graph_to_simplified", "identity_verdict",
     "invert_permutation", "is_trail", "make_gn", "marked_order_sign",

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from . import bridge, digraph, trails
 from .digraph import GraphFormatError, MarkedDigraph, enumerate_marked_graphs, make_gn
-from .trails import (AtPosition, BudgetExceededError, Precedes, Subtrail,
+from .trails import (AtPosition, BudgetExceededError, Precedes, Subtrail, check_constraint,
                      enumerate_trails, filtered_signed_sum, signed_sum, signed_trails)
 
 DEFAULT_BUDGET = trails.DEFAULT_NODE_BUDGET
@@ -282,42 +282,48 @@ SUITES = {
 
 # -- commands -----------------------------------------------------------------
 
-def parse_constraint(spec: str):
+def parse_constraint(spec: str, g: MarkedDigraph):
+    """The constraint spec names, once its edges and position fit g."""
     kind, sep, rest = spec.partition(":")
     if not sep:
         raise _UsageError(f"bad constraint {spec!r}: expected '<kind>:...'")
+    if kind not in ("subtrail", "precedes", "at"):
+        raise _UsageError(f"unknown constraint kind {kind!r} "
+                          "(use subtrail:..., precedes:...|..., at:...@...)")
     try:
         if kind == "subtrail":
-            return Subtrail(tuple(int(x) for x in rest.split(",")))
-        if kind == "precedes":
+            c = Subtrail(tuple(int(x) for x in rest.split(",")))
+        elif kind == "precedes":
             a, sep2, b = rest.partition("|")
             if not sep2:
                 raise ValueError("missing '|'")
-            return Precedes(tuple(int(x) for x in a.split(",")),
-                            tuple(int(x) for x in b.split(",")))
-        if kind == "at":
+            c = Precedes(tuple(int(x) for x in a.split(",")),
+                         tuple(int(x) for x in b.split(",")))
+        else:
             e, sep2, p = rest.partition("@")
             if not sep2:
                 raise ValueError("missing '@'")
-            return AtPosition(int(e), int(p))
+            c = AtPosition(int(e), int(p))
+        check_constraint(g, c)
     except ValueError as exc:
         raise _UsageError(f"bad constraint {spec!r}: {exc}") from None
-    raise _UsageError(f"unknown constraint kind {kind!r} "
-                      "(use subtrail:..., precedes:...|..., at:...@...)")
+    return c
 
 
 def cmd_signed_sum(args) -> int:
     start = time.perf_counter()
     g = digraph.read_graph_file(args.graph_file)
-    constraints = [parse_constraint(spec) for spec in args.filter]
+    constraints = [parse_constraint(spec, g) for spec in args.filter]
     walk = None
     if args.list_trails:
         # Streamed line by line: a listing can be far larger than the graph.
         walk = signed_trails(g, max_nodes=args.budget)
         write = sys.stdout.write
+        label = [str(e) for e in range(g.k + 1)]
+        tails = {(sg, sm): f" sgn={sg:+d} sgn_M={sm:+d}\n" for sg in (1, -1) for sm in (1, -1)}
         total = listed = 0
         for trail, sg, sm in walk:
-            write(f"trail={','.join(map(str, trail.sigma))} sgn={sg:+d} sgn_M={sm:+d}\n")
+            write("trail=" + ",".join([label[e] for e in trail.sigma]) + tails[sg, sm])
             total += sg * sm
             listed += 1
     r = signed_sum(g, max_nodes=args.budget)
@@ -361,8 +367,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_exhaustive(args) -> int:
-    if args.n < 1 or args.k < 1 or args.bmax < 0:
-        raise _UsageError("need --n, --k >= 1 and --bmax >= 0")
+    if args.n < 1 or not 1 <= args.k <= digraph.MAX_ORBIT_EDGES or args.bmax < 0:
+        raise _UsageError(f"need --n >= 1, 1 <= --k <= {digraph.MAX_ORBIT_EDGES} "
+                          "and --bmax >= 0")
     start = time.perf_counter()
     space = digraph.search_space(args.n, args.k, args.bmax)
     if space > args.max_classes:

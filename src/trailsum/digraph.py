@@ -412,6 +412,9 @@ def _orbit_maps(n: int) -> tuple[operator.itemgetter, ...]:
     return tuple(maps)
 
 
+MAX_ORBIT_EDGES = 255          # orbit_key packs each edge-type count in one byte
+
+
 def orbit_key(g: MarkedDigraph) -> bytes:
     """Canonical form of g's class under vertex relabelling and reversal.
 
@@ -430,10 +433,10 @@ def orbit_key(g: MarkedDigraph) -> bytes:
     order changes S only by the relabel sign.  The opposite graph's trails
     are the reversed trails, and S changes only by a sign fixed by k and
     the number of marked edges.  Costs O(r! r^2) per call, with
-    r <= min(n, 2k + 2); for k < 256.
+    r <= min(n, 2k + 2); for k <= MAX_ORBIT_EDGES.
     """
-    if g.k > 255:
-        raise ValueError("orbit keys pack edge counts in bytes; need k < 256")
+    if g.k > MAX_ORBIT_EDGES:
+        raise ValueError(f"orbit keys pack edge counts in bytes; need k <= {MAX_ORBIT_EDGES}")
     index = {v: i for i, v in enumerate(sorted({g.s, g.t}.union(*g.edges)))}
     r = len(index)
     vec = [0] * (3 * r * r)

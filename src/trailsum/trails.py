@@ -15,14 +15,15 @@ Listing is one depth-first walk (signed_trails) that extends the trail from
 the source root, kept on an explicit stack, taking candidate edges in
 ascending index order, which yields trails in lexicographic order of the
 sigma sequence; enumerate_trails is the same walk without the signs.  The
-walk carries both signs on its stack, one popcount per step each, and
-prunes a step when some unused edge can no longer be reached from the new
-head (a flood over per-vertex incident-edge bitmasks; completeness-
+walk prunes a step when some unused edge can no longer be reached from the
+new head (a flood over per-vertex incident-edge bitmasks; completeness-
 preserving, since balance plus reachability guarantee a completion
-exists).  The flood's verdict depends only on (used edges, head), so it is
-memoized per walk, one entry at most per step, which max_nodes bounds.
-trail_signs recomputes both signs of one trail from scratch and stays the
-independent route.
+exists).  Which moves survive the prune, and how each flips the two signs,
+depends only on the state (used edges, head), so the first visit of a
+state scans its candidate edges once and stores its successor list; every
+later visit only iterates that list.  Each stored move is a step of a
+first visit, so max_nodes bounds the memo too.  trail_signs recomputes both
+signs of one trail from scratch and stays the independent route.
 
 The sums do not list trails.  The sign increment of appending edge e after
 the set U of used edges depends on U alone, not on the order inside it, so
@@ -229,14 +230,19 @@ class SignedTrailWalk:
     An extension step is pruned when some unused edge can no longer be
     reached from the new head (a flood over per-vertex incident-edge
     bitmasks; balance plus reachability guarantee a completion exists).
-    The verdict depends only on the state (used edges, head), so it is
-    kept in a dict local to the walk and each state is flooded once.  At
-    most one entry is added per step, so max_nodes bounds the memo too.
+    The verdict depends only on the target state (used edges, head), so
+    each target is flooded once.  The surviving moves of a state, and their
+    sign flips, depend only on that state: its first visit stores them in
+    ascending edge order, and revisits only iterate them.  Equal moves of
+    different states are one object.  Each stored state and move is a step
+    of a first visit, so max_nodes bounds the memo too (on G_3 with
+    mbar=3: 1,834 states, 4,462 moves, 40 distinct, for 294,351 steps).
 
     Single-pass iterator.  ``steps`` counts the extension steps attempted
-    and ``floods`` the memo misses, both up to date after every yield; more
-    than max_nodes steps raise BudgetExceededError.  Infeasible graphs yield
-    nothing.
+    and ``floods`` the flood memo misses.  Both are added move by move, as
+    a step-by-step walk counts them, so they are exact after every yield,
+    and more than max_nodes steps raise BudgetExceededError right after
+    the trails whose last step fits.  Infeasible graphs yield nothing.
     """
 
     def __init__(self, g: MarkedDigraph, max_nodes: int = DEFAULT_NODE_BUDGET):
@@ -263,60 +269,99 @@ class SignedTrailWalk:
         mmask = 0
         for j in g.marked:
             mmask |= 1 << (j - 1)
-        moves = {}
+        candidates = {}
         for u, out in _out_edges(g).items():
-            moves[u] = []
+            candidates[u] = []
             for e in out:
                 above = full & ~((1 << e) - 1)
                 marked_above = above & mmask if e in g.marked else 0
-                moves[u].append((e, 1 << (e - 1), edges[e - 1][1], above, marked_above))
+                candidates[u].append((e, 1 << (e - 1), edges[e - 1][1], above, marked_above))
         incident: dict[int, int] = {}
         for i, (u, v) in enumerate(edges):
             incident[u] = incident.get(u, 0) | 1 << i
             incident[v] = incident.get(v, 0) | 1 << i
-        completable: dict[tuple[int, int], bool] = {}
-        seq: list[int] = []
-        signs = [(1, 1)]                # (sgn, sgn_M) of the prefix per frame
-        used = 0
-        frames = [iter(moves[g.s])]
+        # Per head, per used edge mask: False once the flood finds some unused
+        # edge unreachable, True once it finds none, and the stored moves once
+        # the state is first visited.
+        memo: dict[int, dict[int, bool | tuple]] = {v: {} for v in incident}
+        shared: dict[tuple, tuple] = {}     # one copy of each distinct move
+
+        def scan(used, head):
+            """First visit of (used, head): store its viable moves and
+            return (moves, tail steps, flood misses) for this visit.
+
+            Stored: the candidates pruned after the last viable move, then
+            each viable move as (steps since the previous one, itself
+            included; e; bit of e; head of e; sign flips, bit 0 for sgn and
+            1 for sgn_M).  Only this visit floods, so only it counts misses,
+            one count per move and one for the tail.
+            """
+            moves, misses = [], []
+            dsteps = dfloods = 0
+            for e, bit, nxt, above, marked_above in candidates.get(head, ()):
+                if used & bit:
+                    continue
+                dsteps += 1
+                nused = used | bit
+                if nused != full:
+                    known = memo[nxt]
+                    ok = known.get(nused)
+                    if ok is None:
+                        dfloods += 1
+                        ok = known[nused] = _reaches_all(incident, edges, full ^ nused, nxt, t)
+                    if not ok:
+                        continue
+                flip = ((used & above).bit_count() & 1
+                        | ((used & marked_above).bit_count() & 1) << 1)
+                move = (dsteps, e, bit, nxt, flip)
+                moves.append(shared.setdefault(move, move))
+                misses.append(dfloods)
+                dsteps = dfloods = 0
+            misses.append(dfloods)
+            memo[head][used] = moves = (dsteps, *moves)
+            it = iter(moves)
+            return it, next(it), iter(misses)
+
+        signs = ((1, 1), (-1, 1), (1, -1), (-1, -1))   # (sgn, sgn_M) by sign bits
+        seq = [0] * g.k                 # the trail so far, position = frame depth
+        depth, last = 0, g.k - 1
+        # Frames: (moves, tail steps, misses or None, used edges, sign bits).
+        frames = [(*scan(0, g.s), 0, 0)]
         steps = floods = 0
         try:
             while frames:
-                for e, bit, nxt, above, marked_above in frames[-1]:
-                    if used & bit:
-                        continue
-                    steps += 1
+                it, tail_steps, misses, used, sign = frames[-1]
+                for dsteps, e, bit, nxt, flip in it:
+                    steps += dsteps
                     if steps > max_nodes:
+                        steps = max_nodes + 1
                         raise BudgetExceededError(steps, max_nodes)
-                    nused = used | bit
-                    if nused != full:
-                        ok = completable.get((nused, nxt))
-                        if ok is None:
-                            floods += 1
-                            ok = _reaches_all(incident, edges, full ^ nused, nxt, t)
-                            completable[nused, nxt] = ok
-                        if not ok:
-                            continue
-                    sg, sm = signs[-1]
-                    if (used & above).bit_count() & 1:
-                        sg = -sg
-                    if (used & marked_above).bit_count() & 1:
-                        sm = -sm
-                    seq.append(e)
-                    if nused == full:
+                    if misses is not None:
+                        floods += next(misses)
+                    seq[depth] = e
+                    if depth == last:
                         self.steps, self.floods = steps, floods
+                        sg, sm = signs[sign ^ flip]
                         yield TrailPermutation(tuple(seq)), sg, sm
-                        seq.pop()
                         continue
-                    used = nused
-                    signs.append((sg, sm))
-                    frames.append(iter(moves.get(nxt, ())))
+                    nused = used | bit
+                    stored = memo[nxt][nused]
+                    if stored is True:
+                        frames.append((*scan(nused, nxt), nused, sign ^ flip))
+                    else:
+                        moves = iter(stored)
+                        frames.append((moves, next(moves), None, nused, sign ^ flip))
+                    depth += 1
                     break
                 else:
+                    steps += tail_steps
+                    if steps > max_nodes:
+                        steps = max_nodes + 1
+                        raise BudgetExceededError(steps, max_nodes)
+                    if misses is not None:
+                        floods += next(misses)
                     frames.pop()
-                    signs.pop()
-                    if seq:
-                        used ^= 1 << (seq.pop() - 1)
+                    depth -= 1
         finally:
             self.steps, self.floods = steps, floods
 
@@ -453,6 +498,8 @@ def _check_seq(seq) -> tuple[int, ...]:
     out = tuple(int(e) for e in seq)
     if not out:
         raise ValueError("edge sequence must be nonempty")
+    if min(out) < 1:
+        raise ValueError("edge indices must be at least 1")
     if len(set(out)) != len(out):
         raise ValueError("edge sequence must not repeat an edge")
     return out
@@ -503,6 +550,21 @@ class AtPosition:
 TrailConstraint = Subtrail | Precedes | AtPosition
 
 
+def check_constraint(g: MarkedDigraph, c) -> None:
+    """Raise ValueError unless every edge and position that c names is at
+    most g.k, and TypeError unless c is a TrailConstraint."""
+    if isinstance(c, AtPosition):
+        named = (c.edge, c.position)
+    elif isinstance(c, Subtrail):
+        named = c.seq
+    elif isinstance(c, Precedes):
+        named = c.first + c.second
+    else:
+        raise TypeError(f"unsupported constraint {c!r}")
+    if max(named) > g.k:
+        raise ValueError(f"{c} outside a {g.k}-edge graph")
+
+
 def filtered_signed_sum(g: MarkedDigraph, constraints,
                         max_nodes: int = DEFAULT_NODE_BUDGET) -> int:
     """Signed sum restricted to trails satisfying every constraint.
@@ -519,16 +581,11 @@ def filtered_signed_sum(g: MarkedDigraph, constraints,
     need = [0] * (g.k + 1)        # edges that must be used before edge e
     contradictory = False
     for c in constraints:
+        check_constraint(g, c)
         if isinstance(c, AtPosition):
-            if c.position > g.k or c.edge > g.k:
-                raise ValueError(f"constraint {c} outside a {g.k}-edge graph")
             contradictory |= slot.setdefault(c.position, c.edge) != c.edge
             continue
-        if not isinstance(c, (Subtrail, Precedes)):
-            raise TypeError(f"unsupported constraint {c!r}")
         for run in [c.seq] if isinstance(c, Subtrail) else [c.first, c.second]:
-            if any(e > g.k for e in run):
-                raise ValueError(f"constraint {c} outside a {g.k}-edge graph")
             for a, b in zip(run, run[1:]):
                 contradictory |= succ.setdefault(a, b) != b
         if isinstance(c, Precedes):

@@ -92,6 +92,16 @@ class TestSignedSumCommand:
             assert code == 1
             assert "usage error" in err
 
+    def test_out_of_range_filter_is_usage_error_before_any_output(self, capsys, g2_file):
+        for spec in ("at:99@1", "at:1@99", "subtrail:1,99", "precedes:1|99",
+                     "subtrail:0,1", "precedes:0|1"):
+            code, out, err = run(capsys, ["signed-sum", g2_file, "--list-trails",
+                                          "--filter", "at:1@1", "--filter", spec])
+            assert code == 1
+            assert out == ""
+            assert err.startswith(f"usage error: bad constraint {spec!r}: ")
+            assert err.count("\n") == 1
+
     def test_missing_file_exits_3(self, capsys, tmp_path):
         code, _, err = run(capsys, ["signed-sum", str(tmp_path / "nope.graph")])
         assert code == 3
@@ -235,6 +245,13 @@ class TestExhaustiveCommand:
         assert "witness" not in out
         histogram = [line for line in out.splitlines() if line.startswith("T=")]
         assert len(histogram) == 1 and histogram[0].startswith("T=0 classes=")
+
+    def test_k_past_the_orbit_key_limit_is_usage_error(self, capsys):
+        for k in ("256", "300"):
+            code, out, err = run(capsys, ["exhaustive", "--n", "1", "--k", k, "--bmax", "0"])
+            assert code == 1
+            assert out == ""
+            assert err.startswith("usage error: ")
 
     def test_guard_refuses_huge_space(self, capsys):
         code, _, err = run(capsys, ["exhaustive", "--n", "4", "--k", "12", "--bmax", "3"])

@@ -170,6 +170,27 @@ class TestSignedTrails:
         with pytest.raises(BudgetExceededError):
             listed(signed_trails(g, max_nodes=walk.steps - 1))
 
+    @pytest.mark.parametrize("n, mbar, total, sample", [(2, 2, 481, None),
+                                                         (3, 2, 12179, 60)])
+    def test_budget_stop_yields_the_same_prefix(self, n, mbar, total, sample):
+        # Every budget below the total (G_2) or a seeded sample (G_3): the
+        # stopped walk yields exactly the trails whose last step fits.
+        g = make_gn(n, mbar)
+        walk = signed_trails(g)
+        full = [((trail.sigma, sg, sm), walk.steps) for trail, sg, sm in walk]
+        assert walk.steps == total
+        budgets = range(total)
+        if sample is not None:
+            budgets = random.Random(31).sample(budgets, sample)
+        for max_nodes in budgets:
+            stopped = signed_trails(g, max_nodes=max_nodes)
+            got = []
+            with pytest.raises(BudgetExceededError) as info:
+                for trail, sg, sm in stopped:
+                    got.append((trail.sigma, sg, sm))
+            assert got == [item for item, steps in full if steps <= max_nodes]
+            assert info.value.nodes == stopped.steps == max_nodes + 1
+
     def test_counters_follow_the_stream(self):
         walk = signed_trails(make_gn(2, 2))
         assert (walk.steps, walk.floods) == (0, 0)
@@ -288,6 +309,10 @@ class TestFilteredSums:
             Subtrail([])
         with pytest.raises(ValueError):
             Subtrail([1, 1])
+        with pytest.raises(ValueError):
+            Subtrail([0, 1])
+        with pytest.raises(ValueError):
+            Precedes([1], [-1])
         with pytest.raises(TypeError):
             filtered_signed_sum(g, ["subtrail:1"])
 
