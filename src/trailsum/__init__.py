@@ -12,28 +12,27 @@ from .grassmann import (GrassmannElement, GrassmannMatrix, ShapeError,
                         simplify_basis_tuple, standard_polynomial,
                         substitute_generators)
 from .trails import (AtPosition, BudgetExceededError, Precedes,
-                     SignedSumReport, Subtrail, TrailPermutation,
-                     check_constraint, enumerate_trails, filtered_signed_sum,
+                     SignedSumReport, Subtrail, check_constraint,
+                     enumerate_trails, filtered_signed_sum,
                      invert_permutation, is_trail, marked_order_sign, relabel,
                      sgn_perm, sigma_M, signed_sum, signed_trails, swan_identity,
                      swap_parallel_subtrails, trail_signs)
-from .bridge import (CrossCheckReport, IdentityVerdict, SimplifiedSet,
-                     cross_check, graph_to_simplified, identity_verdict,
-                     simplified_to_graph)
+from .bridge import (ClassSearch, CrossCheckReport, IdentityVerdict,
+                     SimplifiedSet, cross_check, graph_to_simplified,
+                     identity_verdict, search_classes, simplified_to_graph)
 
 __all__ = [
-    "AtPosition", "BudgetExceededError", "CrossCheckReport",
+    "AtPosition", "BudgetExceededError", "ClassSearch", "CrossCheckReport",
     "DegreeProfile", "GraphFormatError", "GrassmannElement", "GrassmannMatrix",
     "IdentityVerdict", "MarkedDigraph", "Precedes", "ShapeError",
     "SignedSumReport", "SimplifiedBasisTuple", "SimplifiedSet", "Subtrail",
-    "TrailPermutation", "check_constraint", "cross_check", "enumerate_marked_graphs",
+    "check_constraint", "cross_check", "enumerate_marked_graphs",
     "enumerate_trails", "ext_mul", "extend", "filtered_signed_sum",
     "format_graph", "graph_to_simplified", "identity_verdict",
     "invert_permutation", "is_trail", "make_gn", "marked_order_sign",
     "mat_mul", "opposite", "parse_graph", "random_feasible_graph",
-    "read_graph_file", "relabel", "sgn_perm", "sigma_M", "signed_sum",
-    "signed_trails",
-    "simplified_to_graph", "simplify_basis_tuple", "standard_polynomial",
+    "read_graph_file", "relabel", "search_classes", "sgn_perm", "sigma_M",
+    "signed_sum", "signed_trails", "simplified_to_graph", "simplify_basis_tuple", "standard_polynomial",
     "substitute_generators", "surgery_in", "surgery_out", "swan_identity",
     "swap_parallel_subtrails", "trail_signs", "validate", "write_graph_file",
 ]

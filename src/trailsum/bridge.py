@@ -7,7 +7,10 @@ generator, numbered by the edge's ascending rank within the marked set.  The
 T(G) times the ordered product of all generators.  ``cross_check`` verifies
 this equality on concrete graphs by computing both sides independently, and
 ``identity_verdict`` decides whether the alternating sum of a given degree
-vanishes over a whole class of graphs.
+vanishes over a whole class of graphs.  ``search_classes`` is the one
+exhaustive search over graph classes: the ``exhaustive`` command, the
+exhaustive mode of ``identity_verdict`` and the ``upper-n2`` and
+``amitsur-levitzki`` suites all read its record.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .digraph import (MarkedDigraph, OrbitMemo, enumerate_marked_graphs,
+from .digraph import (MarkedDigraph, enumerate_marked_graphs, orbit_key,
                       random_feasible_graph, root_orbits, search_space)
 from .grassmann import GrassmannElement, GrassmannMatrix, standard_polynomial
 from .trails import DEFAULT_NODE_BUDGET, signed_sum
@@ -126,6 +129,85 @@ def cross_check(g: MarkedDigraph, max_nodes: int = DEFAULT_NODE_BUDGET) -> Cross
 
 
 @dataclass(frozen=True)
+class ClassSearch:
+    """The record of search_classes.
+
+    ``histogram`` pairs each value of T, ascending, with its number of
+    classes; ``witness`` is the first class of the full stream with T > 0
+    (None if there is none) and ``witness_T`` its T.  ``classes``,
+    ``skipped_unbalanced`` and ``skipped_infeasible`` are the counters of
+    the class stream.  ``orbits`` counts the trail DPs run, ``reused`` the
+    values taken from the orbit memo, and ``walked`` the classes walked, so
+    orbits + reused == walked.
+    """
+    histogram: tuple[tuple[int, int], ...]
+    witness: MarkedDigraph | None
+    witness_T: int
+    classes: int
+    skipped_unbalanced: int
+    skipped_infeasible: int
+    orbits: int
+    reused: int
+    walked: int
+
+
+def search_classes(n: int, k: int, bmax: int, stop_on_witness: bool = False,
+                   max_nodes: int = DEFAULT_NODE_BUDGET,
+                   max_classes: int = 10 ** 6) -> ClassSearch:
+    """T over every class of n-vertex, k-edge graphs with at most bmax marks.
+
+    Refuses, with ValueError, a search space (``search_space``) larger than
+    max_classes.  Walks the classes at root pairs (1, 1) and (1, 2) in
+    canonical order and computes T once per orbit under vertex relabelling
+    and reversal (``orbit_key``).  Every other root pair repeats one of
+    these two up to relabelling (``root_orbits``), so each walked pair's
+    counts are scaled by its orbit size, and the record counts the full
+    stream.  With stop_on_witness the walk ends at the first class with
+    T > 0; that class lies at (1, 1) or (1, 2), the first two pairs of the
+    full stream, so the counts are left unscaled and count the full
+    stream's prefix up to the witness, itself included.
+    """
+    space = search_space(n, k, bmax)
+    if space > max_classes:
+        raise ValueError(
+            f"search space of {space} classes exceeds the guard of {max_classes}")
+    values: dict[bytes, int] = {}       # T by orbit key
+    reused = 0
+    walks = []      # (root-orbit size, T histogram, class stream) per walked root pair
+    witness, witness_T = None, 0
+    for roots, size in root_orbits(n):
+        stream = enumerate_marked_graphs(n, k, bmax, [roots])
+        counts: dict[int, int] = {}
+        walks.append((size, counts, stream))
+        for g in stream:
+            key = orbit_key(g)
+            value = values.get(key)
+            if value is None:
+                value = values[key] = signed_sum(g, max_nodes=max_nodes).T
+            else:
+                reused += 1
+            counts[value] = counts.get(value, 0) + 1
+            if value and witness is None:
+                witness, witness_T = g, value
+                if stop_on_witness:
+                    break
+        if witness is not None and stop_on_witness:
+            # The walked prefix is the full stream's prefix up to the witness.
+            walks = [(1, counts, stream) for _, counts, stream in walks]
+            break
+    histogram: dict[int, int] = {}
+    for size, counts, _ in walks:
+        for value, count in counts.items():
+            histogram[value] = histogram.get(value, 0) + size * count
+    yielded, unbalanced, infeasible = (
+        sum(size * getattr(stream, counter) for size, _, stream in walks)
+        for counter in ("yielded", "skipped_unbalanced", "skipped_infeasible"))
+    return ClassSearch(tuple(sorted(histogram.items())), witness, witness_T,
+                       yielded, unbalanced, infeasible, len(values), reused,
+                       sum(stream.yielded for _, _, stream in walks))
+
+
+@dataclass(frozen=True)
 class IdentityVerdict:
     holds: bool
     witness: MarkedDigraph | None
@@ -140,39 +222,21 @@ def identity_verdict(n: int, m: int, k: int, mode: str = "exhaustive",
     generators?  Equivalently: is T zero for every n-vertex, k-edge graph
     with at most m marked edges?
 
-    Exhaustive mode walks the graph classes at root pairs (1, 1) and (1, 2)
-    in canonical order, computing T once per orbit under vertex relabelling
-    and reversal; every other root pair repeats one of these two up to
-    relabelling (``root_orbits``).  The first counterexample of the full
-    stream is the first one of this walk, and ``checked`` counts the classes
-    before it, itself included, or, when the identity holds, every class of
-    the full stream.  Sampled mode draws seeded random feasible graphs
-    instead.  Exhaustive mode refuses search spaces larger than max_classes
-    graph classes.
+    Exhaustive mode is search_classes stopped at the first counterexample:
+    ``checked`` counts the classes of the full stream before it, itself
+    included, or, when the identity holds, every class of the full stream.
+    Sampled mode draws seeded random feasible graphs instead.  Exhaustive
+    mode refuses search spaces larger than max_classes graph classes.
     """
-    def T(g: MarkedDigraph) -> int:
-        return signed_sum(g, max_nodes=max_nodes).T
-
     if mode == "sampled":
         rng = random.Random(seed)
         for checked in range(1, samples + 1):
             g = random_feasible_graph(rng, n, k, bmax=m)
-            if T(g) != 0:
+            if signed_sum(g, max_nodes=max_nodes).T != 0:
                 return IdentityVerdict(False, g, checked)
         return IdentityVerdict(True, None, samples)
     if mode != "exhaustive":
         raise ValueError(f"unknown mode {mode!r}")
-    space = search_space(n, k, m)
-    if space > max_classes:
-        raise ValueError(
-            f"exhaustive space of {space} classes exceeds the guard of {max_classes}")
-    T = OrbitMemo(T)
-    walked = everything = 0
-    for roots, size in root_orbits(n):
-        walk = enumerate_marked_graphs(n, k, m, [roots])
-        for g in walk:
-            if T(g) != 0:
-                return IdentityVerdict(False, g, walked + walk.yielded)
-        walked += walk.yielded
-        everything += size * walk.yielded
-    return IdentityVerdict(True, None, everything)
+    found = search_classes(n, k, m, stop_on_witness=True, max_nodes=max_nodes,
+                           max_classes=max_classes)
+    return IdentityVerdict(found.witness is None, found.witness, found.classes)

@@ -112,17 +112,17 @@ def suite_lower_bound(seed: int, budget: int) -> VerificationReport:
 def suite_upper_n2(seed: int, budget: int) -> VerificationReport:
     rep = VerificationReport("upper-n2", seed)
     for k in (6, 7):
-        stream = enumerate_marked_graphs(2, k, bmax=3)
-        violations = sum(1 for g in stream if signed_sum(g, max_nodes=budget).T != 0)
-        rep.add(f"classes(n=2,k={k},bmax=3) with T!=0 of {stream.yielded}", 0, violations)
+        found = bridge.search_classes(2, k, 3, max_nodes=budget)
+        violations = sum(count for value, count in found.histogram if value)
+        rep.add(f"classes(n=2,k={k},bmax=3) with T!=0 of {found.classes}", 0, violations)
     return rep
 
 
 def suite_amitsur_levitzki(seed: int, budget: int) -> VerificationReport:
     rep = VerificationReport("amitsur-levitzki", seed)
-    stream = enumerate_marked_graphs(2, 4, bmax=0)
-    violations = sum(1 for g in stream if signed_sum(g, max_nodes=budget).T != 0)
-    rep.add(f"unmarked classes(n=2,k=4) with T!=0 of {stream.yielded}", 0, violations)
+    found = bridge.search_classes(2, 4, 0, max_nodes=budget)
+    violations = sum(count for value, count in found.histogram if value)
+    rep.add(f"unmarked classes(n=2,k=4) with T!=0 of {found.classes}", 0, violations)
     rng = random.Random(seed)
     violations = 0
     for _ in range(100):
@@ -217,7 +217,7 @@ def suite_signs(seed: int, budget: int) -> VerificationReport:
             if count >= 25:
                 break
             sg, sm = trails.trail_signs(g, trail)
-            for q1, q2 in _swap_candidates(g, trail.sigma):
+            for q1, q2 in _swap_candidates(g, trail):
                 applicable += 1
                 swapped, ps, psm = trails.swap_parallel_subtrails(g, trail, q1, q2)
                 if not trails.is_trail(g, swapped):
@@ -232,7 +232,7 @@ def suite_signs(seed: int, budget: int) -> VerificationReport:
     for _ in range(50):
         g = digraph.random_feasible_graph(rng, rng.randint(1, 3), rng.randint(2, 6), bmax=3)
         all_trails = list(enumerate_trails(g, max_nodes=budget))
-        base = rng.choice(all_trails).sigma
+        base = rng.choice(all_trails)
         kind = rng.choice(("subtrail", "precedes", "at"))
         if kind == "subtrail":
             i = rng.randrange(len(base))
@@ -247,7 +247,7 @@ def suite_signs(seed: int, budget: int) -> VerificationReport:
         part = filtered_signed_sum(g, [c], max_nodes=budget)
         rest = 0
         for trail in all_trails:
-            if not c.satisfied(trail.sigma):
+            if not c.satisfied(trail):
                 sg, sm = trails.trail_signs(g, trail)
                 rest += sg * sm
         if part + rest != signed_sum(g, max_nodes=budget).S:
@@ -323,7 +323,7 @@ def cmd_signed_sum(args) -> int:
         tails = {(sg, sm): f" sgn={sg:+d} sgn_M={sm:+d}\n" for sg in (1, -1) for sm in (1, -1)}
         total = listed = 0
         for trail, sg, sm in walk:
-            write("trail=" + ",".join([label[e] for e in trail.sigma]) + tails[sg, sm])
+            write("trail=" + ",".join([label[e] for e in trail]) + tails[sg, sm])
             total += sg * sm
             listed += 1
     r = signed_sum(g, max_nodes=args.budget)
@@ -371,46 +371,19 @@ def cmd_exhaustive(args) -> int:
         raise _UsageError(f"need --n >= 1, 1 <= --k <= {digraph.MAX_ORBIT_EDGES} "
                           "and --bmax >= 0")
     start = time.perf_counter()
-    space = digraph.search_space(args.n, args.k, args.bmax)
-    if space > args.max_classes:
-        raise _UsageError(f"search space of {space} classes exceeds the guard of "
-                          f"{args.max_classes}; raise --max-classes to proceed")
+    try:
+        found = bridge.search_classes(args.n, args.k, args.bmax, args.stop_on_witness,
+                                      args.budget, args.max_classes)
+    except ValueError as exc:
+        raise _UsageError(f"{exc}; raise --max-classes to proceed") from None
     print(f"n={args.n} k={args.k} bmax={args.bmax}")
-    memo = digraph.OrbitMemo(lambda g: signed_sum(g, max_nodes=args.budget).T)
-    walks = []      # (root-orbit size, T histogram, class stream) per walked root pair
-    witness = None
-    stopped = False
-    for roots, size in digraph.root_orbits(args.n):
-        stream = enumerate_marked_graphs(args.n, args.k, args.bmax, [roots])
-        histogram: dict[int, int] = {}
-        walks.append((size, histogram, stream))
-        for g in stream:
-            value = memo(g)
-            histogram[value] = histogram.get(value, 0) + 1
-            if value > 0 and witness is None:
-                witness = (value, g)
-                stopped = args.stop_on_witness
-                if stopped:
-                    break
-        if stopped:
-            # The walked prefix is the full stream's prefix up to the witness.
-            walks = [(1, histogram, stream) for _, histogram, stream in walks]
-            break
-    total: dict[int, int] = {}
-    for size, histogram, _ in walks:
-        for value, count in histogram.items():
-            total[value] = total.get(value, 0) + size * count
-    for value in sorted(total):
-        print(f"T={value} classes={total[value]}")
-    if witness is not None:
-        print(f"witness T={witness[0]} {witness[1].compact()}")
-    yielded, unbalanced, infeasible = (
-        sum(size * getattr(stream, counter) for size, _, stream in walks)
-        for counter in ("yielded", "skipped_unbalanced", "skipped_infeasible"))
-    print(f"classes={yielded} skipped_unbalanced={unbalanced} "
-          f"skipped_infeasible={infeasible}")
-    walked = sum(stream.yielded for _, _, stream in walks)
-    print(f"orbits={memo.orbits} reused={memo.reused} walked={walked} "
+    for value, count in found.histogram:
+        print(f"T={value} classes={count}")
+    if found.witness is not None:
+        print(f"witness T={found.witness_T} {found.witness.compact()}")
+    print(f"classes={found.classes} skipped_unbalanced={found.skipped_unbalanced} "
+          f"skipped_infeasible={found.skipped_infeasible}")
+    print(f"orbits={found.orbits} reused={found.reused} walked={found.walked} "
           f"elapsed={time.perf_counter() - start:.3f}s", file=sys.stderr)
     return 0
 

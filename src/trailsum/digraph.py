@@ -447,32 +447,6 @@ def orbit_key(g: MarkedDigraph) -> bytes:
     return bytes(min([image(vec) for image in _orbit_maps(r)]))
 
 
-class OrbitMemo:
-    """Values of an orbit-invariant function, computed once per orbit.
-
-    Calling the memo on a graph returns ``fn`` of the first graph seen with
-    the same ``orbit_key``, so ``fn`` must be constant on orbits, as T is.
-    ``orbits`` counts the keys seen and ``reused`` the answers from the memo.
-    """
-
-    def __init__(self, fn):
-        self._fn = fn
-        self._values: dict[bytes, object] = {}
-        self.reused = 0
-
-    @property
-    def orbits(self) -> int:
-        return len(self._values)
-
-    def __call__(self, g: MarkedDigraph):
-        key = orbit_key(g)
-        if key in self._values:
-            self.reused += 1
-            return self._values[key]
-        value = self._values[key] = self._fn(g)
-        return value
-
-
 def enumerate_marked_graphs(n: int, k: int, bmax: int,
                             roots: Iterable[tuple[int, int]] | None = None
                             ) -> MarkedGraphEnumeration:

@@ -1,10 +1,10 @@
 """Eulerian-trail enumeration and the signed trail sums over marked digraphs.
 
-A trail of a k-edge graph is recorded as the permutation sigma with sigma(p)
-equal to the index of the edge traversed at position p.  Each trail carries
-two signs: the parity of sigma itself, and the parity of the order in which
-the marked edges appear along the trail (the anticommutation bookkeeping of
-the marked edges).  The central quantities are
+A trail of a k-edge graph is a plain tuple of edge indices: the permutation
+sigma with sigma(p) equal to the index of the edge traversed at position p.
+Each trail carries two signs: the parity of sigma itself, and the parity of
+the order in which the marked edges appear along the trail (the
+anticommutation bookkeeping of the marked edges).  The central quantities are
 
     S(G)  =  sum over all trails of  sgn(sigma) * marked-order sign,
     T(G)  =  |S(G)|,
@@ -61,21 +61,6 @@ class BudgetExceededError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class TrailPermutation:
-    """Edge indices in trail order; entry p is the edge at position p+1."""
-    sigma: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "sigma", tuple(self.sigma))
-
-    def __len__(self) -> int:
-        return len(self.sigma)
-
-    def __iter__(self):
-        return iter(self.sigma)
-
-
-@dataclass(frozen=True)
 class SignedSumReport:
     """Result of signed_sum.
 
@@ -92,15 +77,9 @@ class SignedSumReport:
 
 # -- permutation helpers -----------------------------------------------------
 
-def _as_sequence(perm) -> tuple[int, ...]:
-    if isinstance(perm, TrailPermutation):
-        return perm.sigma
-    return tuple(perm)
-
-
 def sgn_perm(perm) -> int:
     """Parity sign of a permutation of 1..k: (-1)^(k - number of cycles)."""
-    seq = _as_sequence(perm)
+    seq = tuple(perm)
     k = len(seq)
     seen = [False] * (k + 1)
     for x in seq:
@@ -119,7 +98,7 @@ def sgn_perm(perm) -> int:
 
 
 def invert_permutation(perm) -> tuple[int, ...]:
-    seq = _as_sequence(perm)
+    seq = tuple(perm)
     inv = [0] * len(seq)
     for pos, val in enumerate(seq, start=1):
         inv[val - 1] = pos
@@ -132,7 +111,7 @@ def sigma_M(perm, M) -> tuple[int, ...]:
     For M = {j_1 < ... < j_m} the g-th output is the rank of perm(j_g) among
     perm(j_1), ..., perm(j_m); the result is a permutation of 1..m.
     """
-    seq = _as_sequence(perm)
+    seq = tuple(perm)
     k = len(seq)
     Ms = sorted(set(M))
     if Ms and not (1 <= Ms[0] and Ms[-1] <= k):
@@ -150,9 +129,8 @@ def marked_order_sign(sigma, marked) -> int:
     the anticommuting generators attached to the marked edges into ascending
     order, so it is the second factor of every trail's contribution.
     """
-    seq = _as_sequence(sigma)
     marked = set(marked)
-    appearing = [e for e in seq if e in marked]
+    appearing = [e for e in sigma if e in marked]
     inv = 0
     for i in range(len(appearing)):
         for j in range(i + 1, len(appearing)):
@@ -163,12 +141,12 @@ def marked_order_sign(sigma, marked) -> int:
 
 def trail_signs(g: MarkedDigraph, trail) -> tuple[int, int]:
     """The pair (sgn(sigma), marked-order sign) of one trail of g."""
-    seq = _as_sequence(trail)
+    seq = tuple(trail)
     return sgn_perm(seq), marked_order_sign(seq, g.marked)
 
 
 def is_trail(g: MarkedDigraph, sigma) -> bool:
-    seq = _as_sequence(sigma)
+    seq = tuple(sigma)
     if sorted(seq) != list(range(1, g.k + 1)):
         return False
     if g.k == 0:
@@ -238,11 +216,14 @@ class SignedTrailWalk:
     of a first visit, so max_nodes bounds the memo too (on G_3 with
     mbar=3: 1,834 states, 4,462 moves, 40 distinct, for 294,351 steps).
 
-    Single-pass iterator.  ``steps`` counts the extension steps attempted
-    and ``floods`` the flood memo misses.  Both are added move by move, as
-    a step-by-step walk counts them, so they are exact after every yield,
-    and more than max_nodes steps raise BudgetExceededError right after
-    the trails whose last step fits.  Infeasible graphs yield nothing.
+    Single-pass iterator.  ``steps`` counts the extension steps attempted,
+    added move by move as a step-by-step walk counts them, so it is exact
+    after every yield, and more than max_nodes steps raise
+    BudgetExceededError right after the trails whose last step fits.
+    ``floods`` counts the flood memo misses as the floods run; a state's
+    first visit floods all its candidates at once, so ``floods`` is exact
+    once the walk ends, not after every yield.  Infeasible graphs yield
+    nothing.
     """
 
     def __init__(self, g: MarkedDigraph, max_nodes: int = DEFAULT_NODE_BUDGET):
@@ -253,13 +234,13 @@ class SignedTrailWalk:
     def __iter__(self):
         return self
 
-    def __next__(self) -> tuple[TrailPermutation, int, int]:
+    def __next__(self) -> tuple[tuple[int, ...], int, int]:
         return next(self._it)
 
     def _walk(self, g: MarkedDigraph, max_nodes: int):
         if g.k == 0:
             if g.s == g.t:
-                yield TrailPermutation(()), 1, 1
+                yield (), 1, 1
             return
         if not validate(g).feasible:
             return
@@ -288,16 +269,15 @@ class SignedTrailWalk:
 
         def scan(used, head):
             """First visit of (used, head): store its viable moves and
-            return (moves, tail steps, flood misses) for this visit.
+            return (moves, tail steps) for this visit.
 
             Stored: the candidates pruned after the last viable move, then
             each viable move as (steps since the previous one, itself
             included; e; bit of e; head of e; sign flips, bit 0 for sgn and
-            1 for sgn_M).  Only this visit floods, so only it counts misses,
-            one count per move and one for the tail.
+            1 for sgn_M).  Only this visit floods.
             """
-            moves, misses = [], []
-            dsteps = dfloods = 0
+            moves = []
+            dsteps = 0
             for e, bit, nxt, above, marked_above in candidates.get(head, ()):
                 if used & bit:
                     continue
@@ -307,7 +287,7 @@ class SignedTrailWalk:
                     known = memo[nxt]
                     ok = known.get(nused)
                     if ok is None:
-                        dfloods += 1
+                        self.floods += 1
                         ok = known[nused] = _reaches_all(incident, edges, full ^ nused, nxt, t)
                     if not ok:
                         continue
@@ -315,34 +295,30 @@ class SignedTrailWalk:
                         | ((used & marked_above).bit_count() & 1) << 1)
                 move = (dsteps, e, bit, nxt, flip)
                 moves.append(shared.setdefault(move, move))
-                misses.append(dfloods)
-                dsteps = dfloods = 0
-            misses.append(dfloods)
+                dsteps = 0
             memo[head][used] = moves = (dsteps, *moves)
             it = iter(moves)
-            return it, next(it), iter(misses)
+            return it, next(it)
 
         signs = ((1, 1), (-1, 1), (1, -1), (-1, -1))   # (sgn, sgn_M) by sign bits
         seq = [0] * g.k                 # the trail so far, position = frame depth
         depth, last = 0, g.k - 1
-        # Frames: (moves, tail steps, misses or None, used edges, sign bits).
+        # Frames: (moves, tail steps, used edges, sign bits).
         frames = [(*scan(0, g.s), 0, 0)]
-        steps = floods = 0
+        steps = 0
         try:
             while frames:
-                it, tail_steps, misses, used, sign = frames[-1]
+                it, tail_steps, used, sign = frames[-1]
                 for dsteps, e, bit, nxt, flip in it:
                     steps += dsteps
                     if steps > max_nodes:
                         steps = max_nodes + 1
                         raise BudgetExceededError(steps, max_nodes)
-                    if misses is not None:
-                        floods += next(misses)
                     seq[depth] = e
                     if depth == last:
-                        self.steps, self.floods = steps, floods
+                        self.steps = steps
                         sg, sm = signs[sign ^ flip]
-                        yield TrailPermutation(tuple(seq)), sg, sm
+                        yield tuple(seq), sg, sm
                         continue
                     nused = used | bit
                     stored = memo[nxt][nused]
@@ -350,7 +326,7 @@ class SignedTrailWalk:
                         frames.append((*scan(nused, nxt), nused, sign ^ flip))
                     else:
                         moves = iter(stored)
-                        frames.append((moves, next(moves), None, nused, sign ^ flip))
+                        frames.append((moves, next(moves), nused, sign ^ flip))
                     depth += 1
                     break
                 else:
@@ -358,12 +334,10 @@ class SignedTrailWalk:
                     if steps > max_nodes:
                         steps = max_nodes + 1
                         raise BudgetExceededError(steps, max_nodes)
-                    if misses is not None:
-                        floods += next(misses)
                     frames.pop()
                     depth -= 1
         finally:
-            self.steps, self.floods = steps, floods
+            self.steps = steps
 
 
 def signed_trails(g: MarkedDigraph, max_nodes: int = DEFAULT_NODE_BUDGET) -> SignedTrailWalk:
@@ -623,7 +597,7 @@ def swap_parallel_subtrails(g: MarkedDigraph, trail, q1, q2):
     (-1)**(L1'*(h'+L2') + h'*L2'); both predictions are returned alongside
     the swapped trail.
     """
-    seq = _as_sequence(trail)
+    seq = tuple(trail)
     q1 = _check_seq(q1)
     q2 = _check_seq(q2)
     i = _run_start(seq, q1)
@@ -651,7 +625,7 @@ def swap_parallel_subtrails(g: MarkedDigraph, trail, q1, q2):
     pred_sign_m = -1 if (L1m * (hm + L2m) + hm * L2m) & 1 else 1
 
     swapped = seq[:i] + q2 + gap + q1 + seq[j + len(q2):]
-    return TrailPermutation(swapped), pred_sign, pred_sign_m
+    return swapped, pred_sign, pred_sign_m
 
 
 # -- enumeration changes --------------------------------------------------------
@@ -666,7 +640,7 @@ def relabel(g: MarkedDigraph, pi) -> tuple[MarkedDigraph, int]:
     original relative order (in particular whenever |marked| <= 1), in which
     case the relation is plain sgn(pi).
     """
-    pi = _as_sequence(pi)
+    pi = tuple(pi)
     k = g.k
     if sorted(pi) != list(range(1, k + 1)):
         raise ValueError(f"{pi} is not a permutation of 1..{k}")

@@ -4,11 +4,11 @@ import random
 import pytest
 
 from oracles import matrix_to_oracle, o_standard_polynomial
-from trailsum.bridge import (IdentityVerdict, SimplifiedSet, cross_check,
-                             graph_to_simplified, identity_verdict,
-                             simplified_to_graph)
+from trailsum.bridge import (ClassSearch, IdentityVerdict, SimplifiedSet,
+                             cross_check, graph_to_simplified, identity_verdict,
+                             search_classes, simplified_to_graph)
 from trailsum.digraph import (MarkedDigraph, enumerate_marked_graphs, make_gn,
-                              random_feasible_graph, search_space)
+                              orbit_key, random_feasible_graph, search_space)
 from trailsum.grassmann import (GrassmannElement, simplify_basis_tuple,
                                 standard_polynomial, substitute_generators)
 from trailsum.trails import BudgetExceededError, signed_sum
@@ -226,3 +226,32 @@ class TestIdentityVerdict:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             identity_verdict(2, 2, 4, mode="guess")
+
+
+class TestSearchClasses:
+    @pytest.mark.parametrize("n, k, bmax, stop", [
+        pytest.param(n, k, bmax, stop, id=f"{n}-{k}-{bmax}" + ("-stop" if stop else ""))
+        for n, k, bmax, stop in [
+            (2, 6, 3, False), (2, 7, 3, False), (2, 4, 0, False),
+            (3, 5, 2, False), (3, 5, 2, True),
+        ]])
+    def test_matches_full_stream_fold(self, n, k, bmax, stop):
+        # T once per class over the full stream of all n^2 root pairs.
+        stream = enumerate_marked_graphs(n, k, bmax)
+        histogram, witness, witness_T, walked = {}, None, 0, []
+        for g in stream:
+            value = signed_sum(g).T
+            histogram[value] = histogram.get(value, 0) + 1
+            if (g.s, g.t) in ((1, 1), (1, 2)):
+                walked.append(g)
+            if value and witness is None:
+                witness, witness_T = g, value
+                if stop:
+                    break
+        found = search_classes(n, k, bmax, stop_on_witness=stop)
+        orbits = len({orbit_key(g) for g in walked})
+        assert found == ClassSearch(
+            tuple(sorted(histogram.items())), witness, witness_T, stream.yielded,
+            stream.skipped_unbalanced, stream.skipped_infeasible,
+            orbits, len(walked) - orbits, len(walked))
+        assert found.orbits + found.reused == found.walked

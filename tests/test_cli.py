@@ -328,7 +328,6 @@ class TestDistinctRootsWitness:
     def fake_sum(self, monkeypatch):
         def fake(g, max_nodes=None):
             return types.SimpleNamespace(T=_loops_between_distinct_roots(g))
-        monkeypatch.setattr(cli, "signed_sum", fake)
         monkeypatch.setattr(bridge, "signed_sum", fake)
 
     @pytest.mark.parametrize("n, k, bmax", [(2, 5, 2), (3, 5, 2)])

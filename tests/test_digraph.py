@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import brute_marked_graphs, brute_orbit_ids
 from trailsum import digraph
-from trailsum.digraph import (GraphFormatError, MarkedDigraph, OrbitMemo,
+from trailsum.digraph import (GraphFormatError, MarkedDigraph,
                               enumerate_marked_graphs, extend, format_graph,
                               make_gn, opposite, orbit_key, parse_graph,
                               random_feasible_graph, search_space, surgery_in,
@@ -309,14 +309,6 @@ class TestOrbitKey:
         ids = brute_orbit_ids(classes)
         assert len(set(keys)) == len(set(ids)) == len(set(zip(keys, ids)))
         assert len(set(ids)) < len(classes)
-
-    @pytest.mark.parametrize("n, k, bmax", [(2, 6, 3), (3, 5, 2), (2, 5, 2)])
-    def test_memoized_T_is_T(self, n, k, bmax):
-        memo = OrbitMemo(lambda g: signed_sum(g).T)
-        classes = list(enumerate_marked_graphs(n, k, bmax))
-        assert [memo(g) for g in classes] == [signed_sum(g).T for g in classes]
-        assert memo.orbits == len({orbit_key(g) for g in classes})
-        assert memo.orbits + memo.reused == len(classes)
 
 
 class TestRandomFeasible:

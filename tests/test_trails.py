@@ -9,7 +9,7 @@ from oracles import (brute_filtered_sum, brute_signed_sum, brute_trails,
 from trailsum.digraph import (MarkedDigraph, enumerate_marked_graphs, extend,
                               make_gn, opposite, random_feasible_graph)
 from trailsum.trails import (AtPosition, BudgetExceededError, Precedes,
-                             Subtrail, TrailPermutation, enumerate_trails,
+                             Subtrail, enumerate_trails,
                              filtered_signed_sum, invert_permutation, is_trail,
                              marked_order_sign, relabel, sgn_perm, sigma_M,
                              signed_sum, signed_trails, swan_identity,
@@ -45,8 +45,8 @@ class TestSgnPerm:
         with pytest.raises(ValueError):
             sgn_perm((1, 1, 2))
 
-    def test_accepts_trail_permutation(self):
-        assert sgn_perm(TrailPermutation((2, 1))) == -1
+    def test_accepts_any_sequence(self):
+        assert sgn_perm([2, 1]) == sgn_perm(iter((2, 1))) == -1
 
     @settings(derandomize=True, max_examples=300)
     @given(st.integers(0, 12).flatmap(lambda k: st.permutations(range(1, k + 1))))
@@ -99,18 +99,18 @@ class TestSigmaM:
 class TestEnumerateTrails:
     def test_two_loops(self):
         g = graph(1, [(1, 1), (1, 1)], 1, 1)
-        assert [t.sigma for t in enumerate_trails(g)] == [(1, 2), (2, 1)]
+        assert list(enumerate_trails(g)) == [(1, 2), (2, 1)]
 
     def test_single_edge(self):
         g = graph(2, [(1, 2)], 1, 2)
-        assert [t.sigma for t in enumerate_trails(g)] == [(1,)]
+        assert list(enumerate_trails(g)) == [(1,)]
 
     def test_g2_has_eight_trails(self):
         trails = list(enumerate_trails(make_gn(2, 1)))
         assert len(trails) == 8
 
     def test_empty_graph(self):
-        assert [t.sigma for t in enumerate_trails(graph(1, [], 1, 1))] == [()]
+        assert list(enumerate_trails(graph(1, [], 1, 1))) == [()]
         assert list(enumerate_trails(graph(2, [], 1, 2))) == []
 
     def test_infeasible_graph_yields_nothing(self):
@@ -118,13 +118,13 @@ class TestEnumerateTrails:
 
     def test_matches_unpruned_enumeration(self):
         for g, _ in random_graphs(21, 40, k_max=5):
-            got = [t.sigma for t in enumerate_trails(g)]
+            got = list(enumerate_trails(g))
             assert got == sorted(brute_trails(g))
             assert all(is_trail(g, t) for t in got)
 
     def test_lexicographic_order(self):
         for g, _ in random_graphs(22, 20, k_max=6):
-            seqs = [t.sigma for t in enumerate_trails(g)]
+            seqs = list(enumerate_trails(g))
             assert seqs == sorted(seqs)
 
     def test_budget_exceeded(self):
@@ -133,18 +133,14 @@ class TestEnumerateTrails:
 
     def test_long_path_is_not_bounded_by_recursion(self):
         trails = list(enumerate_trails(path_graph(1200)))
-        assert [t.sigma for t in trails] == [tuple(range(1, 1201))]
-
-
-def listed(walk):
-    return [(trail.sigma, sg, sm) for trail, sg, sm in walk]
+        assert trails == [tuple(range(1, 1201))]
 
 
 class TestSignedTrails:
     def test_matches_trail_signs_and_brute_force(self):
         for g, _ in random_graphs(27, 80, k_max=6, bmax=4):
-            got = listed(signed_trails(g))
-            assert got == [(t.sigma, *trail_signs(g, t)) for t in enumerate_trails(g)]
+            got = list(signed_trails(g))
+            assert got == [(t, *trail_signs(g, t)) for t in enumerate_trails(g)]
             marked = set(g.marked)
             assert got == [(per, inversion_sign(per),
                             inversion_sign([e for e in per if e in marked]))
@@ -155,20 +151,20 @@ class TestSignedTrails:
         # (used edges, head) flooded
         g = make_gn(3, 3)
         walk = signed_trails(g, max_nodes=294351)
-        got = listed(walk)
-        assert got == [(t.sigma, *trail_signs(g, t)) for t in enumerate_trails(g)]
+        got = list(walk)
+        assert got == [(t, *trail_signs(g, t)) for t in enumerate_trails(g)]
         assert len(got) == 51840
         assert (walk.steps, walk.floods) == (294351, 1981)
         with pytest.raises(BudgetExceededError):
-            listed(signed_trails(g, max_nodes=294350))
+            list(signed_trails(g, max_nodes=294350))
 
     def test_budget_boundary_is_exact(self):
         g = make_gn(3, 2)
         walk = signed_trails(g)
-        trails = listed(walk)
-        assert listed(signed_trails(g, max_nodes=walk.steps)) == trails
+        trails = list(walk)
+        assert list(signed_trails(g, max_nodes=walk.steps)) == trails
         with pytest.raises(BudgetExceededError):
-            listed(signed_trails(g, max_nodes=walk.steps - 1))
+            list(signed_trails(g, max_nodes=walk.steps - 1))
 
     @pytest.mark.parametrize("n, mbar, total, sample", [(2, 2, 481, None),
                                                          (3, 2, 12179, 60)])
@@ -177,7 +173,7 @@ class TestSignedTrails:
         # stopped walk yields exactly the trails whose last step fits.
         g = make_gn(n, mbar)
         walk = signed_trails(g)
-        full = [((trail.sigma, sg, sm), walk.steps) for trail, sg, sm in walk]
+        full = [(item, walk.steps) for item in walk]
         assert walk.steps == total
         budgets = range(total)
         if sample is not None:
@@ -186,8 +182,8 @@ class TestSignedTrails:
             stopped = signed_trails(g, max_nodes=max_nodes)
             got = []
             with pytest.raises(BudgetExceededError) as info:
-                for trail, sg, sm in stopped:
-                    got.append((trail.sigma, sg, sm))
+                for item in stopped:
+                    got.append(item)
             assert got == [item for item, steps in full if steps <= max_nodes]
             assert info.value.nodes == stopped.steps == max_nodes + 1
 
@@ -197,16 +193,16 @@ class TestSignedTrails:
         next(walk)
         first = (walk.steps, walk.floods)
         assert first[0] >= 5 and first[1] >= 1
-        listed(walk)
+        list(walk)
         assert walk.steps > first[0] and walk.floods >= first[1]
 
     def test_empty_and_infeasible(self):
-        assert listed(signed_trails(graph(1, [], 1, 1))) == [((), 1, 1)]
-        assert listed(signed_trails(graph(2, [], 1, 2))) == []
-        assert listed(signed_trails(graph(2, [(1, 2)], 1, 1))) == []
+        assert list(signed_trails(graph(1, [], 1, 1))) == [((), 1, 1)]
+        assert list(signed_trails(graph(2, [], 1, 2))) == []
+        assert list(signed_trails(graph(2, [(1, 2)], 1, 1))) == []
 
     def test_long_path_is_not_bounded_by_recursion(self):
-        assert listed(signed_trails(path_graph(1200))) == [(tuple(range(1, 1201)), 1, 1)]
+        assert list(signed_trails(path_graph(1200))) == [(tuple(range(1, 1201)), 1, 1)]
 
 
 class TestSignedSum:
@@ -295,8 +291,7 @@ class TestFilteredSums:
     def test_subtrail_requires_adjacency(self):
         g = graph(1, [(1, 1), (1, 1), (1, 1)], 1, 1)
         # edges 1,3 adjacent in exactly two of six trails: (1,3,2) and (2,1,3)
-        vals = [t.sigma for t in enumerate_trails(g)
-                if Subtrail([1, 3]).satisfied(t.sigma)]
+        vals = [t for t in enumerate_trails(g) if Subtrail([1, 3]).satisfied(t)]
         assert vals == [(1, 3, 2), (2, 1, 3)]
 
     def test_constraint_validation(self):
@@ -319,14 +314,14 @@ class TestFilteredSums:
     def test_random_partition_additivity(self):
         for g, rng in random_graphs(26, 30, k_max=6):
             trails = list(enumerate_trails(g))
-            base = rng.choice(trails).sigma
+            base = rng.choice(trails)
             i = rng.randrange(len(base))
             j = rng.randint(i + 1, len(base))
             c = Subtrail(base[i:j])
             inside = filtered_signed_sum(g, [c])
             outside = sum(sg * sm for trail in trails
                           for sg, sm in [trail_signs(g, trail)]
-                          if not c.satisfied(trail.sigma))
+                          if not c.satisfied(trail))
             assert inside + outside == signed_sum(g).S
 
 
@@ -405,33 +400,32 @@ class TestFilteredOracle:
 class TestSwap:
     def test_adjacent_parallel_single_edges(self):
         g = graph(1, [(1, 1), (1, 1)], 1, 1)
-        trail = TrailPermutation((1, 2))
+        trail = (1, 2)
         swapped, ps, psm = swap_parallel_subtrails(g, trail, [1], [2])
-        assert swapped.sigma == (2, 1)
+        assert swapped == (2, 1)
         assert ps == -1 and psm == 1
 
     def test_length_one_and_three(self):
         g = graph(2, [(1, 1), (1, 2), (2, 2), (2, 1)], 1, 1)
-        trail = TrailPermutation((1, 2, 3, 4))
+        trail = (1, 2, 3, 4)
         swapped, ps, psm = swap_parallel_subtrails(g, trail, [1], [2, 3, 4])
         assert ps == -1
-        assert swapped.sigma == (2, 3, 4, 1)
+        assert swapped == (2, 3, 4, 1)
         assert is_trail(g, swapped)
 
     def test_involution(self):
         g = graph(1, [(1, 1), (1, 1), (1, 1)], 1, 1, marked=[2])
-        trail = TrailPermutation((1, 2, 3))
+        trail = (1, 2, 3)
         swapped, _, _ = swap_parallel_subtrails(g, trail, [1], [3])
         back, _, _ = swap_parallel_subtrails(g, swapped, [1], [3])
         assert back == trail
 
     def test_prediction_matches_recomputation(self):
         for g, rng in random_graphs(27, 40, k_max=6, k_min=2):
-            for count, trail in enumerate(enumerate_trails(g)):
+            for count, seq in enumerate(enumerate_trails(g)):
                 if count >= 15:
                     break
-                sg, sm = trail_signs(g, trail)
-                seq = trail.sigma
+                sg, sm = trail_signs(g, seq)
                 for i in range(len(seq)):
                     for li in (1, 2):
                         for j in range(i + li, len(seq)):
@@ -442,7 +436,7 @@ class TestSwap:
                                 if (g.edges[q1[0] - 1][0] != g.edges[q2[0] - 1][0]
                                         or g.edges[q1[-1] - 1][1] != g.edges[q2[-1] - 1][1]):
                                     continue
-                                swapped, ps, psm = swap_parallel_subtrails(g, trail, q1, q2)
+                                swapped, ps, psm = swap_parallel_subtrails(g, seq, q1, q2)
                                 assert is_trail(g, swapped)
                                 sg2, sm2 = trail_signs(g, swapped)
                                 assert sg2 == ps * sg
@@ -450,11 +444,11 @@ class TestSwap:
 
     def test_errors(self):
         g = graph(1, [(1, 1), (1, 1), (1, 1)], 1, 1)
-        trail = TrailPermutation((1, 2, 3))
+        trail = (1, 2, 3)
         with pytest.raises(ValueError):
             swap_parallel_subtrails(g, trail, [1, 2], [2, 3])  # overlap
         g2 = graph(2, [(1, 2), (2, 1), (1, 1)], 1, 1)
-        trail2 = TrailPermutation((1, 2, 3))
+        trail2 = (1, 2, 3)
         with pytest.raises(ValueError):
             swap_parallel_subtrails(g2, trail2, [1], [2])  # not parallel
         with pytest.raises(ValueError):
