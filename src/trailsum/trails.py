@@ -32,11 +32,16 @@ with one layer per |U|, in the manner of Held and Karp ("A dynamic
 programming approach to sequencing problems", 1962): each state carries the
 signed weight and the number of trail prefixes reaching it, a layer is
 dropped once the next one is built, and nothing is pruned, since a state
-that cannot be completed just never reaches (all edges, t).
-filtered_signed_sum runs the same DP with its constraints as state: a
-position is a check on |U|, consecutive runs become a forced next edge in
-the state, and the order of two runs is a check on U.  Both routes are
-exact and are cross-checked in the tests.
+that cannot be completed just never reaches (all edges, t).  signed_sum
+takes the parallel edges of each type (same endpoints, same mark flag) in
+index order only, so its states are in effect per-type use counts, and
+scales the result by the factorials the swap laws give (see signed_sum).
+filtered_signed_sum runs the same DP unreduced, since a constraint that
+names one edge of a type breaks that symmetry, with its constraints as
+state: a position is a check on |U|, consecutive runs become a forced next
+edge in the state, and the order of two runs is a check on U.  The listing
+walk and trail_signs stay unreduced too.  Both routes are exact and are
+cross-checked in the tests.
 """
 
 from __future__ import annotations
@@ -64,9 +69,10 @@ class BudgetExceededError(RuntimeError):
 class SignedSumReport:
     """Result of signed_sum.
 
-    ``nodes`` is the number of DP states (used-edge set, head) created, the
-    start state included; it is the quantity max_nodes bounds, and 0 when no
-    DP ran (no edges, or no trail can exist).
+    ``nodes`` is the number of states (used-edge set, head) created by the
+    ordered DP, which takes the parallel edges of each type in index order,
+    the start state included; it is the quantity max_nodes bounds, and 0
+    when no DP ran (no edges, or no trail can exist).
     """
     S: int
     T: int
@@ -433,8 +439,18 @@ def signed_sum(g: MarkedDigraph, max_nodes: int = DEFAULT_NODE_BUDGET) -> Signed
     marked set when e is marked; it depends on U alone, so each state holds
     the signed weight and the number of trail prefixes reaching it.  No
     branch is pruned: states that cannot be completed contribute nothing.
-    Only two layers are alive at a time.  The result is identical to folding
-    trail_signs over enumerate_trails.
+    Only two layers are alive at a time.
+
+    The DP is quotiented by parallel edges of one type (same endpoints,
+    same mark flag): edge e may be placed only after the previous edge of
+    its type, so each type is taken in index order and U is in effect a
+    vector of per-type use counts.  Every trail is one ordered trail with
+    its types permuted.  Swapping two marked edges of one type flips both
+    sgn(sigma) and the marked-order sign, and swapping two unmarked ones
+    flips sgn(sigma) alone, so S is the ordered sum times m! per marked
+    type of multiplicity m, and 0 when an unmarked type repeats; the trail
+    count is the ordered count times m! per type.  The result is identical
+    to folding trail_signs over enumerate_trails, which stays unreduced.
     """
     start = time.perf_counter()
     if g.k == 0:
@@ -444,11 +460,25 @@ def signed_sum(g: MarkedDigraph, max_nodes: int = DEFAULT_NODE_BUDGET) -> Signed
     if not validate(g).feasible:
         return SignedSumReport(0, 0, 0, time.perf_counter() - start, 0)
     smask = _sign_masks(g)
-    plain = {head: [(1 << (e - 1), 0, g.edges[e - 1][1], smask[e], 0) for e in out]
-             for head, out in _out_edges(g).items()}
-    S, count, nodes = _layered_sum(g, lambda depth, head, forced: plain.get(head, ()),
+    prev = [0]                      # entry e: the bit of the previous edge of e's type
+    last = {}                       # type -> (bit of its latest edge, rank of the next)
+    S_scale = count_scale = 1       # the m! factors, one factor per edge
+    for e, edge in enumerate(g.edges, start=1):
+        kind = (edge, e in g.marked)
+        bit, rank = last.get(kind, (0, 1))
+        prev.append(bit)
+        last[kind] = (1 << (e - 1), rank + 1)
+        count_scale *= rank
+        if rank > 1:
+            S_scale *= rank if kind[1] else 0       # an unmarked repeat cancels
+    ordered = {head: [(1 << (e - 1) | prev[e], prev[e], g.edges[e - 1][1], smask[e], 0)
+                      for e in out]
+               for head, out in _out_edges(g).items()}
+    S, count, nodes = _layered_sum(g, lambda depth, head, forced: ordered.get(head, ()),
                                    max_nodes)
-    return SignedSumReport(S, abs(S), count, time.perf_counter() - start, nodes)
+    S *= S_scale
+    return SignedSumReport(S, abs(S), count * count_scale, time.perf_counter() - start,
+                           nodes)
 
 
 # -- constrained partial sums -------------------------------------------------

@@ -69,9 +69,13 @@ case=S(G4,mbar=1)=(mbar+4-1)*S(G3) expected=16 computed=16 pass=true
 case=S(G4,mbar=2)=(mbar+4-1)*S(G3) expected=320 computed=320 pass=true
 case=S(G5,mbar=1)=(mbar+5-1)*S(G4) expected=80 computed=80 pass=true
 case=S(G5,mbar=2)=(mbar+5-1)*S(G4) expected=1920 computed=1920 pass=true
+case=S(G6,mbar=1)=(mbar+6-1)*S(G5) expected=480 computed=480 pass=true
+case=S(G6,mbar=2)=(mbar+6-1)*S(G5) expected=13440 computed=13440 pass=true
+case=S(G7,mbar=1)=(mbar+7-1)*S(G6) expected=3360 computed=3360 pass=true
+case=S(G7,mbar=2)=(mbar+7-1)*S(G6) expected=107520 computed=107520 pass=true
 case=S(G4,mbar=1) expected=16 computed=16 pass=true
 case=S(G5,mbar=1) expected=80 computed=80 pass=true
-suite=recursion cases=6 passed=6 failed=0 result=PASS
+suite=recursion cases=10 passed=10 failed=0 result=PASS
 """
 
 

@@ -1,6 +1,7 @@
 import re
 import subprocess
 import sys
+import time
 import types
 from pathlib import Path
 
@@ -252,6 +253,19 @@ class TestExhaustiveCommand:
             assert code == 1
             assert out == ""
             assert err.startswith("usage error: ")
+
+    def test_largest_one_vertex_class_is_quick(self, capsys):
+        # the one class at k=255 is 255 unmarked loops: its trail DP takes
+        # the loops in index order, 256 states, instead of one per subset
+        argv = ["exhaustive", "--n", "1", "--k", "255", "--bmax", "0"]
+        start = time.perf_counter()
+        code, out, _ = run(capsys, argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert out.splitlines()[1:] == ["T=0 classes=1",
+                                        "classes=1 skipped_unbalanced=0 skipped_infeasible=0"]
+        assert run(capsys, argv + ["--budget", "256"])[0] == 0
+        assert run(capsys, argv + ["--budget", "255"])[0] == 4
 
     def test_guard_refuses_huge_space(self, capsys):
         code, _, err = run(capsys, ["exhaustive", "--n", "4", "--k", "12", "--bmax", "3"])

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -261,6 +262,83 @@ class TestSignedSum:
         r = signed_sum(make_gn(2, 2))
         assert r.T == abs(r.S) <= r.trail_count
         assert r.elapsed >= 0.0 and r.nodes > 0
+
+
+def parallel_graphs(seed, count):
+    """Graphs with repeated edge types, in shuffled index order.
+
+    A random unmarked base on 1-3 vertices gains copies of its edges until
+    it has 4-6 edges; a copy (u, v) of a non-loop comes with a reverse copy
+    (v, u), which keeps the graph balanced.  Each type is then marked as a
+    whole, left unmarked, or (rarely) split, so that most graphs repeat
+    only marked types and S need not vanish.
+    """
+    rng = random.Random(seed)
+    while count:
+        base = random_feasible_graph(rng, rng.randint(1, 3), rng.randint(1, 3), bmax=0)
+        copies = []
+        target = rng.randint(4, 6) - base.k
+        while len(copies) < target:
+            u, v = rng.choice(base.edges)
+            copies.append((u, v))
+            if u != v and len(copies) < target:
+                copies.append((v, u))
+        if not all(copies.count((u, v)) == copies.count((v, u)) for u, v in copies):
+            continue                    # a lone copy unbalanced the graph
+        edges = list(base.edges) + copies
+        rng.shuffle(edges)
+        flag = {kind: rng.random() < 0.7 for kind in set(edges)}
+        marked = [i for i, kind in enumerate(edges, start=1)
+                  if (flag[kind] if rng.random() < 0.9 else not flag[kind])]
+        count -= 1
+        yield graph(base.n, edges, base.s, base.t, marked), rng
+
+
+def parallel_groups(g):
+    """Indices of the edges of each repeated type (endpoints and mark flag)."""
+    groups: dict[tuple, list[int]] = {}
+    for i, (u, v) in enumerate(g.edges, start=1):
+        groups.setdefault((u, v, i in g.marked), []).append(i)
+    return [ids for ids in groups.values() if len(ids) > 1]
+
+
+class TestParallelQuotient:
+    def test_witness_state_counts(self):
+        # the ordered DP keeps per-type use counts: 79,190 and 133,574
+        # states without the quotient
+        assert signed_sum(make_gn(5, 3)).nodes == 16054
+        assert signed_sum(make_gn(6, 2)).nodes == 67608
+
+    def test_unmarked_loops_take_one_state_per_count(self):
+        g = graph(1, [(1, 1)] * 255, 1, 1)
+        r = signed_sum(g, max_nodes=256)
+        assert (r.S, r.T, r.trail_count, r.nodes) == (0, 0, math.factorial(255), 256)
+        with pytest.raises(BudgetExceededError):
+            signed_sum(g, max_nodes=255)
+
+    def test_matches_brute_trails(self):
+        marked_repeats = unmarked_repeats = nonzero = 0
+        for g, rng in parallel_graphs(61, 80):
+            trails = brute_trails(g)
+            S = sum(inversion_sign(t) * inversion_sign([e for e in t if e in g.marked])
+                    for t in trails)
+            r = signed_sum(g)
+            assert (r.S, r.T, r.trail_count) == (S, abs(S), len(trails)), g
+            groups = parallel_groups(g)
+            marked_repeats += any(ids[0] in g.marked for ids in groups)
+            unmarked_repeats += any(ids[0] not in g.marked for ids in groups)
+            nonzero += S != 0
+
+            # a constraint on one edge of a marked group breaks the symmetry:
+            # the filtered sum stays unreduced
+            marked_groups = [ids for ids in groups if ids[0] in g.marked]
+            if marked_groups and trails:
+                a, b = rng.sample(rng.choice(marked_groups), 2)
+                base = rng.choice(trails)
+                for c in (AtPosition(a, base.index(a) + 1), Precedes([a], [b])):
+                    assert filtered_signed_sum(g, [c]) == brute_filtered_sum(g, [c]), (g, c)
+        # the draw must exercise both kinds of group and nonzero sums
+        assert marked_repeats >= 40 and unmarked_repeats >= 20 and nonzero >= 25
 
 
 class TestFilteredSums:
@@ -575,6 +653,8 @@ class TestVanishingFamilies:
             if len(unmarked) != len(set(unmarked)):
                 found += 1
                 assert signed_sum(g).T == 0
+                # signed_sum sets S = 0 by the law; the unreduced walk checks it
+                assert sum(sg * sm for _, sg, sm in signed_trails(g)) == 0
 
 
 class TestRecursion:
