@@ -8,7 +8,7 @@ from .digraph import (DegreeProfile, GraphFormatError, MarkedDigraph,
                       read_graph_file, surgery_in, surgery_out, validate,
                       write_graph_file)
 from .grassmann import (GrassmannElement, GrassmannMatrix, ShapeError,
-                        SimplifiedBasisTuple, ext_mul, mat_mul,
+                        SimplifiedBasisTuple, mat_mul,
                         simplify_basis_tuple, standard_polynomial,
                         substitute_generators)
 from .trails import (AtPosition, BudgetExceededError, Precedes,
@@ -27,7 +27,7 @@ __all__ = [
     "IdentityVerdict", "MarkedDigraph", "Precedes", "ShapeError",
     "SignedSumReport", "SimplifiedBasisTuple", "SimplifiedSet", "Subtrail",
     "check_constraint", "cross_check", "enumerate_marked_graphs",
-    "enumerate_trails", "ext_mul", "extend", "filtered_signed_sum",
+    "enumerate_trails", "extend", "filtered_signed_sum",
     "format_graph", "graph_to_simplified", "identity_verdict",
     "invert_permutation", "is_trail", "make_gn", "marked_order_sign",
     "mat_mul", "opposite", "parse_graph", "random_feasible_graph",

@@ -136,9 +136,14 @@ class ClassSearch:
     classes; ``witness`` is the first class of the full stream with T > 0
     (None if there is none) and ``witness_T`` its T.  ``classes``,
     ``skipped_unbalanced`` and ``skipped_infeasible`` are the counters of
-    the class stream.  ``orbits`` counts the trail DPs run, ``reused`` the
-    values taken from the orbit memo, and ``walked`` the classes walked, so
-    orbits + reused == walked.
+    the class stream.  Of the ``walked`` classes, ``alternating`` repeat an
+    unmarked edge type and have T = 0 by the alternating law, with no orbit
+    key and no trail DP; of the rest, ``orbits`` counts the trail DPs run
+    and ``reused`` the values taken from the orbit memo, so
+    orbits + reused + alternating == walked.  The law decides T, not
+    whether a class is in the stream, so ``classes`` and the histogram
+    still count every class, these under T = 0: a walk that left them out
+    would print different counts.
     """
     histogram: tuple[tuple[int, int], ...]
     witness: MarkedDigraph | None
@@ -148,6 +153,7 @@ class ClassSearch:
     skipped_infeasible: int
     orbits: int
     reused: int
+    alternating: int
     walked: int
 
 
@@ -159,20 +165,24 @@ def search_classes(n: int, k: int, bmax: int, stop_on_witness: bool = False,
     Refuses, with ValueError, a search space (``search_space``) larger than
     max_classes.  Walks the classes at root pairs (1, 1) and (1, 2) in
     canonical order and computes T once per orbit under vertex relabelling
-    and reversal (``orbit_key``).  Every other root pair repeats one of
-    these two up to relabelling (``root_orbits``), so each walked pair's
-    counts are scaled by its orbit size, and the record counts the full
-    stream.  With stop_on_witness the walk ends at the first class with
-    T > 0; that class lies at (1, 1) or (1, 2), the first two pairs of the
-    full stream, so the counts are left unscaled and count the full
-    stream's prefix up to the witness, itself included.
+    and reversal (``orbit_key``).  A class whose unmarked edges repeat a
+    type (u, v) has T = 0 with no key and no DP: s_k is alternating, so two
+    equal arguments E_(u,v) make it vanish; on the trail side, swapping the
+    two edges in a trail flips sgn(sigma) and keeps the marked order, so the
+    trails cancel in pairs.  Every other root pair repeats one of these two
+    up to relabelling (``root_orbits``), so each walked pair's counts are
+    scaled by its orbit size, and the record counts the full stream.  With
+    stop_on_witness the walk ends at the first class with T > 0; that class
+    lies at (1, 1) or (1, 2), the first two pairs of the full stream, so the
+    counts are left unscaled and count the full stream's prefix up to the
+    witness, itself included.
     """
     space = search_space(n, k, bmax)
     if space > max_classes:
         raise ValueError(
             f"search space of {space} classes exceeds the guard of {max_classes}")
     values: dict[bytes, int] = {}       # T by orbit key
-    reused = 0
+    reused = alternating = 0
     walks = []      # (root-orbit size, T histogram, class stream) per walked root pair
     witness, witness_T = None, 0
     for roots, size in root_orbits(n):
@@ -180,12 +190,18 @@ def search_classes(n: int, k: int, bmax: int, stop_on_witness: bool = False,
         counts: dict[int, int] = {}
         walks.append((size, counts, stream))
         for g in stream:
-            key = orbit_key(g)
-            value = values.get(key)
-            if value is None:
-                value = values[key] = signed_sum(g, max_nodes=max_nodes).T
+            unmarked = [edge for e, edge in enumerate(g.edges, start=1)
+                        if e not in g.marked]
+            if len(set(unmarked)) < len(unmarked):
+                alternating += 1
+                value = 0
             else:
-                reused += 1
+                key = orbit_key(g)
+                value = values.get(key)
+                if value is None:
+                    value = values[key] = signed_sum(g, max_nodes=max_nodes).T
+                else:
+                    reused += 1
             counts[value] = counts.get(value, 0) + 1
             if value and witness is None:
                 witness, witness_T = g, value
@@ -204,7 +220,7 @@ def search_classes(n: int, k: int, bmax: int, stop_on_witness: bool = False,
         for counter in ("yielded", "skipped_unbalanced", "skipped_infeasible"))
     return ClassSearch(tuple(sorted(histogram.items())), witness, witness_T,
                        yielded, unbalanced, infeasible, len(values), reused,
-                       sum(stream.yielded for _, _, stream in walks))
+                       alternating, sum(stream.yielded for _, _, stream in walks))
 
 
 @dataclass(frozen=True)

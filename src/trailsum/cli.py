@@ -385,7 +385,8 @@ def cmd_exhaustive(args) -> int:
         print(f"witness T={found.witness_T} {found.witness.compact()}")
     print(f"classes={found.classes} skipped_unbalanced={found.skipped_unbalanced} "
           f"skipped_infeasible={found.skipped_infeasible}")
-    print(f"orbits={found.orbits} reused={found.reused} walked={found.walked} "
+    print(f"orbits={found.orbits} reused={found.reused} "
+          f"alternating={found.alternating} walked={found.walked} "
           f"elapsed={time.perf_counter() - start:.3f}s", file=sys.stderr)
     return 0
 

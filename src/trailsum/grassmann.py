@@ -224,13 +224,6 @@ class GrassmannElement:
         return f"GrassmannElement({self.m}, {self.terms!r})"
 
 
-def ext_mul(x: GrassmannElement, y: GrassmannElement) -> GrassmannElement:
-    """Exterior product; same as ``x * y``."""
-    if not isinstance(x, GrassmannElement) or not isinstance(y, GrassmannElement):
-        raise TypeError("ext_mul expects two GrassmannElement operands")
-    return x * y
-
-
 class GrassmannMatrix:
     """A square matrix with GrassmannElement entries sharing one algebra."""
 

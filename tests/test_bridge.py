@@ -11,7 +11,7 @@ from trailsum.digraph import (MarkedDigraph, enumerate_marked_graphs, make_gn,
                               orbit_key, random_feasible_graph, search_space)
 from trailsum.grassmann import (GrassmannElement, simplify_basis_tuple,
                                 standard_polynomial, substitute_generators)
-from trailsum.trails import BudgetExceededError, signed_sum
+from trailsum.trails import BudgetExceededError, signed_sum, signed_trails
 
 
 def graph(n, edges, s, t, marked=()):
@@ -238,12 +238,15 @@ class TestSearchClasses:
     def test_matches_full_stream_fold(self, n, k, bmax, stop):
         # T once per class over the full stream of all n^2 root pairs.
         stream = enumerate_marked_graphs(n, k, bmax)
-        histogram, witness, witness_T, walked = {}, None, 0, []
+        histogram, witness, witness_T, walked, alternating = {}, None, 0, [], 0
         for g in stream:
             value = signed_sum(g).T
             histogram[value] = histogram.get(value, 0) + 1
             if (g.s, g.t) in ((1, 1), (1, 2)):
-                walked.append(g)
+                if _repeats_unmarked_type(g):
+                    alternating += 1
+                else:
+                    walked.append(g)
             if value and witness is None:
                 witness, witness_T = g, value
                 if stop:
@@ -253,5 +256,25 @@ class TestSearchClasses:
         assert found == ClassSearch(
             tuple(sorted(histogram.items())), witness, witness_T, stream.yielded,
             stream.skipped_unbalanced, stream.skipped_infeasible,
-            orbits, len(walked) - orbits, len(walked))
-        assert found.orbits + found.reused == found.walked
+            orbits, len(walked) - orbits, alternating, len(walked) + alternating)
+        assert found.orbits + found.reused + found.alternating == found.walked
+
+    @pytest.mark.parametrize("n, k, bmax, repeated", [
+        (2, 6, 3, 580), (2, 7, 3, 974), (3, 5, 2, 2127)])
+    def test_repeated_unmarked_type_has_no_signed_trail_sum(self, n, k, bmax, repeated):
+        # The alternating law that search_classes assumes, checked on the
+        # unreduced trail walk (signed_sum applies the same law, so it cannot
+        # stand behind it): every class that repeats an unmarked edge type
+        # has S = 0.
+        seen = 0
+        for g in enumerate_marked_graphs(n, k, bmax):
+            if _repeats_unmarked_type(g):
+                seen += 1
+                assert sum(sgn * msign for _, sgn, msign in signed_trails(g)) == 0
+        assert seen == repeated
+
+
+def _repeats_unmarked_type(g):
+    """Do two unmarked edges of g share their endpoints (u, v)?"""
+    unmarked = [edge for e, edge in enumerate(g.edges, start=1) if e not in g.marked]
+    return len(unmarked) > len(set(unmarked))

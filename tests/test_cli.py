@@ -254,8 +254,9 @@ class TestExhaustiveCommand:
             assert out == ""
             assert err.startswith("usage error: ")
 
-    def test_largest_one_vertex_class_is_quick(self, capsys):
-        # the one class at k=255 is 255 unmarked loops: its trail DP takes
+    def test_largest_one_vertex_class_is_quick(self, capsys, tmp_path):
+        # the one class at k=255 is 255 unmarked loops: the search decides it
+        # by the alternating law with no trail DP, and the DP itself takes
         # the loops in index order, 256 states, instead of one per subset
         argv = ["exhaustive", "--n", "1", "--k", "255", "--bmax", "0"]
         start = time.perf_counter()
@@ -264,8 +265,11 @@ class TestExhaustiveCommand:
         assert code == 0
         assert out.splitlines()[1:] == ["T=0 classes=1",
                                         "classes=1 skipped_unbalanced=0 skipped_infeasible=0"]
-        assert run(capsys, argv + ["--budget", "256"])[0] == 0
-        assert run(capsys, argv + ["--budget", "255"])[0] == 4
+        assert run(capsys, argv + ["--budget", "1"])[0] == 0
+        path = tmp_path / "loops.graph"
+        path.write_text("n 1 s 1 t 1\n" + "1 1 0\n" * 255, encoding="utf-8")
+        assert run(capsys, ["signed-sum", str(path), "--budget", "256"])[0] == 0
+        assert run(capsys, ["signed-sum", str(path), "--budget", "255"])[0] == 4
 
     def test_guard_refuses_huge_space(self, capsys):
         code, _, err = run(capsys, ["exhaustive", "--n", "4", "--k", "12", "--bmax", "3"])
@@ -301,12 +305,12 @@ class TestExhaustiveCommand:
     def test_orbit_line_on_stderr(self, capsys):
         code, out, err = run(capsys, ["exhaustive", "--n", "3", "--k", "6", "--bmax", "2"])
         assert code == 0
-        match = re.fullmatch(r"orbits=(\d+) reused=(\d+) walked=(\d+) elapsed=\d+\.\d{3}s\n",
-                             err)
+        match = re.fullmatch(r"orbits=(\d+) reused=(\d+) alternating=(\d+) walked=(\d+) "
+                             r"elapsed=\d+\.\d{3}s\n", err)
         assert match is not None
-        orbits, reused, walked = int(match[1]), int(match[2]), int(match[3])
-        assert (orbits, reused, walked) == (1127, 1557, 2684)
-        assert orbits + reused == walked
+        orbits, reused, alternating, walked = map(int, match.groups())
+        assert (orbits, reused, alternating, walked) == (389, 555, 1740, 2684)
+        assert orbits + reused + alternating == walked
         assert out.splitlines()[-1].startswith("classes=12252 ")
         assert "orbits" not in out
 
@@ -331,8 +335,15 @@ def _one_sum_per_class(n, k, bmax, stop, T):
 
 
 def _loops_between_distinct_roots(g):
-    """A stand-in for T: constant on orbits, nonzero only when s != t."""
-    return sum(u == v for u, v in g.edges) if g.s != g.t else 0
+    """A stand-in for T: constant on orbits, nonzero only when s != t.
+
+    Like a real T it is 0 on a class that repeats an unmarked edge type,
+    which search_classes decides without calling signed_sum.
+    """
+    unmarked = [edge for e, edge in enumerate(g.edges, start=1) if e not in g.marked]
+    if g.s == g.t or len(unmarked) > len(set(unmarked)):
+        return 0
+    return sum(u == v for u, v in g.edges)
 
 
 class TestDistinctRootsWitness:
