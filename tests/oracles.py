@@ -246,6 +246,19 @@ def brute_orbit_ids(graphs):
     return ids
 
 
+def repeats_unmarked_type(g):
+    """Do two unmarked edges of g share their endpoints (u, v)?
+
+    Every pair of unmarked edges is compared directly.
+    """
+    unmarked = [g.edges[i - 1] for i in range(1, len(g.edges) + 1) if i not in g.marked]
+    for a in range(len(unmarked)):
+        for b in range(a + 1, len(unmarked)):
+            if unmarked[a] == unmarked[b]:
+                return True
+    return False
+
+
 # -- random generators ----------------------------------------------------------
 
 def random_element(rng, m, max_terms=8, coeff_bound=5):

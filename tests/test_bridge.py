@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from oracles import matrix_to_oracle, o_standard_polynomial
+from oracles import matrix_to_oracle, o_standard_polynomial, repeats_unmarked_type
 from trailsum.bridge import (ClassSearch, IdentityVerdict, SimplifiedSet,
                              cross_check, graph_to_simplified, identity_verdict,
                              search_classes, simplified_to_graph)
@@ -243,7 +243,7 @@ class TestSearchClasses:
             value = signed_sum(g).T
             histogram[value] = histogram.get(value, 0) + 1
             if (g.s, g.t) in ((1, 1), (1, 2)):
-                if _repeats_unmarked_type(g):
+                if repeats_unmarked_type(g):
                     alternating += 1
                 else:
                     walked.append(g)
@@ -268,13 +268,7 @@ class TestSearchClasses:
         # has S = 0.
         seen = 0
         for g in enumerate_marked_graphs(n, k, bmax):
-            if _repeats_unmarked_type(g):
+            if repeats_unmarked_type(g):
                 seen += 1
                 assert sum(sgn * msign for _, sgn, msign in signed_trails(g)) == 0
         assert seen == repeated
-
-
-def _repeats_unmarked_type(g):
-    """Do two unmarked edges of g share their endpoints (u, v)?"""
-    unmarked = [edge for e, edge in enumerate(g.edges, start=1) if e not in g.marked]
-    return len(unmarked) > len(set(unmarked))

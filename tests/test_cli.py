@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import brute_marked_graphs, brute_signed_sum
+from oracles import brute_marked_graphs, brute_signed_sum, repeats_unmarked_type
 from trailsum import bridge, cli
 from trailsum.digraph import (enumerate_marked_graphs, format_graph, make_gn,
                               parse_graph, search_space)
@@ -254,7 +254,7 @@ class TestExhaustiveCommand:
             assert out == ""
             assert err.startswith("usage error: ")
 
-    def test_largest_one_vertex_class_is_quick(self, capsys, tmp_path):
+    def test_largest_one_vertex_class_is_quick(self, capsys):
         # the one class at k=255 is 255 unmarked loops: the search decides it
         # by the alternating law with no trail DP, and the DP itself takes
         # the loops in index order, 256 states, instead of one per subset
@@ -266,10 +266,14 @@ class TestExhaustiveCommand:
         assert out.splitlines()[1:] == ["T=0 classes=1",
                                         "classes=1 skipped_unbalanced=0 skipped_infeasible=0"]
         assert run(capsys, argv + ["--budget", "1"])[0] == 0
-        path = tmp_path / "loops.graph"
-        path.write_text("n 1 s 1 t 1\n" + "1 1 0\n" * 255, encoding="utf-8")
-        assert run(capsys, ["signed-sum", str(path), "--budget", "256"])[0] == 0
-        assert run(capsys, ["signed-sum", str(path), "--budget", "255"])[0] == 4
+
+    def test_budget_reaches_the_trail_dp(self, capsys):
+        # the walked classes at (2,5,2) include repeat-free ones, whose trail
+        # DP runs under the budget
+        code, _, err = run(capsys, ["exhaustive", "--n", "2", "--k", "5", "--bmax", "2",
+                                    "--budget", "1"])
+        assert code == 4
+        assert "budget" in err
 
     def test_guard_refuses_huge_space(self, capsys):
         code, _, err = run(capsys, ["exhaustive", "--n", "4", "--k", "12", "--bmax", "3"])
@@ -340,8 +344,7 @@ def _loops_between_distinct_roots(g):
     Like a real T it is 0 on a class that repeats an unmarked edge type,
     which search_classes decides without calling signed_sum.
     """
-    unmarked = [edge for e, edge in enumerate(g.edges, start=1) if e not in g.marked]
-    if g.s == g.t or len(unmarked) > len(set(unmarked)):
+    if g.s == g.t or repeats_unmarked_type(g):
         return 0
     return sum(u == v for u, v in g.edges)
 
