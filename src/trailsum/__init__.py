@@ -10,7 +10,7 @@ from .digraph import (DegreeProfile, GraphFormatError, MarkedDigraph,
 from .grassmann import (GrassmannElement, GrassmannMatrix, ShapeError,
                         SimplifiedBasisTuple, mat_mul,
                         simplify_basis_tuple, standard_polynomial,
-                        substitute_generators)
+                        standard_polynomial_row, substitute_generators)
 from .trails import (AtPosition, BudgetExceededError, Precedes,
                      SignedSumReport, Subtrail, check_constraint,
                      enumerate_trails, filtered_signed_sum,
@@ -33,7 +33,7 @@ __all__ = [
     "mat_mul", "opposite", "parse_graph", "random_feasible_graph",
     "read_graph_file", "relabel", "search_classes", "sgn_perm", "sigma_M",
     "signed_sum", "signed_trails", "simplified_to_graph", "simplify_basis_tuple", "standard_polynomial",
-    "substitute_generators", "surgery_in", "surgery_out", "swan_identity",
+    "standard_polynomial_row", "substitute_generators", "surgery_in", "surgery_out", "swan_identity",
     "swap_parallel_subtrails", "trail_signs", "validate", "write_graph_file",
 ]
 

@@ -8,19 +8,18 @@ T(G) times the ordered product of all generators.  ``cross_check`` verifies
 this equality on concrete graphs by computing both sides independently, and
 ``identity_verdict`` decides whether the alternating sum of a given degree
 vanishes over a whole class of graphs.  ``search_classes`` is the one
-exhaustive search over graph classes: the ``exhaustive`` command, the
-exhaustive mode of ``identity_verdict`` and the ``upper-n2`` and
-``amitsur-levitzki`` suites all read its record.
+exhaustive search over graph classes: the ``exhaustive`` command,
+``identity_verdict`` and the ``upper-n2`` and ``amitsur-levitzki`` suites
+all read its record.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .digraph import (MarkedDigraph, enumerate_marked_graphs, orbit_key,
-                      random_feasible_graph, root_orbits, search_space)
-from .grassmann import GrassmannElement, GrassmannMatrix, standard_polynomial
+                      root_orbits, search_space)
+from .grassmann import GrassmannElement, GrassmannMatrix, standard_polynomial_row
 from .trails import DEFAULT_NODE_BUDGET, signed_sum
 
 
@@ -106,14 +105,13 @@ def cross_check(g: MarkedDigraph, max_nodes: int = DEFAULT_NODE_BUDGET) -> Cross
     """Compare the algebra side against the trail side on one graph.
 
     The algebra side is the (s, t) entry of the alternating sum over the
-    matrices of graph_to_simplified(g); the trail side is T(g).  They agree
-    when the entry equals sign * T * v_1...v_l for a sign in {+1, -1}, or
-    when both vanish (observed_sign 0).  max_nodes bounds the states of each
-    side's DP.
+    matrices of graph_to_simplified(g), computed from row s alone; the
+    trail side is T(g).  They agree when the entry equals sign * T *
+    v_1...v_l for a sign in {+1, -1}, or when both vanish (observed_sign
+    0).  max_nodes bounds the states of each side's DP.
     """
     simp = graph_to_simplified(g)
-    value = standard_polynomial(simp.to_matrices(), max_nodes=max_nodes)
-    entry = value.entry(g.s, g.t)
+    entry = standard_polynomial_row(simp.to_matrices(), g.s, max_nodes=max_nodes)[g.t - 1]
     rep = signed_sum(g, max_nodes=max_nodes)
     ell = simp.ell
     if entry.is_zero():
@@ -230,29 +228,18 @@ class IdentityVerdict:
     checked: int
 
 
-def identity_verdict(n: int, m: int, k: int, mode: str = "exhaustive",
-                     seed: int = 0, samples: int = 100,
+def identity_verdict(n: int, m: int, k: int,
                      max_nodes: int = DEFAULT_NODE_BUDGET,
                      max_classes: int = 10 ** 6) -> IdentityVerdict:
     """Does the degree-k alternating sum vanish on n-by-n matrices with m
     generators?  Equivalently: is T zero for every n-vertex, k-edge graph
     with at most m marked edges?
 
-    Exhaustive mode is search_classes stopped at the first counterexample:
-    ``checked`` counts the classes of the full stream before it, itself
-    included, or, when the identity holds, every class of the full stream.
-    Sampled mode draws seeded random feasible graphs instead.  Exhaustive
-    mode refuses search spaces larger than max_classes graph classes.
+    This is search_classes stopped at the first counterexample: ``checked``
+    counts the classes of the full stream before it, itself included, or,
+    when the identity holds, every class of the full stream.  Search spaces
+    larger than max_classes graph classes are refused.
     """
-    if mode == "sampled":
-        rng = random.Random(seed)
-        for checked in range(1, samples + 1):
-            g = random_feasible_graph(rng, n, k, bmax=m)
-            if signed_sum(g, max_nodes=max_nodes).T != 0:
-                return IdentityVerdict(False, g, checked)
-        return IdentityVerdict(True, None, samples)
-    if mode != "exhaustive":
-        raise ValueError(f"unknown mode {mode!r}")
     found = search_classes(n, k, m, stop_on_witness=True, max_nodes=max_nodes,
                            max_classes=max_classes)
     return IdentityVerdict(found.witness is None, found.witness, found.classes)

@@ -352,44 +352,66 @@ def mat_mul(a: GrassmannMatrix, b: GrassmannMatrix) -> GrassmannMatrix:
     return GrassmannMatrix(n, m, rows)
 
 
-def _alternating_row(entries, s: int, nodes: int, max_nodes: int) -> tuple[dict, int]:
-    """Row s of the alternating sum, as a sparse {column: terms} dict.
+def _prepare(xs) -> tuple[int, int, int, list]:
+    """Validate the arguments of s_k and index their nonzero entries by row.
 
-    ``entries[i]`` maps a row index of argument i to the nonzero entries of
-    that row, as (column, (terms, negated terms)) pairs.  ``layer`` maps each
-    set U of placed arguments of one popcount to row s of the signed sum
-    over the orderings of U; a state whose row cancels to zero is dropped,
-    and a layer is released as soon as the next one is built.  Returns the
-    row and ``nodes`` plus the states created (the empty set is not
-    counted), and raises BudgetExceededError as soon as that total passes
-    max_nodes.
+    Returns (n, m, k, index): ``index[r]`` lists, for every argument i with
+    a nonzero entry in row r, one (i, 1 << i, column j, (terms, negated
+    terms)) tuple per such entry.
     """
-    k = len(entries)
+    xs = list(xs)
+    k = len(xs)
+    if k == 0:
+        raise ValueError("standard polynomial needs at least one argument")
+    for x in xs:
+        if not isinstance(x, GrassmannMatrix):
+            raise TypeError("arguments must be GrassmannMatrix")
+    n, m = xs[0].n, xs[0].m
+    for x in xs:
+        if x.n != n or x.m != m:
+            raise ShapeError("arguments do not share one matrix algebra")
+    index: list = [[] for _ in range(n)]
+    for i, x in enumerate(xs):
+        bit = 1 << i
+        for r, row in enumerate(x.rows):
+            for j, e in enumerate(row):
+                if e.terms:
+                    neg = {mk: -c for mk, c in e.terms.items()}
+                    index[r].append((i, bit, j, (e.terms, neg)))
+    return n, m, k, index
+
+
+def _alternating_row(index, k: int, s: int, nodes: int, max_nodes: int) -> tuple[dict, int]:
+    """Row s (0-based) of the alternating sum, as a sparse {column: terms} dict.
+
+    ``index`` is the row index of ``_prepare``.  ``layer`` maps each set U
+    of placed arguments of one popcount to row s of the signed sum over the
+    orderings of U.  A state extends only through the arguments that have a
+    nonzero entry in one of its nonzero columns; a state whose row cancels
+    to zero is dropped, and a layer is released as soon as the next one is
+    built.  Returns the row and ``nodes`` plus the states created (the
+    empty set is not counted), and raises BudgetExceededError as soon as
+    that total passes max_nodes.
+    """
     layer = {0: {s: {0: 1}}}
     for _ in range(k):
         nxt: dict = {}
         for used, row in layer.items():
-            for i in range(k):
-                bit = 1 << i
-                if used & bit:
-                    continue
-                by_row = entries[i]
-                flip = (used >> (i + 1)).bit_count() & 1
-                target = None
-                for col, terms in row.items():
-                    for j, signed in by_row.get(col, ()):
-                        prod = _mul_terms(terms, signed[flip])
-                        if not prod:
-                            continue
-                        if target is None:
-                            target = nxt.get(used | bit)
-                            if target is None:
-                                nodes += 1
-                                if nodes > max_nodes:
-                                    raise BudgetExceededError(nodes, max_nodes)
-                                target = nxt[used | bit] = {}
-                        old = target.get(j)
-                        target[j] = _add_terms(old, prod) if old else prod
+            for col, terms in row.items():
+                for i, bit, j, signed in index[col]:
+                    if used & bit:
+                        continue
+                    prod = _mul_terms(terms, signed[(used >> (i + 1)).bit_count() & 1])
+                    if not prod:
+                        continue
+                    target = nxt.get(used | bit)
+                    if target is None:
+                        nodes += 1
+                        if nodes > max_nodes:
+                            raise BudgetExceededError(nodes, max_nodes)
+                        target = nxt[used | bit] = {}
+                    old = target.get(j)
+                    target[j] = _add_terms(old, prod) if old else prod
         layer = {}
         for used, row in nxt.items():
             row = {j: t for j, t in row.items() if t}
@@ -414,33 +436,28 @@ def standard_polynomial(xs, max_nodes: int = DEFAULT_NODE_BUDGET) -> GrassmannMa
     BudgetExceededError once the states created over all rows pass
     max_nodes.
     """
-    xs = list(xs)
-    k = len(xs)
-    if k == 0:
-        raise ValueError("standard polynomial needs at least one argument")
-    for x in xs:
-        if not isinstance(x, GrassmannMatrix):
-            raise TypeError("arguments must be GrassmannMatrix")
-    n, m = xs[0].n, xs[0].m
-    for x in xs:
-        if x.n != n or x.m != m:
-            raise ShapeError("arguments do not share one matrix algebra")
-
-    entries = []
-    for x in xs:
-        by_row: dict = {}
-        for r, row in enumerate(x.rows):
-            for j, e in enumerate(row):
-                if e.terms:
-                    neg = {mk: -c for mk, c in e.terms.items()}
-                    by_row.setdefault(r, []).append((j, (e.terms, neg)))
-        entries.append(by_row)
+    n, m, k, index = _prepare(xs)
     rows = []
     nodes = 0
     for s in range(n):
-        row, nodes = _alternating_row(entries, s, nodes, max_nodes)
+        row, nodes = _alternating_row(index, k, s, nodes, max_nodes)
         rows.append([GrassmannElement(m, row.get(j)) for j in range(n)])
     return GrassmannMatrix(n, m, rows)
+
+
+def standard_polynomial_row(xs, s: int,
+                            max_nodes: int = DEFAULT_NODE_BUDGET) -> tuple[GrassmannElement, ...]:
+    """Row s (1-based) of standard_polynomial(xs), as a tuple of n elements.
+
+    Runs the same dynamic program for row s alone, so the other n - 1 rows
+    cost nothing and the states created for row s alone count against
+    max_nodes.  Raises ValueError when s lies outside 1..n.
+    """
+    n, m, k, index = _prepare(xs)
+    if not 1 <= s <= n:
+        raise ValueError(f"row {s} outside 1..{n}")
+    row, _ = _alternating_row(index, k, s - 1, 0, max_nodes)
+    return tuple(GrassmannElement(m, row.get(j)) for j in range(n))
 
 
 @dataclass(frozen=True)

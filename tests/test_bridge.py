@@ -123,12 +123,19 @@ class TestCrossCheck:
             assert cross_check(g).agrees
 
     def test_budget_bounds_both_sides(self):
-        # the trail DP of G_2 (mbar=1) creates 22 states, the algebra DP 34
+        # G_2 mbar=1: the trail DP creates 22 states and row s of the
+        # algebra DP 21, so the trail side stops it; G_2 mbar=2: 38 trail
+        # states and 77 algebra states, so the algebra side stops it
         g = make_gn(2, 1)
         assert signed_sum(g, max_nodes=22).nodes == 22
         with pytest.raises(BudgetExceededError):
-            cross_check(g, max_nodes=33)
-        assert cross_check(g, max_nodes=34).agrees
+            cross_check(g, max_nodes=21)
+        assert cross_check(g, max_nodes=22).agrees
+        g = make_gn(2, 2)
+        assert signed_sum(g, max_nodes=38).nodes == 38
+        with pytest.raises(BudgetExceededError):
+            cross_check(g, max_nodes=76)
+        assert cross_check(g, max_nodes=77).agrees
 
 
 class TestSimplifyThenCrossCheck:
@@ -174,37 +181,28 @@ def _element_shape(mat):
 
 class TestIdentityVerdict:
     def test_degree_five_fails_on_two_generators(self):
-        verdict = identity_verdict(2, 2, 5, mode="exhaustive")
+        verdict = identity_verdict(2, 2, 5)
         assert not verdict.holds
         assert verdict.witness is not None
         assert signed_sum(verdict.witness).T > 0
         assert verdict.witness.k == 5 and len(verdict.witness.marked) <= 2
 
     def test_degree_six_holds_on_three_generators(self):
-        verdict = identity_verdict(2, 3, 6, mode="exhaustive")
+        verdict = identity_verdict(2, 3, 6)
         assert verdict.holds and verdict.witness is None
         assert verdict.checked > 0
 
     def test_amitsur_levitzki_degree(self):
-        assert identity_verdict(2, 0, 4, mode="exhaustive").holds
+        assert identity_verdict(2, 0, 4).holds
 
     def test_even_verdict_extends_to_next_degree(self):
         # vanishing at an even degree propagates one degree up
-        assert identity_verdict(2, 3, 6, mode="exhaustive").holds
-        assert identity_verdict(2, 3, 7, mode="exhaustive").holds
-
-    def test_sampled_mode_deterministic(self):
-        a = identity_verdict(2, 3, 6, mode="sampled", seed=5, samples=40)
-        b = identity_verdict(2, 3, 6, mode="sampled", seed=5, samples=40)
-        assert a.holds and b.holds and a.checked == b.checked == 40
-
-    def test_sampled_finds_witness(self):
-        verdict = identity_verdict(2, 2, 5, mode="sampled", seed=1, samples=200)
-        assert not verdict.holds
+        assert identity_verdict(2, 3, 6).holds
+        assert identity_verdict(2, 3, 7).holds
 
     def test_exhaustive_guard(self):
         with pytest.raises(ValueError):
-            identity_verdict(4, 3, 12, mode="exhaustive")
+            identity_verdict(4, 3, 12)
 
     def test_guard_counts_the_mark_bound(self):
         space = search_space(2, 5, 2)
@@ -220,12 +218,8 @@ class TestIdentityVerdict:
             if signed_sum(g).T != 0:
                 witness = g
                 break
-        verdict = identity_verdict(n, m, k, mode="exhaustive")
+        verdict = identity_verdict(n, m, k)
         assert verdict == IdentityVerdict(witness is None, witness, checked)
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            identity_verdict(2, 2, 4, mode="guess")
 
 
 class TestSearchClasses:

@@ -378,7 +378,7 @@ class TestDistinctRootsWitness:
                 witness = g
                 break
         assert witness is not None and (witness.s, witness.t) == (1, 2)
-        verdict = bridge.identity_verdict(n, m, k, mode="exhaustive")
+        verdict = bridge.identity_verdict(n, m, k)
         assert verdict == bridge.IdentityVerdict(False, witness, checked)
 
 

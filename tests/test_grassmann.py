@@ -9,7 +9,8 @@ from oracles import (element_to_oracle, matrix_to_oracle,
                      random_matrix)
 from trailsum.grassmann import (GrassmannElement, GrassmannMatrix, ShapeError,
                                 mat_mul, simplify_basis_tuple,
-                                standard_polynomial, substitute_generators)
+                                standard_polynomial, standard_polynomial_row,
+                                substitute_generators)
 from trailsum.trails import BudgetExceededError
 
 
@@ -248,6 +249,54 @@ class TestStandardPolynomial:
         with pytest.raises(ShapeError):
             standard_polynomial([GrassmannMatrix.identity(2, 0),
                                  GrassmannMatrix.identity(3, 0)])
+
+
+class TestStandardPolynomialRow:
+    @staticmethod
+    def _tuples():
+        rng = random.Random(12)
+        for n in (1, 2, 3):
+            for k in range(1, 7):
+                m = rng.randint(1, 3)
+                yield n, [random_matrix(rng, n, m) for _ in range(k)]
+                m = rng.randint(k // 2, k)
+                yield n, [random_basis_matrix(rng, n, m) for _ in range(k)]
+
+    def test_matches_full_matrix_and_oracle(self):
+        nonzero = 0
+        for n, xs in self._tuples():
+            full = standard_polynomial(xs)
+            naive = o_standard_polynomial([matrix_to_oracle(x) for x in xs], n)
+            for s in range(1, n + 1):
+                row = standard_polynomial_row(xs, s)
+                assert row == full.rows[s - 1]
+                assert [element_to_oracle(e) for e in row] == naive[s - 1]
+                nonzero += any(row)
+        assert nonzero > 0
+
+    def test_budget_counts_one_row(self):
+        # every row of four 3x3 identities creates 4 singletons and 6 pairs;
+        # a row spends 10 states, the full matrix one budget over 3 rows
+        xs = [GrassmannMatrix.identity(3, 0)] * 4
+        assert not any(standard_polynomial_row(xs, 3, max_nodes=10))
+        with pytest.raises(BudgetExceededError):
+            standard_polynomial_row(xs, 3, max_nodes=9)
+        assert standard_polynomial(xs, max_nodes=30).is_zero()
+        with pytest.raises(BudgetExceededError):
+            standard_polynomial(xs, max_nodes=29)
+
+    def test_argument_errors(self):
+        xs = [GrassmannMatrix.identity(2, 0)] * 2
+        for s in (0, 3, -1):
+            with pytest.raises(ValueError):
+                standard_polynomial_row(xs, s)
+        with pytest.raises(ValueError):
+            standard_polynomial_row([], 1)
+        with pytest.raises(TypeError):
+            standard_polynomial_row([1, 2], 1)
+        with pytest.raises(ShapeError):
+            standard_polynomial_row([GrassmannMatrix.identity(2, 0),
+                                     GrassmannMatrix.identity(3, 0)], 1)
 
 
 class TestSimplifyBasisTuple:
