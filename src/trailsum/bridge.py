@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .digraph import (MarkedDigraph, enumerate_marked_graphs, orbit_key,
-                      root_orbits, search_space)
+from .digraph import (ClassRecord, MarkedDigraph, class_graph,
+                      enumerate_marked_graphs, record_orbit_key, root_orbits,
+                      search_space)
 from .grassmann import GrassmannElement, GrassmannMatrix, standard_polynomial_row
 from .trails import DEFAULT_NODE_BUDGET, signed_sum
 
@@ -132,12 +133,14 @@ class ClassSearch:
 
     ``histogram`` pairs each value of T, ascending, with its number of
     classes; ``witness`` is the first class of the full stream with T > 0
-    (None if there is none) and ``witness_T`` its T.  ``classes``,
-    ``skipped_unbalanced`` and ``skipped_infeasible`` are the counters of
-    the class stream.  Of the ``walked`` classes, ``alternating`` repeat an
-    unmarked edge type and have T = 0 by the alternating law, with no orbit
-    key and no trail DP; of the rest, ``orbits`` counts the trail DPs run
-    and ``reused`` the values taken from the orbit memo, so
+    (None if there is none) and ``witness_T`` its T; it is the walk's
+    representative (``class_graph``), as iterating the class stream gives
+    it.  ``classes``, ``skipped_unbalanced`` and ``skipped_infeasible`` are
+    the counters of the class stream.  Of the ``walked`` classes,
+    ``alternating`` repeat an unmarked edge type and have T = 0 by the
+    alternating law, with no orbit key, no graph and no trail DP; of the
+    rest, ``orbits`` counts the trail DPs run, each on a graph built for
+    it, and ``reused`` the values taken from the orbit memo, so
     orbits + reused + alternating == walked.  The law decides T, not
     whether a class is in the stream, so ``classes`` and the histogram
     still count every class, these under T = 0: a walk that left them out
@@ -161,10 +164,13 @@ def search_classes(n: int, k: int, bmax: int, stop_on_witness: bool = False,
     """T over every class of n-vertex, k-edge graphs with at most bmax marks.
 
     Refuses, with ValueError, a search space (``search_space``) larger than
-    max_classes.  Walks the classes at root pairs (1, 1) and (1, 2) in
+    max_classes.  Walks the class records (``MarkedGraphEnumeration.records``:
+    roots and per-type edge counts) at root pairs (1, 1) and (1, 2) in
     canonical order and computes T once per orbit under vertex relabelling
-    and reversal (``orbit_key``).  A class whose unmarked edges repeat a
-    type (u, v) has T = 0 with no key and no DP: s_k is alternating, so two
+    and reversal, keyed by ``record_orbit_key``; a ``MarkedDigraph`` is
+    built only for an orbit's trail DP and for the witness.  A class whose
+    unmarked edges repeat a type (u, v), a multiplicity of 2 or more in its
+    record, has T = 0 with no key and no DP: s_k is alternating, so two
     equal arguments E_(u,v) make it vanish; on the trail side, swapping the
     two edges in a trail flips sgn(sigma) and keeps the marked order, so the
     trails cancel in pairs.  Every other root pair repeats one of these two
@@ -187,22 +193,21 @@ def search_classes(n: int, k: int, bmax: int, stop_on_witness: bool = False,
         stream = enumerate_marked_graphs(n, k, bmax, [roots])
         counts: dict[int, int] = {}
         walks.append((size, counts, stream))
-        for g in stream:
-            unmarked = [edge for e, edge in enumerate(g.edges, start=1)
-                        if e not in g.marked]
-            if len(set(unmarked)) < len(unmarked):
+        for record in stream.records:
+            if _repeats_unmarked_type(record):
                 alternating += 1
                 value = 0
             else:
-                key = orbit_key(g)
+                key = record_orbit_key(record)
                 value = values.get(key)
                 if value is None:
-                    value = values[key] = signed_sum(g, max_nodes=max_nodes).T
+                    value = values[key] = signed_sum(class_graph(n, record),
+                                                     max_nodes=max_nodes).T
                 else:
                     reused += 1
             counts[value] = counts.get(value, 0) + 1
             if value and witness is None:
-                witness, witness_T = g, value
+                witness, witness_T = class_graph(n, record), value
                 if stop_on_witness:
                     break
         if witness is not None and stop_on_witness:
@@ -219,6 +224,11 @@ def search_classes(n: int, k: int, bmax: int, stop_on_witness: bool = False,
     return ClassSearch(tuple(sorted(histogram.items())), witness, witness_T,
                        yielded, unbalanced, infeasible, len(values), reused,
                        alternating, sum(stream.yielded for _, _, stream in walks))
+
+
+def _repeats_unmarked_type(record: ClassRecord) -> bool:
+    """Does a class record hold two or more unmarked edges of one type?"""
+    return any(m > 1 for _, _, f, m in record[2] if not f)
 
 
 @dataclass(frozen=True)

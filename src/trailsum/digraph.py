@@ -7,10 +7,11 @@ distinguished edges.
 
 The module also provides the witness family ``make_gn``, the root-absorbing
 extension, the opposite graph, the two loop-creating edge surgeries, an
-exhaustive enumerator of small marked graphs up to edge relabelling, orbit
-keys of those classes under vertex relabelling and reversal, a seeded
-sampler of trail-feasible graphs, and a strict line-oriented text
-format used by the command line tools.
+exhaustive enumerator of small marked graphs up to edge relabelling (as
+graphs or as per-type count records), orbit keys of those classes under
+vertex relabelling and reversal, a seeded sampler of trail-feasible
+graphs, and a strict line-oriented text format used by the command line
+tools.
 """
 
 from __future__ import annotations
@@ -209,6 +210,11 @@ def surgery_out(g: MarkedDigraph, a: int, d: int) -> MarkedDigraph:
     return MarkedDigraph(g.n, tuple(edges), g.s, g.t, g.marked)
 
 
+# A class as the roots s, t and one (u, v, marked, multiplicity) entry per
+# edge type it uses, in ascending type order (see ``class_record``).
+ClassRecord = tuple[int, int, tuple[tuple[int, int, int, int], ...]]
+
+
 class MarkedGraphEnumeration:
     """One representative per class of marked graphs, filtered for feasibility.
 
@@ -227,16 +233,19 @@ class MarkedGraphEnumeration:
     balance d(v) = indeg + [v = s] - outdeg - [v = t] and cuts a subtree
     when it holds no balanced multiset: some vertex whose outgoing types
     are all behind has d(v) > 0, or the sum of the positive d(v) exceeds
-    the edges left.  At a balanced leaf it decides feasibility from the
-    picked types (both roots touched, touched vertices weakly connected)
-    and builds a graph only for the feasible ones.
+    the edges left.  It also carries each vertex's neighbours over the
+    picked types, so at a balanced leaf it decides feasibility (both roots
+    touched, touched vertices weakly connected) by one flood.
 
-    Single-pass iterator; the counters cover the root pairs walked and
-    update as items are consumed, in stream order.  A cut subtree adds its
-    size (multisets with at most bmax marked edges) to
-    ``skipped_unbalanced`` when the walk reaches it, so after every yield
-    the counters equal those of building and validating every multiset of
-    the walked root pairs in turn.
+    The walk yields class records (``class_record``), which ``records``
+    gives as they are; iterating the enumeration itself turns each into
+    its representative graph (``class_graph``).  Both views share one
+    single-pass walk.  The counters cover the root pairs walked and update
+    as items are consumed, in stream order.  A cut subtree adds its size
+    (multisets with at most bmax marked edges) to ``skipped_unbalanced``
+    when the walk reaches it, so after every yield the counters equal those
+    of building and validating every multiset of the walked root pairs in
+    turn.
     """
 
     def __init__(self, n: int, k: int, bmax: int,
@@ -253,30 +262,28 @@ class MarkedGraphEnumeration:
         self.yielded = 0
         self.skipped_unbalanced = 0
         self.skipped_infeasible = 0
-        self._it = self._generate()
+        self.records = self._generate()
 
     def __iter__(self):
         return self
 
     def __next__(self) -> MarkedDigraph:
-        return next(self._it)
+        return class_graph(self.n, next(self.records))
 
     def _generate(self):
         n, k = self.n, self.k
         types = [(u, v, f) for u in range(1, n + 1) for v in range(1, n + 1) for f in (0, 1)]
         width = 2 * n                   # types per source vertex
         last = len(types)
-        sizes: dict[tuple[int, int, int], int] = {}
 
+        @functools.cache
         def size(i: int, r: int, beta: int) -> int:
             """Multisets of r edges from types[i:] with at most beta marked."""
-            key = (i, r, beta)
-            if key not in sizes:
-                unmarked = (last - i) // 2      # types alternate unmarked, marked
-                sizes[key] = _bounded_multisets(last - i - unmarked, unmarked, r, beta)
-            return sizes[key]
+            unmarked = (last - i) // 2      # types alternate unmarked, marked
+            return _bounded_multisets(last - i - unmarked, unmarked, r, beta)
 
         d = [0] * (n + 1)
+        near = [0] * (n + 1)            # neighbour bitmask of each vertex over the picked types
         picked: list[tuple[int, int, int, int]] = []
 
         def feasible() -> bool:
@@ -285,15 +292,12 @@ class MarkedGraphEnumeration:
             # connected.  Balance touches t when t != s, so it is enough that
             # a flood from s over the neighbour bitmasks reaches exactly the
             # touched vertices.
-            near = [0] * (n + 1)
-            for u, v, _, _ in picked:
-                near[u] |= 1 << v
-                near[v] |= 1 << u
-            seen, stack = 1 << s, [s]
-            while stack:
-                fresh = near[stack.pop()] & ~seen
+            seen = todo = 1 << s
+            while todo:
+                x = todo.bit_length() - 1
+                fresh = near[x] & ~seen
                 seen |= fresh
-                stack.extend(x for x in range(1, n + 1) if fresh >> x & 1)
+                todo = (todo ^ (1 << x)) | fresh
             return seen == functools.reduce(operator.or_, near)
 
         def walk(i: int, r: int, beta: int, pos: int):
@@ -301,36 +305,27 @@ class MarkedGraphEnumeration:
             # the sum of the positive d(v).  Pick the next type j >= i to use
             # and its multiplicity m >= 1.  Once the walk is past a vertex's
             # last outgoing type that vertex is closed: its d(v) can only grow.
-            if r == 0:
-                if not feasible():
-                    self.skipped_infeasible += 1
-                    return
-                edges: list[tuple[int, int]] = []
-                marked: list[int] = []
-                for u, v, f, m in picked:
-                    for _ in range(m):
-                        edges.append((u, v))
-                        if f:
-                            marked.append(len(edges))
-                self.yielded += 1
-                yield MarkedDigraph(n, tuple(edges), s, t, frozenset(marked))
-                return
             for j in range(i, last):
                 if j % width == 0 and j and d[j // width] > 0:
                     self.skipped_unbalanced += size(j, r, beta)
                     return
                 u, v, f = types[j]
                 closes = (j + 1) % width == 0   # the last outgoing type of u
+                du, dv = d[u], d[v]
+                # pos without u and v, whose d changes with m below
+                rest_pos = pos - (du if du > 0 else 0) - (dv if dv > 0 else 0)
+                near_u, near_v = near[u], near[v]
+                near[u] |= 1 << v
+                near[v] |= 1 << u
                 for m in range(min(r, beta) if f else r, 0, -1):
                     rest, beta_rest = r - m, beta - m * f
                     if u == v:
-                        dead = pos > rest or (closes and d[u] > 0)
+                        dead = pos > rest or (closes and du > 0)
                         new_pos = pos
                     else:
-                        du, dv = d[u], d[v]
-                        new_pos = (pos - max(du, 0) + max(du - m, 0)
-                                   - max(dv, 0) + max(dv + m, 0))
-                        dead = (new_pos > rest or (closes and du - m > 0)
+                        new_pos = (rest_pos + (du - m if du > m else 0)
+                                   + (dv + m if dv + m > 0 else 0))
+                        dead = (new_pos > rest or (closes and du > m)
                                 or (v < u and dv + m > 0))
                     if dead:
                         self.skipped_unbalanced += size(j + 1, rest, beta_rest)
@@ -338,10 +333,17 @@ class MarkedGraphEnumeration:
                     d[u] -= m
                     d[v] += m
                     picked.append((u, v, f, m))
-                    yield from walk(j + 1, rest, beta_rest, new_pos)
+                    if rest:
+                        yield from walk(j + 1, rest, beta_rest, new_pos)
+                    elif feasible():    # a live pick of the last edges is balanced
+                        self.yielded += 1
+                        yield s, t, tuple(picked)
+                    else:
+                        self.skipped_infeasible += 1
                     picked.pop()
                     d[u] += m
                     d[v] -= m
+                near[u], near[v] = near_u, near_v
 
         for s, t in self.roots:
             d[s] += 1
@@ -349,6 +351,36 @@ class MarkedGraphEnumeration:
             yield from walk(0, k, self.bmax, int(s != t))
             d[s] -= 1
             d[t] += 1
+
+
+def class_record(g: MarkedDigraph) -> ClassRecord:
+    """The class of g as (s, t, types): the roots, then one (u, v, marked,
+    multiplicity) entry per edge type of g in ascending type order.
+
+    These are the records a ``MarkedGraphEnumeration`` walks, with marked
+    0 or 1; ``class_graph`` turns one back into a representative.
+    """
+    counts: dict[tuple[int, int, int], int] = {}
+    for i, (u, v) in enumerate(g.edges, start=1):
+        key = (u, v, int(i in g.marked))
+        counts[key] = counts.get(key, 0) + 1
+    return g.s, g.t, tuple(sorted(key + (m,) for key, m in counts.items()))
+
+
+def class_graph(n: int, record: ClassRecord) -> MarkedDigraph:
+    """The representative on n vertices of a class record (``class_record``).
+
+    Each type's edges follow in record order, and the marked flag marks all
+    of them; a walked record gives edges in sorted triple order.
+    """
+    s, t, types = record
+    edges: list[tuple[int, int]] = []
+    marked: list[int] = []
+    for u, v, f, m in types:
+        edges.extend([(u, v)] * m)
+        if f:
+            marked.extend(range(len(edges) - m + 1, len(edges) + 1))
+    return MarkedDigraph(n, tuple(edges), s, t, frozenset(marked))
 
 
 def root_orbits(n: int) -> tuple[tuple[tuple[int, int], int], ...]:
@@ -421,29 +453,42 @@ def orbit_key(g: MarkedDigraph) -> bytes:
     The group is S_n x {id, opposite}: a permutation p of the vertices
     sends each edge (u, v) to (p(u), p(v)) and the roots to (p(s), p(t));
     reversal sends (u, v) to (v, u) and swaps the roots; marks stay with
-    their edges.  Vertices that are neither roots nor on an edge can be
-    permuted freely, so the r others are first renumbered 1..r in order.
-    The key is the least image, over the 2 r! elements of S_r x {id,
-    opposite}, of the class vector (edge-type counts and roots, see
-    ``_orbit_maps``), packed one byte per slot.  Two graphs on n vertices
-    share a key exactly when their classes lie in one orbit.
+    their edges.  The key is ``record_orbit_key`` of g's class record, so
+    two graphs on n vertices share a key exactly when their classes lie in
+    one orbit.
 
     T is constant on an orbit.  A relabelled graph has the same trails, as
     edge sequences, so the same S; listing the class's edges in another
     order changes S only by the relabel sign.  The opposite graph's trails
     are the reversed trails, and S changes only by a sign fixed by k and
-    the number of marked edges.  Costs O(r! r^2) per call, with
-    r <= min(n, 2k + 2); for k <= MAX_ORBIT_EDGES.
+    the number of marked edges.
     """
-    if g.k > MAX_ORBIT_EDGES:
+    return record_orbit_key(class_record(g))
+
+
+def record_orbit_key(record: ClassRecord) -> bytes:
+    """Canonical form of a class record's orbit (see ``orbit_key``).
+
+    Vertices that are neither roots nor on an edge can be permuted freely,
+    so the r others are first renumbered 1..r in order.  The key is the
+    least image, over the 2 r! elements of S_r x {id, opposite}, of the
+    class vector (edge-type counts and roots, see ``_orbit_maps``), packed
+    one byte per slot.  Costs O(r! r^2) per call, with r <= min(n, 2k + 2);
+    for k <= MAX_ORBIT_EDGES.
+    """
+    s, t, types = record
+    if sum(m for _, _, _, m in types) > MAX_ORBIT_EDGES:
         raise ValueError(f"orbit keys pack edge counts in bytes; need k <= {MAX_ORBIT_EDGES}")
-    index = {v: i for i, v in enumerate(sorted({g.s, g.t}.union(*g.edges)))}
+    touched = {s, t}
+    for u, v, _, _ in types:
+        touched.add(u)
+        touched.add(v)
+    index = {x: i for i, x in enumerate(sorted(touched))}
     r = len(index)
     vec = [0] * (3 * r * r)
-    marked = g.marked
-    for i, (u, v) in enumerate(g.edges, start=1):
-        vec[2 * (index[u] * r + index[v]) + (i in marked)] += 1
-    vec[2 * r * r + index[g.s] * r + index[g.t]] = 1
+    for u, v, f, m in types:
+        vec[2 * (index[u] * r + index[v]) + f] = m
+    vec[2 * r * r + index[s] * r + index[t]] = 1
     return bytes(min([image(vec) for image in _orbit_maps(r)]))
 
 

@@ -1,14 +1,18 @@
+import itertools
 import math
 import random
 
 import pytest
 
 from oracles import matrix_to_oracle, o_standard_polynomial, repeats_unmarked_type
+from trailsum import bridge
 from trailsum.bridge import (ClassSearch, IdentityVerdict, SimplifiedSet,
                              cross_check, graph_to_simplified, identity_verdict,
                              search_classes, simplified_to_graph)
-from trailsum.digraph import (MarkedDigraph, enumerate_marked_graphs, make_gn,
-                              orbit_key, random_feasible_graph, search_space)
+from trailsum.digraph import (MAX_ORBIT_EDGES, MarkedDigraph, class_record,
+                              enumerate_marked_graphs, make_gn, orbit_key,
+                              random_feasible_graph, record_orbit_key,
+                              search_space)
 from trailsum.grassmann import (GrassmannElement, simplify_basis_tuple,
                                 standard_polynomial, substitute_generators)
 from trailsum.trails import BudgetExceededError, signed_sum, signed_trails
@@ -252,6 +256,38 @@ class TestSearchClasses:
             stream.skipped_unbalanced, stream.skipped_infeasible,
             orbits, len(walked) - orbits, alternating, len(walked) + alternating)
         assert found.orbits + found.reused + found.alternating == found.walked
+
+    @pytest.mark.parametrize("n, k, bmax", [(2, 6, 3), (3, 5, 2), (2, 7, 3)])
+    def test_records_decide_as_their_graphs(self, n, k, bmax):
+        # search_classes reads the walk's count records; the graph view of
+        # the same walk (checked against a brute-force stream in
+        # test_digraph) must give the same class, key and law on each.
+        graphs = enumerate_marked_graphs(n, k, bmax)
+        walk = enumerate_marked_graphs(n, k, bmax)
+        for g, record in itertools.zip_longest(graphs, walk.records):
+            assert class_record(g) == record
+            assert record_orbit_key(record) == orbit_key(g)
+            assert bridge._repeats_unmarked_type(record) == repeats_unmarked_type(g)
+        assert walk.yielded == graphs.yielded > 0
+
+    def test_builds_graphs_only_for_trail_dps_and_the_witness(self, monkeypatch):
+        built = [0]
+        post_init = MarkedDigraph.__post_init__
+
+        def counted(g):
+            built[0] += 1
+            post_init(g)
+
+        monkeypatch.setattr(MarkedDigraph, "__post_init__", counted)
+        found = search_classes(3, 6, 2)
+        assert (found.orbits, found.walked) == (389, 2684)
+        assert 0 < built[0] <= found.orbits + 1
+
+    def test_orbit_key_limit_holds_on_the_count_path(self):
+        # At k = 256 the one class with no repeated unmarked type and no
+        # single count above 255 reaches the orbit key first.
+        with pytest.raises(ValueError, match=f"need k <= {MAX_ORBIT_EDGES}"):
+            search_classes(1, 256, 256)
 
     @pytest.mark.parametrize("n, k, bmax, repeated", [
         (2, 6, 3, 580), (2, 7, 3, 974), (3, 5, 2, 2127)])
