@@ -17,22 +17,21 @@ from .trails import (AtPosition, BudgetExceededError, Precedes,
                      invert_permutation, is_trail, marked_order_sign, relabel,
                      sgn_perm, sigma_M, signed_sum, signed_trails, swan_identity,
                      swap_parallel_subtrails, trail_signs)
-from .bridge import (ClassSearch, CrossCheckReport, IdentityVerdict,
-                     SimplifiedSet, cross_check, graph_to_simplified,
-                     identity_verdict, search_classes, simplified_to_graph)
+from .bridge import (ClassSearch, CrossCheckReport, cross_check,
+                     graph_matrices, search_classes)
 
 __all__ = [
     "AtPosition", "BudgetExceededError", "ClassSearch", "CrossCheckReport",
     "DegreeProfile", "GraphFormatError", "GrassmannElement", "GrassmannMatrix",
-    "IdentityVerdict", "MarkedDigraph", "Precedes", "ShapeError",
-    "SignedSumReport", "SimplifiedBasisTuple", "SimplifiedSet", "Subtrail",
+    "MarkedDigraph", "Precedes", "ShapeError",
+    "SignedSumReport", "SimplifiedBasisTuple", "Subtrail",
     "check_constraint", "cross_check", "enumerate_marked_graphs",
     "enumerate_trails", "extend", "filtered_signed_sum",
-    "format_graph", "graph_to_simplified", "identity_verdict",
+    "format_graph", "graph_matrices",
     "invert_permutation", "is_trail", "make_gn", "marked_order_sign",
     "mat_mul", "opposite", "parse_graph", "random_feasible_graph",
     "read_graph_file", "relabel", "search_classes", "sgn_perm", "sigma_M",
-    "signed_sum", "signed_trails", "simplified_to_graph", "simplify_basis_tuple", "standard_polynomial",
+    "signed_sum", "signed_trails", "simplify_basis_tuple", "standard_polynomial",
     "standard_polynomial_row", "substitute_generators", "surgery_in", "surgery_out", "swan_identity",
     "swap_parallel_subtrails", "trail_signs", "validate", "write_graph_file",
 ]

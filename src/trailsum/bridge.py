@@ -1,16 +1,17 @@
 """The correspondence between marked digraphs and tuples of basis matrices.
 
-A marked digraph maps to a tuple of matrix elements: edge (u, v) becomes the
-matrix unit E_(u,v), and a marked edge additionally carries one anticommuting
-generator, numbered by the edge's ascending rank within the marked set.  The
-(s, t) entry of the alternating sum over the tuple then equals, up to sign,
-T(G) times the ordered product of all generators.  ``cross_check`` verifies
-this equality on concrete graphs by computing both sides independently, and
-``identity_verdict`` decides whether the alternating sum of a given degree
-vanishes over a whole class of graphs.  ``search_classes`` is the one
-exhaustive search over graph classes: the ``exhaustive`` command,
-``identity_verdict`` and the ``upper-n2`` and ``amitsur-levitzki`` suites
-all read its record.
+``graph_matrices`` is the correspondence: edge (u, v) becomes the matrix unit
+E_(u,v), and a marked edge additionally carries one anticommuting generator,
+numbered by the edge's ascending rank within the marked set.  A simplified
+set, a tuple of basis elements E_(a,b) or v_i E_(a,b) with distinct
+generators v_1..v_l, is exactly the matrices of a marked digraph.  The (s, t)
+entry of the alternating sum over the tuple then equals, up to sign, T(G)
+times the ordered product of all generators.  ``cross_check`` verifies this
+equality on concrete graphs by computing both sides independently.
+``search_classes`` is the one exhaustive search over graph classes: the
+``exhaustive`` command and the ``upper-n2`` and ``amitsur-levitzki`` suites
+read its record, and with stop_on_witness it decides whether the alternating
+sum of a given degree vanishes over a whole class of graphs.
 """
 
 from __future__ import annotations
@@ -24,73 +25,17 @@ from .grassmann import GrassmannElement, GrassmannMatrix, standard_polynomial_ro
 from .trails import DEFAULT_NODE_BUDGET, signed_sum
 
 
-@dataclass(frozen=True)
-class SimplifiedSet:
-    """An ordered tuple of basis matrices, each E_(a,b) or v_i E_(a,b).
+def graph_matrices(g: MarkedDigraph) -> list[GrassmannMatrix]:
+    """The simplified set of g: one basis matrix per edge, in edge order.
 
-    The generator indices in use are exactly 1..l for some l <= m, each
-    appearing once.  ``elements`` holds triples (alpha, beta, gen) with gen 0
-    for a bare matrix unit.
+    Edge i, (u, v), becomes E_(u,v) over len(g.marked) generators, times v_r
+    when it is the r-th marked edge in ascending index order.
     """
-    n: int
-    m: int
-    elements: tuple[tuple[int, int, int], ...]
-    s: int
-    t: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "elements",
-                           tuple((int(a), int(b), int(g)) for a, b, g in self.elements))
-        if not (1 <= self.s <= self.n and 1 <= self.t <= self.n):
-            raise ValueError("roots outside the matrix dimension")
-        gens = [g for _, _, g in self.elements if g]
-        if len(set(gens)) != len(gens):
-            raise ValueError("repeated generator index; set is not simplified")
-        ell = len(gens)
-        if sorted(gens) != list(range(1, ell + 1)):
-            raise ValueError(f"generator indices must be exactly 1..{ell}")
-        if ell > self.m:
-            raise ValueError("more generators than the algebra provides")
-        for a, b, _ in self.elements:
-            if not (1 <= a <= self.n and 1 <= b <= self.n):
-                raise ValueError("matrix-unit position outside the dimension")
-
-    @property
-    def ell(self) -> int:
-        return sum(1 for _, _, g in self.elements if g)
-
-    def to_matrices(self) -> list[GrassmannMatrix]:
-        out = []
-        for a, b, g in self.elements:
-            if g:
-                out.append(GrassmannMatrix.unit(
-                    self.n, self.m, a, b, GrassmannElement.generator(self.m, g)))
-            else:
-                out.append(GrassmannMatrix.unit(self.n, self.m, a, b))
-        return out
-
-
-def graph_to_simplified(g: MarkedDigraph, m: int | None = None) -> SimplifiedSet:
-    """Edge i becomes E at its endpoints; marked edges pick up generators.
-
-    Generator numbers follow the ascending order of the marked edge indices.
-    The algebra size m defaults to the number of marked edges.
-    """
-    ranks = {e: r + 1 for r, e in enumerate(g.marked_indices())}
-    if m is None:
-        m = len(ranks)
-    if m < len(ranks):
-        raise ValueError(f"{len(ranks)} marked edges need at least {len(ranks)} generators")
-    elements = tuple((u, v, ranks.get(i, 0))
-                     for i, (u, v) in enumerate(g.edges, start=1))
-    return SimplifiedSet(g.n, m, elements, g.s, g.t)
-
-
-def simplified_to_graph(x: SimplifiedSet) -> MarkedDigraph:
-    """Inverse of graph_to_simplified: positions become edges, generators marks."""
-    edges = tuple((a, b) for a, b, _ in x.elements)
-    marked = frozenset(i for i, (_, _, g) in enumerate(x.elements, start=1) if g)
-    return MarkedDigraph(x.n, edges, x.s, x.t, marked)
+    m = len(g.marked)
+    ranks = {e: r for r, e in enumerate(g.marked_indices(), start=1)}
+    return [GrassmannMatrix.unit(g.n, m, u, v, GrassmannElement.generator(m, ranks[i]))
+            if i in ranks else GrassmannMatrix.unit(g.n, m, u, v)
+            for i, (u, v) in enumerate(g.edges, start=1)]
 
 
 @dataclass(frozen=True)
@@ -106,20 +51,19 @@ def cross_check(g: MarkedDigraph, max_nodes: int = DEFAULT_NODE_BUDGET) -> Cross
     """Compare the algebra side against the trail side on one graph.
 
     The algebra side is the (s, t) entry of the alternating sum over the
-    matrices of graph_to_simplified(g), computed from row s alone; the
+    matrices of graph_matrices(g), computed from row s alone; the
     trail side is T(g).  They agree when the entry equals sign * T *
     v_1...v_l for a sign in {+1, -1}, or when both vanish (observed_sign
     0).  max_nodes bounds the states of each side's DP.
     """
-    simp = graph_to_simplified(g)
-    entry = standard_polynomial_row(simp.to_matrices(), g.s, max_nodes=max_nodes)[g.t - 1]
+    entry = standard_polynomial_row(graph_matrices(g), g.s, max_nodes=max_nodes)[g.t - 1]
     rep = signed_sum(g, max_nodes=max_nodes)
-    ell = simp.ell
+    ell = len(g.marked)
     if entry.is_zero():
         return CrossCheckReport(entry, rep.S, rep.T, rep.T == 0, 0)
     if rep.T == 0:
         return CrossCheckReport(entry, rep.S, rep.T, False, 0)
-    target = GrassmannElement.monomial(simp.m, range(1, ell + 1), rep.T)
+    target = GrassmannElement.monomial(ell, range(1, ell + 1), rep.T)
     if entry == target:
         return CrossCheckReport(entry, rep.S, rep.T, True, 1)
     if entry == -target:
@@ -229,27 +173,3 @@ def search_classes(n: int, k: int, bmax: int, stop_on_witness: bool = False,
 def _repeats_unmarked_type(record: ClassRecord) -> bool:
     """Does a class record hold two or more unmarked edges of one type?"""
     return any(m > 1 for _, _, f, m in record[2] if not f)
-
-
-@dataclass(frozen=True)
-class IdentityVerdict:
-    holds: bool
-    witness: MarkedDigraph | None
-    checked: int
-
-
-def identity_verdict(n: int, m: int, k: int,
-                     max_nodes: int = DEFAULT_NODE_BUDGET,
-                     max_classes: int = 10 ** 6) -> IdentityVerdict:
-    """Does the degree-k alternating sum vanish on n-by-n matrices with m
-    generators?  Equivalently: is T zero for every n-vertex, k-edge graph
-    with at most m marked edges?
-
-    This is search_classes stopped at the first counterexample: ``checked``
-    counts the classes of the full stream before it, itself included, or,
-    when the identity holds, every class of the full stream.  Search spaces
-    larger than max_classes graph classes are refused.
-    """
-    found = search_classes(n, k, m, stop_on_witness=True, max_nodes=max_nodes,
-                           max_classes=max_classes)
-    return IdentityVerdict(found.witness is None, found.witness, found.classes)

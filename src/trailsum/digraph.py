@@ -78,7 +78,6 @@ class DegreeProfile:
     n: int
     indeg: tuple[int, ...]
     outdeg: tuple[int, ...]
-    cdeg: tuple[int, ...] | None
     balanced: bool
     connected: bool
     feasible: bool
@@ -99,7 +98,6 @@ def validate(g: MarkedDigraph) -> DegreeProfile:
         outdeg[u] += 1
         indeg[v] += 1
     balanced = all(indeg[v] + (v == g.s) == outdeg[v] + (v == g.t) for v in range(1, n + 1))
-    cdeg = tuple(indeg[v] + (v == g.s) for v in range(n + 1)) if balanced else None
 
     touched = [v for v in range(1, n + 1) if indeg[v] or outdeg[v]]
     if touched:
@@ -125,7 +123,7 @@ def validate(g: MarkedDigraph) -> DegreeProfile:
         feasible = (balanced and connected
                     and (indeg[g.s] or outdeg[g.s]) != 0
                     and (indeg[g.t] or outdeg[g.t]) != 0)
-    return DegreeProfile(n, tuple(indeg), tuple(outdeg), cdeg, balanced, connected, feasible)
+    return DegreeProfile(n, tuple(indeg), tuple(outdeg), balanced, connected, feasible)
 
 
 def make_gn(n: int, mbar: int) -> MarkedDigraph:

@@ -249,11 +249,6 @@ class GrassmannMatrix:
         raise AttributeError("GrassmannMatrix is immutable")
 
     @classmethod
-    def zeros(cls, n: int, m: int) -> "GrassmannMatrix":
-        z = GrassmannElement.zero(m)
-        return cls(n, m, [[z] * n for _ in range(n)])
-
-    @classmethod
     def identity(cls, n: int, m: int) -> "GrassmannMatrix":
         z = GrassmannElement.zero(m)
         one = GrassmannElement.one(m)

@@ -6,9 +6,8 @@ import pytest
 
 from oracles import matrix_to_oracle, o_standard_polynomial, repeats_unmarked_type
 from trailsum import bridge
-from trailsum.bridge import (ClassSearch, IdentityVerdict, SimplifiedSet,
-                             cross_check, graph_to_simplified, identity_verdict,
-                             search_classes, simplified_to_graph)
+from trailsum.bridge import (ClassSearch, cross_check, graph_matrices,
+                             search_classes)
 from trailsum.digraph import (MAX_ORBIT_EDGES, MarkedDigraph, class_record,
                               enumerate_marked_graphs, make_gn, orbit_key,
                               random_feasible_graph, record_orbit_key,
@@ -22,52 +21,51 @@ def graph(n, edges, s, t, marked=()):
     return MarkedDigraph(n, tuple(edges), s, t, frozenset(marked))
 
 
+def _element_shape(mat):
+    for i, row in enumerate(mat.rows, start=1):
+        for j, e in enumerate(row, start=1):
+            if not e.is_zero():
+                (mask, _), = e.terms.items()
+                gen = mask.bit_length() if mask else 0
+                return (i, j, gen)
+    raise AssertionError("zero basis matrix")
+
+
+def read_back(g):
+    """The (u, v, generator) triple of each matrix of graph_matrices(g)."""
+    mats = graph_matrices(g)
+    assert all((x.n, x.m) == (g.n, len(g.marked)) for x in mats)
+    return tuple(_element_shape(x) for x in mats)
+
+
+def assert_reads_back(g):
+    shapes = read_back(g)
+    assert tuple((u, v) for u, v, _ in shapes) == g.edges
+    ranks = {e: r for r, e in enumerate(sorted(g.marked), start=1)}
+    assert tuple(gen for _, _, gen in shapes) == tuple(
+        ranks.get(i, 0) for i in range(1, g.k + 1))
+
+
 class TestConversions:
     def test_gn2_simplified_form(self):
-        x = graph_to_simplified(make_gn(2, 1))
-        assert x.elements == ((1, 2, 1), (2, 1, 2), (1, 1, 0), (1, 2, 0), (2, 2, 0))
-        assert (x.s, x.t) == (1, 2)
-        assert x.ell == 2 and x.m == 2
+        g = make_gn(2, 1)
+        assert read_back(g) == ((1, 2, 1), (2, 1, 2), (1, 1, 0), (1, 2, 0), (2, 2, 0))
+        assert graph_matrices(g)[0].m == 2
 
     def test_unmarked_graph_has_no_generators(self):
-        x = graph_to_simplified(graph(2, [(1, 2), (2, 1)], 1, 1))
-        assert x.ell == 0
-        assert all(g == 0 for _, _, g in x.elements)
-
-    def test_simplified_to_graph_examples(self):
-        x = SimplifiedSet(1, 2, ((1, 1, 1), (1, 1, 2)), 1, 1)
-        g = simplified_to_graph(x)
-        assert g.edges == ((1, 1), (1, 1)) and g.marked == {1, 2}
-
-        y = SimplifiedSet(2, 0, ((1, 2, 0),), 1, 2)
-        g2 = simplified_to_graph(y)
-        assert g2.edges == ((1, 2),) and not g2.marked
-
-    def test_invalid_simplified_sets(self):
-        with pytest.raises(ValueError):
-            SimplifiedSet(1, 2, ((1, 1, 1), (1, 1, 1)), 1, 1)  # repeated generator
-        with pytest.raises(ValueError):
-            SimplifiedSet(1, 2, ((1, 1, 2),), 1, 1)  # generators must start at 1
-        with pytest.raises(ValueError):
-            SimplifiedSet(1, 0, ((1, 1, 1),), 1, 1)  # more generators than m
-        with pytest.raises(ValueError):
-            SimplifiedSet(1, 0, ((1, 2, 0),), 1, 1)  # entry outside dimension
+        g = graph(2, [(1, 2), (2, 1)], 1, 1)
+        assert read_back(g) == ((1, 2, 0), (2, 1, 0))
 
     def test_round_trip_random(self):
+        # graph -> matrices -> read back gives the edges and the marks
         rng = random.Random(41)
         for _ in range(50):
-            g = random_feasible_graph(rng, rng.randint(1, 3), rng.randint(1, 6), bmax=3)
-            assert simplified_to_graph(graph_to_simplified(g)) == g
+            assert_reads_back(random_feasible_graph(rng, rng.randint(1, 3),
+                                                    rng.randint(1, 6), bmax=3))
 
     def test_round_trip_enumerated(self):
         for g in enumerate_marked_graphs(2, 4, 2):
-            assert simplified_to_graph(graph_to_simplified(g)) == g
-
-    def test_generator_budget(self):
-        g = graph(1, [(1, 1), (1, 1)], 1, 1, marked=[1, 2])
-        assert graph_to_simplified(g, m=5).m == 5
-        with pytest.raises(ValueError):
-            graph_to_simplified(g, m=1)
+            assert_reads_back(g)
 
 
 class TestCrossCheck:
@@ -92,19 +90,18 @@ class TestCrossCheck:
         rng = random.Random(42)
         for _ in range(25):
             g = random_feasible_graph(rng, rng.randint(1, 3), rng.randint(1, 5), bmax=3)
-            simp = graph_to_simplified(g)
-            mats = simp.to_matrices()
+            mats = graph_matrices(g)
             naive = o_standard_polynomial([matrix_to_oracle(x) for x in mats], g.n)
             fast = standard_polynomial(mats)
             assert matrix_to_oracle(fast) == naive
             entry = naive[g.s - 1][g.t - 1]
-            coeff = entry.get(tuple(range(1, simp.ell + 1)), 0)
+            coeff = entry.get(tuple(range(1, len(g.marked) + 1)), 0)
             assert abs(coeff) == signed_sum(g).T
 
     def test_witness_graphs_match_naive_oracle(self):
         for mbar, expected in ((1, 4), (2, 36)):
             g = make_gn(2, mbar)
-            mats = graph_to_simplified(g).to_matrices()
+            mats = graph_matrices(g)
             got = standard_polynomial(mats)
             naive = o_standard_polynomial([matrix_to_oracle(x) for x in mats], g.n)
             assert matrix_to_oracle(got) == naive
@@ -160,10 +157,13 @@ class TestSimplifyThenCrossCheck:
                 assert direct.is_zero()
                 continue
             checked += 1
-            simplified_set = SimplifiedSet(
-                n, len(out.generator_map),
-                tuple(_element_shape(x) for x in out.elements), 1, 1)
-            g = simplified_to_graph(simplified_set)
+            shapes = [_element_shape(x) for x in out.elements]
+            gens = sorted(gen for _, _, gen in shapes if gen)
+            assert gens == list(range(1, len(gens) + 1))
+            assert len(gens) <= len(out.generator_map)
+            g = MarkedDigraph(n, tuple((a, b) for a, b, _ in shapes), 1, 1,
+                              frozenset(i for i, (_, _, gen) in enumerate(shapes, start=1)
+                                        if gen))
             assert cross_check(g).agrees
             inner = standard_polynomial(out.elements)
             for s in range(1, n + 1):
@@ -173,46 +173,39 @@ class TestSimplifyThenCrossCheck:
                     assert direct.entry(s, t) == out.monomial * lifted * out.sign
 
 
-def _element_shape(mat):
-    for i, row in enumerate(mat.rows, start=1):
-        for j, e in enumerate(row, start=1):
-            if not e.is_zero():
-                (mask, _), = e.terms.items()
-                gen = mask.bit_length() if mask else 0
-                return (i, j, gen)
-    raise AssertionError("zero basis matrix")
-
-
 class TestIdentityVerdict:
+    """s_k is an identity on M_n E^m when no class with at most m marks has
+    T != 0: search_classes(n, k, m, stop_on_witness=True).witness is None."""
+
     def test_degree_five_fails_on_two_generators(self):
-        verdict = identity_verdict(2, 2, 5)
-        assert not verdict.holds
-        assert verdict.witness is not None
-        assert signed_sum(verdict.witness).T > 0
-        assert verdict.witness.k == 5 and len(verdict.witness.marked) <= 2
+        found = search_classes(2, 5, 2, stop_on_witness=True)
+        assert found.witness is not None
+        assert signed_sum(found.witness).T > 0
+        assert found.witness.k == 5 and len(found.witness.marked) <= 2
 
     def test_degree_six_holds_on_three_generators(self):
-        verdict = identity_verdict(2, 3, 6)
-        assert verdict.holds and verdict.witness is None
-        assert verdict.checked > 0
+        found = search_classes(2, 6, 3, stop_on_witness=True)
+        assert found.witness is None
+        assert found.classes > 0
 
     def test_amitsur_levitzki_degree(self):
-        assert identity_verdict(2, 0, 4).holds
+        assert search_classes(2, 4, 0, stop_on_witness=True).witness is None
 
     def test_even_verdict_extends_to_next_degree(self):
         # vanishing at an even degree propagates one degree up
-        assert identity_verdict(2, 3, 6).holds
-        assert identity_verdict(2, 3, 7).holds
+        assert search_classes(2, 6, 3, stop_on_witness=True).witness is None
+        assert search_classes(2, 7, 3, stop_on_witness=True).witness is None
 
     def test_exhaustive_guard(self):
         with pytest.raises(ValueError):
-            identity_verdict(4, 3, 12)
+            search_classes(4, 12, 3, stop_on_witness=True)
 
     def test_guard_counts_the_mark_bound(self):
         space = search_space(2, 5, 2)
-        assert not identity_verdict(2, 2, 5, max_classes=space).holds
+        found = search_classes(2, 5, 2, stop_on_witness=True, max_classes=space)
+        assert found.witness is not None
         with pytest.raises(ValueError):
-            identity_verdict(2, 2, 5, max_classes=space - 1)
+            search_classes(2, 5, 2, stop_on_witness=True, max_classes=space - 1)
 
     @pytest.mark.parametrize("n, m, k", [(2, 2, 5), (3, 2, 5), (2, 3, 6)])
     def test_exhaustive_matches_one_sum_per_class(self, n, m, k):
@@ -222,8 +215,8 @@ class TestIdentityVerdict:
             if signed_sum(g).T != 0:
                 witness = g
                 break
-        verdict = identity_verdict(n, m, k)
-        assert verdict == IdentityVerdict(witness is None, witness, checked)
+        found = search_classes(n, k, m, stop_on_witness=True)
+        assert (found.witness, found.classes) == (witness, checked)
 
 
 class TestSearchClasses:

@@ -378,8 +378,8 @@ class TestDistinctRootsWitness:
                 witness = g
                 break
         assert witness is not None and (witness.s, witness.t) == (1, 2)
-        verdict = bridge.identity_verdict(n, m, k)
-        assert verdict == bridge.IdentityVerdict(False, witness, checked)
+        found = bridge.search_classes(n, k, m, stop_on_witness=True)
+        assert (found.witness, found.classes) == (witness, checked)
 
 
 class TestUsageAndHelp:

@@ -43,19 +43,14 @@ class TestValidate:
     def test_gn2_profile(self):
         prof = validate(make_gn(2, 1))
         assert prof.balanced and prof.connected and prof.feasible
-        # corrected degree 3 at both vertices; the sum is edge count plus one
-        assert prof.cdeg[1:] == (3, 3)
-        assert sum(prof.cdeg) == make_gn(2, 1).k + 1
 
     def test_single_loop(self):
         prof = validate(graph(1, [(1, 1)], 1, 1))
         assert prof.balanced
-        assert prof.cdeg[1] == 2
 
     def test_unbalanced(self):
         prof = validate(graph(2, [(1, 2)], 1, 1))
         assert not prof.balanced
-        assert prof.cdeg is None
         assert not prof.feasible
 
     def test_disconnected_infeasible(self):
@@ -68,13 +63,12 @@ class TestValidate:
         prof = validate(g)
         assert prof.balanced and prof.connected and not prof.feasible
 
-    def test_cdeg_sum_invariant(self):
+    def test_random_feasible_graphs_are_balanced(self):
         rng = random.Random(3)
         for _ in range(50):
             g = random_feasible_graph(rng, rng.randint(1, 4), rng.randint(1, 6), bmax=3)
             prof = validate(g)
             assert prof.balanced
-            assert sum(prof.cdeg) == g.k + 1
 
 
 class TestMakeGn:
