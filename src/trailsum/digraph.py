@@ -74,56 +74,46 @@ class MarkedDigraph:
 
 @dataclass(frozen=True)
 class DegreeProfile:
-    """Per-vertex degree bookkeeping; index 0 of each tuple is unused."""
-    n: int
-    indeg: tuple[int, ...]
-    outdeg: tuple[int, ...]
+    """The trail-existence flags of a graph (see ``validate``)."""
     balanced: bool
     connected: bool
     feasible: bool
 
 
 def validate(g: MarkedDigraph) -> DegreeProfile:
-    """Degree profile plus the necessary-and-sufficient trail-existence flags.
+    """The necessary-and-sufficient trail-existence flags.
 
     ``balanced`` holds when indeg(v) + [v = s] = outdeg(v) + [v = t] at every
     vertex; ``connected`` is weak connectivity of the vertices touched by at
     least one edge; ``feasible`` combines both with the roots being touched,
     and is exactly the condition for an Eulerian trail from s to t to exist.
+    Only the roots and the touched vertices are visited, so the cost does not
+    grow with n.
     """
-    n = g.n
-    indeg = [0] * (n + 1)
-    outdeg = [0] * (n + 1)
+    net = {g.s: 1}                  # indeg + [v = s] - outdeg - [v = t]
+    net[g.t] = net.get(g.t, 0) - 1
+    adj: dict[int, set[int]] = {}
     for u, v in g.edges:
-        outdeg[u] += 1
-        indeg[v] += 1
-    balanced = all(indeg[v] + (v == g.s) == outdeg[v] + (v == g.t) for v in range(1, n + 1))
+        net[u] = net.get(u, 0) - 1
+        net[v] = net.get(v, 0) + 1
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    balanced = not any(net.values())
 
-    touched = [v for v in range(1, n + 1) if indeg[v] or outdeg[v]]
-    if touched:
-        adj: dict[int, set[int]] = {}
-        for u, v in g.edges:
-            adj.setdefault(u, set()).add(v)
-            adj.setdefault(v, set()).add(u)
-        seen = {touched[0]}
-        stack = [touched[0]]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        connected = all(v in seen for v in touched)
-    else:
-        connected = True
+    seen: set[int] = set()
+    stack = list(adj)[:1]           # flood from one touched vertex
+    while stack:
+        x = stack.pop()
+        if x not in seen:
+            seen.add(x)
+            stack.extend(adj[x])
+    connected = len(seen) == len(adj)
 
     if g.k == 0:
         feasible = g.s == g.t
     else:
-        feasible = (balanced and connected
-                    and (indeg[g.s] or outdeg[g.s]) != 0
-                    and (indeg[g.t] or outdeg[g.t]) != 0)
-    return DegreeProfile(n, tuple(indeg), tuple(outdeg), balanced, connected, feasible)
+        feasible = balanced and connected and g.s in adj and g.t in adj
+    return DegreeProfile(balanced, connected, feasible)
 
 
 def make_gn(n: int, mbar: int) -> MarkedDigraph:
@@ -529,8 +519,15 @@ def format_graph(g: MarkedDigraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _integer(token: str) -> int:
+    """An optional sign then ASCII digits (int() also takes '1_0' and non-ASCII digits)."""
+    if not (token.isascii() and token.lstrip("+-").isdigit()):
+        raise ValueError(f"not an integer: {token!r}")
+    return int(token)
+
+
 def parse_graph(text: str) -> MarkedDigraph:
-    header = None
+    n = s = t = None
     edges: list[tuple[int, int]] = []
     marked: set[int] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -538,32 +535,34 @@ def parse_graph(text: str) -> MarkedDigraph:
         if not line:
             continue
         tokens = line.split()
-        if header is None:
+        if n is None:
             if len(tokens) != 6 or tokens[0] != "n" or tokens[2] != "s" or tokens[4] != "t":
                 raise GraphFormatError(lineno, "expected header 'n <n> s <s> t <t>'")
             try:
-                header = (int(tokens[1]), int(tokens[3]), int(tokens[5]))
+                n, s, t = _integer(tokens[1]), _integer(tokens[3]), _integer(tokens[5])
             except ValueError:
                 raise GraphFormatError(lineno, "header fields must be integers") from None
+            if n < 1:
+                raise GraphFormatError(lineno, "vertex count must be at least 1")
+            if not (1 <= s <= n and 1 <= t <= n):
+                raise GraphFormatError(lineno, f"roots ({s},{t}) outside 1..{n}")
             continue
         if len(tokens) != 3:
             raise GraphFormatError(lineno, "expected edge line '<source> <target> <0|1>'")
         try:
-            u, v = int(tokens[0]), int(tokens[1])
+            u, v = _integer(tokens[0]), _integer(tokens[1])
         except ValueError:
             raise GraphFormatError(lineno, "edge endpoints must be integers") from None
         if tokens[2] not in ("0", "1"):
             raise GraphFormatError(lineno, "marked flag must be 0 or 1")
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise GraphFormatError(lineno, f"edge {len(edges) + 1} endpoint outside 1..{n}")
         edges.append((u, v))
         if tokens[2] == "1":
             marked.add(len(edges))
-    if header is None:
+    if n is None:
         raise GraphFormatError(1, "missing header line")
-    n, s, t = header
-    try:
-        return MarkedDigraph(n, tuple(edges), s, t, frozenset(marked))
-    except ValueError as exc:
-        raise GraphFormatError(1, str(exc)) from None
+    return MarkedDigraph(n, tuple(edges), s, t, frozenset(marked))
 
 
 def read_graph_file(path) -> MarkedDigraph:

@@ -10,7 +10,7 @@ sign given by the parity of crossings when the two ascending index lists are
 interleaved.
 
 Zero coefficients are pruned eagerly, so equality of elements (and matrices)
-is plain structural equality.  All values are immutable after construction.
+is plain structural equality of frozen, slotted dataclasses.
 
 The standard polynomial s_k is evaluated by a dynamic program over subsets
 of used arguments rather than over orderings.  The state is the set U of
@@ -100,12 +100,15 @@ def _add_terms(x: dict, y: dict) -> dict:
     return out
 
 
+@dataclass(frozen=True, slots=True)
 class GrassmannElement:
     """An exact-integer element of the exterior algebra on m generators."""
 
-    __slots__ = ("m", "terms")
+    m: int
+    terms: dict[int, int] | None = None
 
-    def __init__(self, m: int, terms: dict[int, int] | None = None):
+    def __post_init__(self):
+        m, terms = self.m, self.terms
         if m < 0:
             raise ValueError("generator count must be nonnegative")
         clean: dict[int, int] = {}
@@ -116,11 +119,7 @@ class GrassmannElement:
                     raise ValueError(f"monomial mask {mask} outside algebra on {m} generators")
                 if coeff:
                     clean[mask] = coeff
-        object.__setattr__(self, "m", m)
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GrassmannElement is immutable")
 
     # -- constructors -----------------------------------------------------
 
@@ -193,11 +192,6 @@ class GrassmannElement:
             return self * other
         return NotImplemented
 
-    def __eq__(self, other):
-        if not isinstance(other, GrassmannElement):
-            return NotImplemented
-        return self.m == other.m and self.terms == other.terms
-
     def __hash__(self):
         return hash((self.m, tuple(sorted(self.terms.items()))))
 
@@ -220,19 +214,20 @@ class GrassmannElement:
                 parts.append(f"{sign}{mag}*{word}")
         return "".join(parts)
 
-    def __repr__(self) -> str:
-        return f"GrassmannElement({self.m}, {self.terms!r})"
 
-
+@dataclass(frozen=True, slots=True)
 class GrassmannMatrix:
     """A square matrix with GrassmannElement entries sharing one algebra."""
 
-    __slots__ = ("n", "m", "rows")
+    n: int
+    m: int
+    rows: tuple[tuple[GrassmannElement, ...], ...]
 
-    def __init__(self, n: int, m: int, rows):
+    def __post_init__(self):
+        n, m = self.n, self.m
         if n < 1:
             raise ValueError("matrix dimension must be at least 1")
-        rows = tuple(tuple(row) for row in rows)
+        rows = tuple(tuple(row) for row in self.rows)
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ShapeError(f"entry grid is not {n}x{n}")
         for row in rows:
@@ -241,12 +236,7 @@ class GrassmannMatrix:
                     raise TypeError("matrix entries must be GrassmannElement")
                 if e.m != m:
                     raise ShapeError(f"entry on {e.m} generators in a matrix over {m}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
         object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GrassmannMatrix is immutable")
 
     @classmethod
     def identity(cls, n: int, m: int) -> "GrassmannMatrix":
@@ -261,11 +251,8 @@ class GrassmannMatrix:
         if not (1 <= alpha <= n and 1 <= beta <= n):
             raise ValueError(f"unit position ({alpha},{beta}) outside 1..{n}")
         z = GrassmannElement.zero(m)
-        e = GrassmannElement.one(m) if elem is None else elem
-        if e.m != m:
-            raise ShapeError("scaling element lives in a different algebra")
         rows = [[z] * n for _ in range(n)]
-        rows[alpha - 1][beta - 1] = e
+        rows[alpha - 1][beta - 1] = GrassmannElement.one(m) if elem is None else elem
         return cls(n, m, rows)
 
     def entry(self, alpha: int, beta: int) -> GrassmannElement:
@@ -305,24 +292,11 @@ class GrassmannMatrix:
         if isinstance(other, int):
             return self * other
         if isinstance(other, GrassmannElement):
-            if other.m != self.m:
-                raise ShapeError("scaling element lives in a different algebra")
             return GrassmannMatrix(self.n, self.m, [[other * e for e in row] for row in self.rows])
         return NotImplemented
 
-    def __eq__(self, other):
-        if not isinstance(other, GrassmannMatrix):
-            return NotImplemented
-        return self.n == other.n and self.m == other.m and self.rows == other.rows
-
-    def __hash__(self):
-        return hash((self.n, self.m, self.rows))
-
     def __str__(self) -> str:
         return "\n".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.rows)
-
-    def __repr__(self) -> str:
-        return f"GrassmannMatrix(n={self.n}, m={self.m})"
 
 
 def mat_mul(a: GrassmannMatrix, b: GrassmannMatrix) -> GrassmannMatrix:
@@ -502,7 +476,7 @@ def simplify_basis_tuple(xs) -> SimplifiedBasisTuple:
     Otherwise even-degree monomials, and all generators but the lowest of
     odd-degree monomials, are central and factor out into one monomial
     prefix; the remaining elements carry at most one generator each, which
-    are then renumbered ascending to 1..l.
+    are then renumbered ascending to 1..l.  Tests check it against standard_polynomial.
     """
     xs = list(xs)
     if not xs:
@@ -555,7 +529,7 @@ def simplify_basis_tuple(xs) -> SimplifiedBasisTuple:
 
 def substitute_generators(x: GrassmannElement, mapping: dict[int, int],
                           m_new: int) -> GrassmannElement:
-    """Rename generators through a strictly increasing index map (sign-free)."""
+    """Rename generators through a strictly increasing map (sign-free); run by tests only."""
     items = sorted(mapping.items())
     for (a, fa), (b, fb) in zip(items, items[1:]):
         if not (a < b and fa < fb):

@@ -143,20 +143,37 @@ class TestSignedSumCommand:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    def test_memory_exhaustion_exits_4_under_rlimit(self, tmp_path):
-        pytest.importorskip("resource")
+    def test_memory_exhaustion_exits_4_under_rlimit(self):
+        # make_gn builds a list of about 4 * 10^8 edges, past a 1 GiB cap
+        proc = run_under_rlimit(["gn", "--n", "100000000", "--mbar", "1", "--compute"])
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr == "error: out of memory\n"
+
+    @pytest.mark.parametrize("listing", [False, True])
+    def test_huge_vertex_count_costs_no_memory(self, tmp_path, listing):
+        # validate and the DP look only at the roots and the vertices on
+        # edges, so a header naming 10^9 vertices fits in a 1 GiB cap
         path = tmp_path / "huge.graph"
         path.write_text("n 1000000000 s 1 t 1\n1 1 0\n", encoding="utf-8")
-        src = Path(cli.__file__).resolve().parents[1]
-        script = ("import resource, sys\n"
-                  f"resource.setrlimit(resource.RLIMIT_AS, ({1 << 30}, {1 << 30}))\n"
-                  f"sys.path.insert(0, {str(src)!r})\n"
-                  "from trailsum.cli import main\n"
-                  f"sys.exit(main(['signed-sum', {str(path)!r}]))\n")
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                              text=True, timeout=120)
-        assert proc.returncode == 4, proc.stderr
-        assert proc.stderr == "error: out of memory\n"
+        argv = ["signed-sum", str(path)] + (["--list-trails"] if listing else [])
+        proc = run_under_rlimit(argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == ("trail=1 sgn=+1 sgn_M=+1\n" if listing else "") \
+            + "S=1 T=1 trails=1\n"
+
+
+def run_under_rlimit(argv):
+    """Run the CLI in a child whose address space is capped at 1 GiB."""
+    pytest.importorskip("resource")
+    src = Path(cli.__file__).resolve().parents[1]
+    script = ("import resource, sys\n"
+              f"resource.setrlimit(resource.RLIMIT_AS, ({1 << 30}, {1 << 30}))\n"
+              f"sys.path.insert(0, {str(src)!r})\n"
+              "from trailsum.cli import main\n"
+              f"sys.exit(main({argv!r}))\n")
+    return subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120)
 
 
 class TestGnCommand:

@@ -63,6 +63,22 @@ class TestValidate:
         prof = validate(g)
         assert prof.balanced and prof.connected and not prof.feasible
 
+    def test_flags_do_not_depend_on_untouched_vertices(self):
+        # every multiset of (2,4,2) at every root pair, unbalanced and
+        # disconnected ones included, keeps its flags on 50 vertices
+        seen = set()
+        types = [(u, v, f) for u in (1, 2) for v in (1, 2) for f in (0, 1)]
+        for s, t in itertools.product((1, 2), repeat=2):
+            for combo in itertools.combinations_with_replacement(types, 4):
+                edges = [(u, v) for u, v, _ in combo]
+                marked = [i for i, (_, _, f) in enumerate(combo, start=1) if f]
+                if len(marked) > 2:
+                    continue
+                prof = validate(graph(2, edges, s, t, marked))
+                assert validate(graph(50, edges, s, t, marked)) == prof
+                seen.add(prof)
+        assert len(seen) == 5       # every reachable combination of the flags
+
     def test_random_feasible_graphs_are_balanced(self):
         rng = random.Random(3)
         for _ in range(50):
@@ -348,7 +364,12 @@ class TestTextFormat:
         ("n 2 s 1 t 2\n1 2 2\n", 2),
         ("n 2 s 1 t 2\nx 2 1\n", 2),
         ("n x s 1 t 2\n", 1),
-        ("n 2 s 1 t 2\n1 3 0\n", 1),
+        ("n 2 s 1 t 2\n1 3 0\n", 2),
+        ("n 3 s 1 t 1\n1 2 0\n2 1 0\n\n# c\n1 9 0\n", 6),
+        ("# c\nn 2 s 1 t 3\n", 2),
+        ("# c\n\nn 0 s 1 t 1\n", 3),
+        ("n 3 s 1 t 1\n\u0663 1 0\n1 3 0\n", 2),
+        ("n 1_0 s 1 t 1\n", 1),
     ])
     def test_errors_carry_line_numbers(self, text, line):
         with pytest.raises(GraphFormatError) as err:

@@ -112,6 +112,38 @@ def _random_mask(rng, m, degree):
     return sum(1 << (i - 1) for i in rng.sample(range(1, m + 1), degree))
 
 
+class TestValueContract:
+    @pytest.mark.parametrize("name", ["m", "terms"])
+    def test_element_fields_are_read_only(self, name):
+        x = GrassmannElement.generator(2, 1)
+        with pytest.raises(AttributeError):
+            setattr(x, name, getattr(x, name))
+
+    @pytest.mark.parametrize("name", ["n", "rows"])
+    def test_matrix_fields_are_read_only(self, name):
+        mat = GrassmannMatrix.identity(2, 1)
+        with pytest.raises(AttributeError):
+            setattr(mat, name, getattr(mat, name))
+
+    def test_equal_terms_give_equal_elements(self):
+        x = GrassmannElement(3, {0b011: 2, 0b100: -1, 0: 5})
+        same = [GrassmannElement(3, {0: 5, 0b100: -1, 0b011: 2}),
+                GrassmannElement(3, {0b110: 0, 0b011: 2, 0: 5, 0b001: 0, 0b100: -1})]
+        for y in same:
+            assert y == x and hash(y) == hash(x)
+        assert GrassmannElement(3, {0b101: 0}) == GrassmannElement.zero(3)
+        assert hash(GrassmannElement(3, {0b101: 0})) == hash(GrassmannElement.zero(3))
+
+    def test_equal_matrices_hash_equal(self):
+        v1 = GrassmannElement.generator(2, 1)
+        a = GrassmannMatrix.unit(2, 2, 1, 2, v1)
+        b = GrassmannMatrix(2, 2, [[GrassmannElement.zero(2), GrassmannElement(2, {1: 1, 2: 0})],
+                                   [GrassmannElement.zero(2)] * 2])
+        c = GrassmannMatrix.unit(2, 2, 2, 1, v1)
+        assert a == b and hash(a) == hash(b) and a != c
+        assert len({a, b, c}) == 2
+
+
 class TestRendering:
     def test_zero(self):
         assert str(GrassmannElement.zero(3)) == "0"

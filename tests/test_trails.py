@@ -261,7 +261,7 @@ class TestSignedSum:
     def test_report_sanity(self):
         r = signed_sum(make_gn(2, 2))
         assert r.T == abs(r.S) <= r.trail_count
-        assert r.elapsed >= 0.0 and r.nodes > 0
+        assert r.nodes > 0
 
 
 def parallel_graphs(seed, count):
