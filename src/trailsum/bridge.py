@@ -77,18 +77,17 @@ class ClassSearch:
 
     ``histogram`` pairs each value of T, ascending, with its number of
     classes; ``witness`` is the first class of the full stream with T > 0
-    (None if there is none) and ``witness_T`` its T; it is the walk's
-    representative (``class_graph``), as iterating the class stream gives
-    it.  ``classes``, ``skipped_unbalanced`` and ``skipped_infeasible`` are
-    the counters of the class stream.  Of the ``walked`` classes,
+    (None if there is none) and ``witness_T`` its T; it is the
+    representative ``class_graph`` builds from the walk's record.
+    ``classes``, ``skipped_unbalanced`` and ``skipped_infeasible`` are the
+    counters of the class stream.  Of the ``walked`` classes,
     ``alternating`` repeat an unmarked edge type and have T = 0 by the
     alternating law, with no orbit key, no graph and no trail DP; of the
     rest, ``orbits`` counts the trail DPs run, each on a graph built for
-    it, and ``reused`` the values taken from the orbit memo, so
-    orbits + reused + alternating == walked.  The law decides T, not
-    whether a class is in the stream, so ``classes`` and the histogram
-    still count every class, these under T = 0: a walk that left them out
-    would print different counts.
+    it, and ``reused`` the values taken from the orbit memo.  The law
+    decides T, not whether a class is in the stream, so ``classes`` and the
+    histogram still count every class, these under T = 0: a walk that left
+    them out would print different counts.
     """
     histogram: tuple[tuple[int, int], ...]
     witness: MarkedDigraph | None
@@ -99,7 +98,10 @@ class ClassSearch:
     orbits: int
     reused: int
     alternating: int
-    walked: int
+
+    @property
+    def walked(self) -> int:
+        return self.orbits + self.reused + self.alternating
 
 
 def search_classes(n: int, k: int, bmax: int, stop_on_witness: bool = False,
@@ -108,7 +110,7 @@ def search_classes(n: int, k: int, bmax: int, stop_on_witness: bool = False,
     """T over every class of n-vertex, k-edge graphs with at most bmax marks.
 
     Refuses, with ValueError, a search space (``search_space``) larger than
-    max_classes.  Walks the class records (``MarkedGraphEnumeration.records``:
+    max_classes.  Walks the class records (``MarkedGraphEnumeration``:
     roots and per-type edge counts) at root pairs (1, 1) and (1, 2) in
     canonical order and computes T once per orbit under vertex relabelling
     and reversal, keyed by ``record_orbit_key``; a ``MarkedDigraph`` is
@@ -129,7 +131,7 @@ def search_classes(n: int, k: int, bmax: int, stop_on_witness: bool = False,
     if space > max_classes:
         raise ValueError(
             f"search space of {space} classes exceeds the guard of {max_classes}")
-    values: dict[bytes, int] = {}       # T by orbit key
+    values: dict[tuple[int, ...], int] = {}     # T by orbit key
     reused = alternating = 0
     walks = []      # (root-orbit size, T histogram, class stream) per walked root pair
     witness, witness_T = None, 0
@@ -137,7 +139,7 @@ def search_classes(n: int, k: int, bmax: int, stop_on_witness: bool = False,
         stream = enumerate_marked_graphs(n, k, bmax, [roots])
         counts: dict[int, int] = {}
         walks.append((size, counts, stream))
-        for record in stream.records:
+        for record in stream:
             if _repeats_unmarked_type(record):
                 alternating += 1
                 value = 0
@@ -166,8 +168,7 @@ def search_classes(n: int, k: int, bmax: int, stop_on_witness: bool = False,
         sum(size * getattr(stream, counter) for size, _, stream in walks)
         for counter in ("yielded", "skipped_unbalanced", "skipped_infeasible"))
     return ClassSearch(tuple(sorted(histogram.items())), witness, witness_T,
-                       yielded, unbalanced, infeasible, len(values), reused,
-                       alternating, sum(stream.yielded for _, _, stream in walks))
+                       yielded, unbalanced, infeasible, len(values), reused, alternating)
 
 
 def _repeats_unmarked_type(record: ClassRecord) -> bool:

@@ -2,10 +2,11 @@
 verification suites, and exhaustive search over small marked graphs.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure, 3 graph file
-format error, 4 search budget exceeded, memory exhausted or recursion limit
-hit.  All reports are plain text with one key=value line per case;
-identical invocations produce byte-identical stdout (wall-clock timings go
-to stderr).
+format error or a file that cannot be read or written, 4 search budget
+exceeded, memory exhausted or recursion limit hit, 141 standard output
+closed by its reader (the shell's code for SIGPIPE).  All reports are plain
+text with one key=value line per case; identical invocations produce
+byte-identical stdout (wall-clock timings go to stderr).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import random
 import sys
 import time
@@ -161,11 +163,10 @@ def suite_bridge(seed: int, budget: int) -> VerificationReport:
             failures += 1
     rep.add("cross-check failures on 100 sampled graphs", 0, failures)
     failures = 0
-    stream = enumerate_marked_graphs(2, 6, bmax=3)
     total = 0
-    for g in stream:
+    for record in enumerate_marked_graphs(2, 6, bmax=3):
         total += 1
-        if not bridge.cross_check(g, max_nodes=budget).agrees:
+        if not bridge.cross_check(digraph.class_graph(2, record), max_nodes=budget).agrees:
             failures += 1
     rep.add(f"cross-check failures on all {total} classes(n=2,k=6,bmax=3)", 0, failures)
     return rep
@@ -311,7 +312,11 @@ def parse_constraint(spec: str, g: MarkedDigraph):
 
 def cmd_signed_sum(args) -> int:
     start = time.perf_counter()
-    g = digraph.read_graph_file(args.graph_file)
+    try:
+        g = digraph.read_graph_file(args.graph_file)
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"cannot read input: {exc}", file=sys.stderr)
+        return 3
     constraints = [parse_constraint(spec, g) for spec in args.filter]
     walk = None
     if args.list_trails:
@@ -368,9 +373,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_exhaustive(args) -> int:
-    if args.n < 1 or not 1 <= args.k <= digraph.MAX_ORBIT_EDGES or args.bmax < 0:
-        raise _UsageError(f"need --n >= 1, 1 <= --k <= {digraph.MAX_ORBIT_EDGES} "
-                          "and --bmax >= 0")
+    if args.n < 1 or args.k < 1 or args.bmax < 0:
+        raise _UsageError("need --n >= 1, --k >= 1 and --bmax >= 0")
     start = time.perf_counter()
     try:
         found = bridge.search_classes(args.n, args.k, args.bmax, args.stop_on_witness,
@@ -435,6 +439,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):     # Python 3.10.7 and later
+        sys.set_int_max_str_digits(0)   # print T, S and trail counts in full
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -444,15 +450,21 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help
         return 0 if exc.code in (None, 0) else 1
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()      # a closed stdout fails here, not at shutdown
+        return code
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except GraphFormatError as exc:
         print(f"graph format error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"cannot read input: {exc}", file=sys.stderr)
+    except BrokenPipeError:
+        # The reader closed stdout; the flush at shutdown must not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    except OSError as exc:      # graph files are read in cmd_signed_sum
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return 3
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,10 +8,9 @@ distinguished edges.
 The module also provides the witness family ``make_gn``, the root-absorbing
 extension, the opposite graph, the two loop-creating edge surgeries, an
 exhaustive enumerator of small marked graphs up to edge relabelling (as
-graphs or as per-type count records), orbit keys of those classes under
-vertex relabelling and reversal, a seeded sampler of trail-feasible
-graphs, and a strict line-oriented text format used by the command line
-tools.
+per-type count records), orbit keys of those classes under vertex
+relabelling and reversal, a seeded sampler of trail-feasible graphs, and a
+strict line-oriented text format used by the command line tools.
 """
 
 from __future__ import annotations
@@ -210,7 +209,7 @@ class MarkedGraphEnumeration:
     target, marked) triples and the roots; the signed trail sum's absolute
     value only depends on the class.  Representatives list their edges in
     sorted triple order.  Classes failing the trail-existence condition are
-    skipped and counted (their trail set is empty), so every yielded graph
+    skipped and counted (their trail set is empty), so every yielded class
     is balanced with at least one Eulerian trail.
 
     The walk covers the given root pairs in the given order, by default all
@@ -225,11 +224,10 @@ class MarkedGraphEnumeration:
     picked types, so at a balanced leaf it decides feasibility (both roots
     touched, touched vertices weakly connected) by one flood.
 
-    The walk yields class records (``class_record``), which ``records``
-    gives as they are; iterating the enumeration itself turns each into
-    its representative graph (``class_graph``).  Both views share one
-    single-pass walk.  The counters cover the root pairs walked and update
-    as items are consumed, in stream order.  A cut subtree adds its size
+    Iterating the enumeration yields class records (``class_record``) in
+    one single pass; ``class_graph`` turns a record into its representative
+    graph.  The counters cover the root pairs walked and update as items
+    are consumed, in stream order.  A cut subtree adds its size
     (multisets with at most bmax marked edges) to ``skipped_unbalanced``
     when the walk reaches it, so after every yield the counters equal those
     of building and validating every multiset of the walked root pairs in
@@ -250,13 +248,13 @@ class MarkedGraphEnumeration:
         self.yielded = 0
         self.skipped_unbalanced = 0
         self.skipped_infeasible = 0
-        self.records = self._generate()
+        self._walk = self._generate()
 
     def __iter__(self):
         return self
 
-    def __next__(self) -> MarkedDigraph:
-        return class_graph(self.n, next(self.records))
+    def __next__(self) -> ClassRecord:
+        return next(self._walk)
 
     def _generate(self):
         n, k = self.n, self.k
@@ -432,41 +430,28 @@ def _orbit_maps(n: int) -> tuple[operator.itemgetter, ...]:
     return tuple(maps)
 
 
-MAX_ORBIT_EDGES = 255          # orbit_key packs each edge-type count in one byte
-
-
-def orbit_key(g: MarkedDigraph) -> bytes:
-    """Canonical form of g's class under vertex relabelling and reversal.
+def record_orbit_key(record: ClassRecord) -> tuple[int, ...]:
+    """Canonical form of a class record under vertex relabelling and reversal.
 
     The group is S_n x {id, opposite}: a permutation p of the vertices
     sends each edge (u, v) to (p(u), p(v)) and the roots to (p(s), p(t));
     reversal sends (u, v) to (v, u) and swaps the roots; marks stay with
-    their edges.  The key is ``record_orbit_key`` of g's class record, so
-    two graphs on n vertices share a key exactly when their classes lie in
-    one orbit.
+    their edges.  Two records on n vertices share a key exactly when their
+    classes lie in one orbit.
 
     T is constant on an orbit.  A relabelled graph has the same trails, as
     edge sequences, so the same S; listing the class's edges in another
     order changes S only by the relabel sign.  The opposite graph's trails
     are the reversed trails, and S changes only by a sign fixed by k and
     the number of marked edges.
-    """
-    return record_orbit_key(class_record(g))
-
-
-def record_orbit_key(record: ClassRecord) -> bytes:
-    """Canonical form of a class record's orbit (see ``orbit_key``).
 
     Vertices that are neither roots nor on an edge can be permuted freely,
     so the r others are first renumbered 1..r in order.  The key is the
     least image, over the 2 r! elements of S_r x {id, opposite}, of the
-    class vector (edge-type counts and roots, see ``_orbit_maps``), packed
-    one byte per slot.  Costs O(r! r^2) per call, with r <= min(n, 2k + 2);
-    for k <= MAX_ORBIT_EDGES.
+    class vector (edge-type counts and roots, see ``_orbit_maps``).  Costs
+    O(r! r^2) per call, with r <= min(n, 2k + 2).
     """
     s, t, types = record
-    if sum(m for _, _, _, m in types) > MAX_ORBIT_EDGES:
-        raise ValueError(f"orbit keys pack edge counts in bytes; need k <= {MAX_ORBIT_EDGES}")
     touched = {s, t}
     for u, v, _, _ in types:
         touched.add(u)
@@ -477,7 +462,7 @@ def record_orbit_key(record: ClassRecord) -> bytes:
     for u, v, f, m in types:
         vec[2 * (index[u] * r + index[v]) + f] = m
     vec[2 * r * r + index[s] * r + index[t]] = 1
-    return bytes(min([image(vec) for image in _orbit_maps(r)]))
+    return min([image(vec) for image in _orbit_maps(r)])
 
 
 def enumerate_marked_graphs(n: int, k: int, bmax: int,
@@ -489,8 +474,8 @@ def enumerate_marked_graphs(n: int, k: int, bmax: int,
 def random_feasible_graph(rng: random.Random, n: int, k: int, bmax: int,
                           require_nonloop: bool = False) -> MarkedDigraph:
     """Rejection-sample a graph that admits an Eulerian trail between its roots."""
-    if require_nonloop and n < 2:
-        raise ValueError("a one-vertex graph has only loops")
+    if require_nonloop and (n < 2 or k < 1):
+        raise ValueError("a non-loop edge needs n >= 2 and k >= 1")
     while True:
         edges = tuple((rng.randint(1, n), rng.randint(1, n)) for _ in range(k))
         s = rng.randint(1, n)

@@ -4,12 +4,13 @@ import random
 
 import pytest
 
-from oracles import matrix_to_oracle, o_standard_polynomial, repeats_unmarked_type
+from oracles import (brute_marked_graphs, matrix_to_oracle, o_standard_polynomial,
+                     repeats_unmarked_type)
 from trailsum import bridge
 from trailsum.bridge import (ClassSearch, cross_check, graph_matrices,
                              search_classes)
-from trailsum.digraph import (MAX_ORBIT_EDGES, MarkedDigraph, class_record,
-                              enumerate_marked_graphs, make_gn, orbit_key,
+from trailsum.digraph import (MarkedDigraph, class_graph, class_record,
+                              enumerate_marked_graphs, make_gn,
                               random_feasible_graph, record_orbit_key,
                               search_space)
 from trailsum.grassmann import (GrassmannElement, simplify_basis_tuple,
@@ -19,6 +20,11 @@ from trailsum.trails import BudgetExceededError, signed_sum, signed_trails
 
 def graph(n, edges, s, t, marked=()):
     return MarkedDigraph(n, tuple(edges), s, t, frozenset(marked))
+
+
+def class_graphs(stream):
+    """The representatives of a class stream's records, as they are drawn."""
+    return (class_graph(stream.n, record) for record in stream)
 
 
 def _element_shape(mat):
@@ -64,7 +70,7 @@ class TestConversions:
                                                     rng.randint(1, 6), bmax=3))
 
     def test_round_trip_enumerated(self):
-        for g in enumerate_marked_graphs(2, 4, 2):
+        for g in class_graphs(enumerate_marked_graphs(2, 4, 2)):
             assert_reads_back(g)
 
 
@@ -210,7 +216,7 @@ class TestIdentityVerdict:
     @pytest.mark.parametrize("n, m, k", [(2, 2, 5), (3, 2, 5), (2, 3, 6)])
     def test_exhaustive_matches_one_sum_per_class(self, n, m, k):
         checked, witness = 0, None
-        for g in enumerate_marked_graphs(n, k, m):
+        for g in class_graphs(enumerate_marked_graphs(n, k, m)):
             checked += 1
             if signed_sum(g).T != 0:
                 witness = g
@@ -230,7 +236,7 @@ class TestSearchClasses:
         # T once per class over the full stream of all n^2 root pairs.
         stream = enumerate_marked_graphs(n, k, bmax)
         histogram, witness, witness_T, walked, alternating = {}, None, 0, [], 0
-        for g in stream:
+        for g in class_graphs(stream):
             value = signed_sum(g).T
             histogram[value] = histogram.get(value, 0) + 1
             if (g.s, g.t) in ((1, 1), (1, 2)):
@@ -243,23 +249,22 @@ class TestSearchClasses:
                 if stop:
                     break
         found = search_classes(n, k, bmax, stop_on_witness=stop)
-        orbits = len({orbit_key(g) for g in walked})
+        orbits = len({record_orbit_key(class_record(g)) for g in walked})
         assert found == ClassSearch(
             tuple(sorted(histogram.items())), witness, witness_T, stream.yielded,
             stream.skipped_unbalanced, stream.skipped_infeasible,
-            orbits, len(walked) - orbits, alternating, len(walked) + alternating)
-        assert found.orbits + found.reused + found.alternating == found.walked
+            orbits, len(walked) - orbits, alternating)
+        assert found.walked == len(walked) + alternating
 
     @pytest.mark.parametrize("n, k, bmax", [(2, 6, 3), (3, 5, 2), (2, 7, 3)])
     def test_records_decide_as_their_graphs(self, n, k, bmax):
-        # search_classes reads the walk's count records; the graph view of
-        # the same walk (checked against a brute-force stream in
-        # test_digraph) must give the same class, key and law on each.
-        graphs = enumerate_marked_graphs(n, k, bmax)
+        # search_classes reads the walk's count records; each must be the
+        # class of the brute-force stream's graph in its place, and the law
+        # must read the same on the record as on that graph.
         walk = enumerate_marked_graphs(n, k, bmax)
-        for g, record in itertools.zip_longest(graphs, walk.records):
-            assert class_record(g) == record
-            assert record_orbit_key(record) == orbit_key(g)
+        graphs = brute_marked_graphs(n, k, bmax)
+        for record, g in itertools.zip_longest(walk, graphs):
+            assert record == class_record(g)
             assert bridge._repeats_unmarked_type(record) == repeats_unmarked_type(g)
         assert walk.yielded == graphs.yielded > 0
 
@@ -276,11 +281,12 @@ class TestSearchClasses:
         assert (found.orbits, found.walked) == (389, 2684)
         assert 0 < built[0] <= found.orbits + 1
 
-    def test_orbit_key_limit_holds_on_the_count_path(self):
-        # At k = 256 the one class with no repeated unmarked type and no
-        # single count above 255 reaches the orbit key first.
-        with pytest.raises(ValueError, match=f"need k <= {MAX_ORBIT_EDGES}"):
-            search_classes(1, 256, 256)
+    def test_count_path_runs_past_255_edges(self):
+        # At k = 256 two classes reach the orbit key and the trail DP: 256
+        # marked loops, and 255 marked loops with one unmarked.
+        found = search_classes(1, 256, 256)
+        assert (found.classes, found.orbits, found.alternating) == (257, 2, 255)
+        assert found.histogram == ((0, 256), (math.factorial(256), 1))
 
     @pytest.mark.parametrize("n, k, bmax, repeated", [
         (2, 6, 3, 580), (2, 7, 3, 974), (3, 5, 2, 2127)])
@@ -290,7 +296,7 @@ class TestSearchClasses:
         # stand behind it): every class that repeats an unmarked edge type
         # has S = 0.
         seen = 0
-        for g in enumerate_marked_graphs(n, k, bmax):
+        for g in class_graphs(enumerate_marked_graphs(n, k, bmax)):
             if repeats_unmarked_type(g):
                 seen += 1
                 assert sum(sgn * msign for _, sgn, msign in signed_trails(g)) == 0

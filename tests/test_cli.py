@@ -1,3 +1,5 @@
+import math
+import os
 import re
 import subprocess
 import sys
@@ -9,8 +11,8 @@ import pytest
 
 from oracles import brute_marked_graphs, brute_signed_sum, repeats_unmarked_type
 from trailsum import bridge, cli
-from trailsum.digraph import (enumerate_marked_graphs, format_graph, make_gn,
-                              parse_graph, search_space)
+from trailsum.digraph import (class_graph, enumerate_marked_graphs, format_graph,
+                              make_gn, parse_graph, search_space)
 from trailsum.trails import signed_sum, signed_trails
 
 
@@ -108,6 +110,24 @@ class TestSignedSumCommand:
         assert code == 3
         assert "cannot read input" in err
 
+    def test_file_that_is_not_utf8_exits_3(self, capsys, tmp_path):
+        path = tmp_path / "latin1.graph"
+        path.write_bytes("n 1 s 1 t 1\n1 1 0  # \xe9\n".encode("latin-1"))
+        code, out, err = run(capsys, ["signed-sum", str(path)])
+        assert (code, out) == (3, "")
+        assert err.startswith("cannot read input: 'utf-8' codec can't decode")
+
+    def test_closed_stdout_ends_quietly_with_141(self, tmp_path):
+        # the reader of a long listing stops after one line, as `| head -1` does
+        path = tmp_path / "g3.graph"
+        path.write_text(format_graph(make_gn(3, 3)), encoding="utf-8")
+        proc = cli_process(["signed-sum", str(path), "--list-trails"], stdout=subprocess.PIPE)
+        assert proc.stdout.readline().startswith(b"trail=")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=120), err) == (141, b"")
+
     def test_malformed_file_exits_3(self, capsys, tmp_path):
         path = tmp_path / "bad.graph"
         path.write_text("n 2 s 1 t 2\n1 2\n", encoding="utf-8")
@@ -163,6 +183,13 @@ class TestSignedSumCommand:
             + "S=1 T=1 trails=1\n"
 
 
+def cli_process(argv, stdout):
+    """The CLI started as `python -m trailsum.cli`, with stderr piped."""
+    src = Path(cli.__file__).resolve().parents[1]
+    return subprocess.Popen([sys.executable, "-m", "trailsum.cli", *argv], stdout=stdout,
+                            stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": str(src)})
+
+
 def run_under_rlimit(argv):
     """Run the CLI in a child whose address space is capped at 1 GiB."""
     pytest.importorskip("resource")
@@ -187,6 +214,21 @@ class TestGnCommand:
         assert code == 0 and "expected=16 computed=16" in out
         code, out, _ = run(capsys, ["gn", "--n", "2", "--mbar", "3", "--compute"])
         assert code == 0 and "expected=576 computed=576" in out
+
+    def test_unwritable_emit_path_names_the_write(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "gn.graph"
+        code, out, err = run(capsys, ["gn", "--n", "3", "--mbar", "1", "--emit", str(path)])
+        assert (code, out) == (3, "")
+        assert err.startswith("cannot write output: ") and str(path) in err
+
+    def test_full_stdout_names_the_write(self):
+        if not Path("/dev/full").exists():
+            pytest.skip("no /dev/full")
+        with open("/dev/full", "w") as full:
+            proc = cli_process(["gn", "--n", "3", "--mbar", "1", "--compute"], stdout=full)
+            _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 3
+        assert err.startswith(b"cannot write output: [Errno 28] ")
 
     def test_emit_round_trips(self, capsys, tmp_path):
         path = tmp_path / "gn.graph"
@@ -264,12 +306,25 @@ class TestExhaustiveCommand:
         histogram = [line for line in out.splitlines() if line.startswith("T=")]
         assert len(histogram) == 1 and histogram[0].startswith("T=0 classes=")
 
-    def test_k_past_the_orbit_key_limit_is_usage_error(self, capsys):
-        for k in ("256", "300"):
-            code, out, err = run(capsys, ["exhaustive", "--n", "1", "--k", k, "--bmax", "0"])
-            assert code == 1
-            assert out == ""
-            assert err.startswith("usage error: ")
+    def test_k_past_255_is_searched(self, capsys):
+        code, out, _ = run(capsys, ["exhaustive", "--n", "1", "--k", "256", "--bmax", "0"])
+        assert code == 0
+        assert out.splitlines()[1:] == ["T=0 classes=1",
+                                        "classes=1 skipped_unbalanced=0 skipped_infeasible=0"]
+        code, out, err = run(capsys, ["exhaustive", "--n", "1", "--k", "0", "--bmax", "0"])
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: ")
+
+    def test_prints_T_past_the_default_digit_limit(self, capsys):
+        # T = 320! has 665 digits, past the lowest limit Python can be set to
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, _ = run(capsys, ["exhaustive", "--n", "1", "--k", "320", "--bmax", "320"])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 0
+        assert f"T={math.factorial(320)} classes=1" in out.splitlines()
 
     def test_largest_one_vertex_class_is_quick(self, capsys):
         # the one class at k=255 is 255 unmarked loops: the search decides it
@@ -340,7 +395,7 @@ def _one_sum_per_class(n, k, bmax, stop, T):
     """The exhaustive report folded over the full class stream, T once per class."""
     stream = enumerate_marked_graphs(n, k, bmax)
     histogram, witness = {}, None
-    for g in stream:
+    for g in (class_graph(n, record) for record in stream):
         value = T(g)
         histogram[value] = histogram.get(value, 0) + 1
         if value and witness is None:
@@ -389,7 +444,7 @@ class TestDistinctRootsWitness:
     @pytest.mark.parametrize("n, m, k", [(2, 2, 5), (3, 2, 5), (3, 0, 4)])
     def test_identity_verdict(self, n, m, k):
         checked, witness = 0, None
-        for g in enumerate_marked_graphs(n, k, m):
+        for g in (class_graph(n, record) for record in enumerate_marked_graphs(n, k, m)):
             checked += 1
             if _loops_between_distinct_roots(g):
                 witness = g

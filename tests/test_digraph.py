@@ -9,16 +9,25 @@ from hypothesis import strategies as st
 
 from oracles import brute_marked_graphs, brute_orbit_ids
 from trailsum import digraph
-from trailsum.digraph import (GraphFormatError, MarkedDigraph,
-                              enumerate_marked_graphs, extend, format_graph,
-                              make_gn, opposite, orbit_key, parse_graph,
-                              random_feasible_graph, search_space, surgery_in,
-                              surgery_out, validate)
+from trailsum.digraph import (GraphFormatError, MarkedDigraph, class_graph,
+                              class_record, enumerate_marked_graphs, extend,
+                              format_graph, make_gn, opposite, parse_graph,
+                              random_feasible_graph, record_orbit_key,
+                              search_space, surgery_in, surgery_out, validate)
 from trailsum.trails import signed_sum
 
 
 def graph(n, edges, s, t, marked=()):
     return MarkedDigraph(n, tuple(edges), s, t, frozenset(marked))
+
+
+def class_graphs(n, k, bmax):
+    """The class stream's representatives, as graphs."""
+    return [class_graph(n, record) for record in enumerate_marked_graphs(n, k, bmax)]
+
+
+def key_of(g):
+    return record_orbit_key(class_record(g))
 
 
 class TestMarkedDigraph:
@@ -187,29 +196,29 @@ class TestSurgeries:
 
 class TestEnumeration:
     def test_one_vertex_two_loops_unmarked(self):
-        classes = list(enumerate_marked_graphs(1, 2, 0))
+        classes = class_graphs(1, 2, 0)
         assert len(classes) == 1
         g = classes[0]
         assert g.edges == ((1, 1), (1, 1)) and not g.marked
 
     def test_one_vertex_two_loops_bmax2(self):
-        classes = list(enumerate_marked_graphs(1, 2, 2))
+        classes = class_graphs(1, 2, 2)
         assert len(classes) == 3
         assert sorted(len(g.marked) for g in classes) == [0, 1, 2]
 
     def test_all_yielded_graphs_feasible(self):
         stream = enumerate_marked_graphs(2, 4, 2)
         count = 0
-        for g in stream:
+        for record in stream:
             count += 1
-            assert validate(g).feasible
+            assert validate(class_graph(2, record)).feasible
         assert count == stream.yielded > 0
         assert stream.skipped_unbalanced > 0
         assert stream.skipped_infeasible > 0
 
     def test_no_duplicate_canonical_keys(self):
         seen = set()
-        for g in enumerate_marked_graphs(2, 3, 1):
+        for g in class_graphs(2, 3, 1):
             key = (tuple(sorted((u, v, i in g.marked)
                                 for i, (u, v) in enumerate(g.edges, start=1))), g.s, g.t)
             assert key not in seen
@@ -230,7 +239,7 @@ class TestEnumeration:
         fast = enumerate_marked_graphs(n, k, bmax)
         brute = brute_marked_graphs(n, k, bmax)
         for a, b in itertools.zip_longest(fast, brute):
-            assert a == b
+            assert class_graph(n, a) == b
             assert counters(fast) == counters(brute)
         assert counters(fast) == counters(brute)
         assert fast.yielded > 0
@@ -249,8 +258,8 @@ class TestEnumeration:
             brute = brute_marked_graphs(n, k, bmax, [(s, t)])
             histogram = collections.Counter()
             for a, b in itertools.zip_longest(fast, brute):
-                assert a == b
-                histogram[signed_sum(a).T] += 1
+                assert class_graph(n, a) == b
+                histogram[signed_sum(b).T] += 1
             assert counters(fast) == counters(brute)
             tallies[s == t].add((counters(brute), frozenset(histogram.items())))
         assert len(tallies[True]) == len(tallies[False]) == 1
@@ -291,9 +300,9 @@ class TestOrbitKey:
     @given(st.randoms(use_true_random=False))
     def test_invariant_under_relabelling_and_opposite(self, rng):
         g = random_feasible_graph(rng, rng.randint(1, 4), rng.randint(1, 7), bmax=3)
-        key, T = orbit_key(g), signed_sum(g).T
+        key, T = key_of(g), signed_sum(g).T
         for h in (_relabelled(rng, g), opposite(g), opposite(_relabelled(rng, g))):
-            assert orbit_key(h) == key
+            assert key_of(h) == key
             assert signed_sum(h).T == T
 
     def test_group_acts_on_touched_vertices_only(self, monkeypatch):
@@ -305,17 +314,18 @@ class TestOrbitKey:
 
         monkeypatch.setattr(digraph, "_orbit_maps", small_maps)
         g = graph(9, [(7, 3), (3, 7)], 7, 7, marked=[2])
-        assert orbit_key(g) == orbit_key(graph(9, [(1, 2), (2, 1)], 2, 2, marked=[1]))
-        assert orbit_key(g) != orbit_key(graph(9, [(1, 2), (2, 1)], 2, 2))
+        assert key_of(g) == key_of(graph(9, [(1, 2), (2, 1)], 2, 2, marked=[1]))
+        assert key_of(g) != key_of(graph(9, [(1, 2), (2, 1)], 2, 2))
 
-    def test_too_many_edges(self):
-        with pytest.raises(ValueError):
-            orbit_key(graph(1, [(1, 1)] * 256, 1, 1))
+    def test_keys_tell_loop_counts_past_255_apart(self):
+        keys = {key_of(graph(1, [(1, 1)] * k, 1, 1)) for k in (1, 255, 256, 257, 512)}
+        assert len(keys) == 5
 
     @pytest.mark.parametrize("n, k, bmax", [(2, 6, 3), (3, 5, 2)])
     def test_keys_are_exactly_the_orbits(self, n, k, bmax):
-        classes = list(enumerate_marked_graphs(n, k, bmax))
-        keys = [orbit_key(g) for g in classes]
+        records = list(enumerate_marked_graphs(n, k, bmax))
+        classes = [class_graph(n, record) for record in records]
+        keys = [record_orbit_key(record) for record in records]
         ids = brute_orbit_ids(classes)
         assert len(set(keys)) == len(set(ids)) == len(set(zip(keys, ids)))
         assert len(set(ids)) < len(classes)
@@ -333,6 +343,13 @@ class TestRandomFeasible:
         for _ in range(20):
             g = random_feasible_graph(rng, 2, 3, bmax=0, require_nonloop=True)
             assert any(u != v for u, v in g.edges)
+
+    @pytest.mark.parametrize("n, k", [(2, 0), (1, 3)])
+    def test_require_nonloop_is_refused_where_none_can_be_drawn(self, n, k):
+        rng = random.Random(1)
+        rng.randint = lambda a, b: pytest.fail("drew a graph with no non-loop edge")
+        with pytest.raises(ValueError):
+            random_feasible_graph(rng, n, k, 0, require_nonloop=True)
 
 
 class TestTextFormat:

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from oracles import (brute_filtered_sum, brute_signed_sum, brute_trails,
                      inversion_sign)
-from trailsum.digraph import (MarkedDigraph, enumerate_marked_graphs, extend,
-                              make_gn, opposite, random_feasible_graph)
+from trailsum.digraph import (MarkedDigraph, class_graph, enumerate_marked_graphs,
+                              extend, make_gn, opposite, random_feasible_graph)
 from trailsum.trails import (AtPosition, BudgetExceededError, Precedes,
                              Subtrail, enumerate_trails,
                              filtered_signed_sum, invert_permutation, is_trail,
@@ -630,9 +630,9 @@ class TestVanishingFamilies:
         # alternating sums of 2n integer matrix units vanish: every balanced
         # 4-edge graph on 2 vertices has T = 0 with nothing marked
         count = 0
-        for g in enumerate_marked_graphs(2, 4, 0):
+        for record in enumerate_marked_graphs(2, 4, 0):
             count += 1
-            assert signed_sum(g).T == 0
+            assert signed_sum(class_graph(2, record)).T == 0
         assert count > 0
 
     def test_random_unmarked_big_graphs_vanish(self):
