@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import bridge, digraph, trails
-from .digraph import GraphFormatError, MarkedDigraph, enumerate_marked_graphs, make_gn
+from .digraph import GraphFormatError, MarkedDigraph, enumerate_marked_graphs, integer, make_gn
 from .trails import (AtPosition, BudgetExceededError, Precedes, Subtrail, check_constraint,
                      enumerate_trails, filtered_signed_sum, signed_sum, signed_trails)
 
@@ -292,18 +292,18 @@ def parse_constraint(spec: str, g: MarkedDigraph):
                           "(use subtrail:..., precedes:...|..., at:...@...)")
     try:
         if kind == "subtrail":
-            c = Subtrail(tuple(int(x) for x in rest.split(",")))
+            c = Subtrail(tuple(integer(x) for x in rest.split(",")))
         elif kind == "precedes":
             a, sep2, b = rest.partition("|")
             if not sep2:
                 raise ValueError("missing '|'")
-            c = Precedes(tuple(int(x) for x in a.split(",")),
-                         tuple(int(x) for x in b.split(",")))
+            c = Precedes(tuple(integer(x) for x in a.split(",")),
+                         tuple(integer(x) for x in b.split(",")))
         else:
             e, sep2, p = rest.partition("@")
             if not sep2:
                 raise ValueError("missing '@'")
-            c = AtPosition(int(e), int(p))
+            c = AtPosition(integer(e), integer(p))
         check_constraint(g, c)
     except ValueError as exc:
         raise _UsageError(f"bad constraint {spec!r}: {exc}") from None
@@ -407,33 +407,33 @@ def build_parser() -> _Parser:
     p.add_argument("--filter", action="append", default=[], metavar="SPEC",
                    help="constraint: subtrail:3,5,2 | precedes:1,2|4 | at:4@7 "
                         "(repeatable; prints the constrained partial sum)")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=integer, default=DEFAULT_BUDGET)
     p.set_defaults(func=cmd_signed_sum)
 
     p = sub.add_parser("gn", help="emit or verify the lower-bound witness graph")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--mbar", type=int, required=True)
+    p.add_argument("--n", type=integer, required=True)
+    p.add_argument("--mbar", type=integer, required=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--emit", metavar="PATH", help="write the graph file")
     group.add_argument("--compute", action="store_true",
                        help="compare the enumerated sum against the closed form")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=integer, default=DEFAULT_BUDGET)
     p.set_defaults(func=cmd_gn)
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("--suite", required=True, choices=sorted(SUITES))
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--seed", type=integer, default=0)
+    p.add_argument("--budget", type=integer, default=DEFAULT_BUDGET)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("exhaustive",
                        help="walk every marked-graph class and histogram T")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--bmax", type=int, required=True)
+    p.add_argument("--n", type=integer, required=True)
+    p.add_argument("--k", type=integer, required=True)
+    p.add_argument("--bmax", type=integer, required=True)
     p.add_argument("--stop-on-witness", action="store_true")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--max-classes", type=int, default=10 ** 6)
+    p.add_argument("--budget", type=integer, default=DEFAULT_BUDGET)
+    p.add_argument("--max-classes", type=integer, default=10 ** 6)
     p.set_defaults(func=cmd_exhaustive)
     return parser
 
@@ -450,6 +450,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help
         return 0 if exc.code in (None, 0) else 1
     try:
+        if args.budget < 0:
+            raise _UsageError("need --budget >= 0")
         code = args.func(args)
         sys.stdout.flush()      # a closed stdout fails here, not at shutdown
         return code

@@ -504,7 +504,7 @@ def format_graph(g: MarkedDigraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _integer(token: str) -> int:
+def integer(token: str) -> int:
     """An optional sign then ASCII digits (int() also takes '1_0' and non-ASCII digits)."""
     if not (token.isascii() and token.lstrip("+-").isdigit()):
         raise ValueError(f"not an integer: {token!r}")
@@ -524,7 +524,7 @@ def parse_graph(text: str) -> MarkedDigraph:
             if len(tokens) != 6 or tokens[0] != "n" or tokens[2] != "s" or tokens[4] != "t":
                 raise GraphFormatError(lineno, "expected header 'n <n> s <s> t <t>'")
             try:
-                n, s, t = _integer(tokens[1]), _integer(tokens[3]), _integer(tokens[5])
+                n, s, t = integer(tokens[1]), integer(tokens[3]), integer(tokens[5])
             except ValueError:
                 raise GraphFormatError(lineno, "header fields must be integers") from None
             if n < 1:
@@ -535,7 +535,7 @@ def parse_graph(text: str) -> MarkedDigraph:
         if len(tokens) != 3:
             raise GraphFormatError(lineno, "expected edge line '<source> <target> <0|1>'")
         try:
-            u, v = _integer(tokens[0]), _integer(tokens[1])
+            u, v = integer(tokens[0]), integer(tokens[1])
         except ValueError:
             raise GraphFormatError(lineno, "edge endpoints must be integers") from None
         if tokens[2] not in ("0", "1"):

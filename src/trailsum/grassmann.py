@@ -114,7 +114,7 @@ class GrassmannElement:
         clean: dict[int, int] = {}
         if terms:
             limit = 1 << m
-            for mask, coeff in sorted(terms.items()):
+            for mask, coeff in terms.items():
                 if not 0 <= mask < limit:
                     raise ValueError(f"monomial mask {mask} outside algebra on {m} generators")
                 if coeff:

@@ -27,12 +27,14 @@ signs of one trail from scratch and stays the independent route.
 
 The sums do not list trails.  The sign increment of appending edge e after
 the set U of used edges depends on U alone, not on the order inside it, so
-contributions factor through states (U, head).  signed_sum is a forward DP
-with one layer per |U|, in the manner of Held and Karp ("A dynamic
-programming approach to sequencing problems", 1962): each state carries the
-signed weight and the number of trail prefixes reaching it, a layer is
-dropped once the next one is built, and nothing is pruned, since a state
-that cannot be completed just never reaches (all edges, t).  signed_sum
+contributions factor through states (U, head); the walk and both DPs read
+it from one edge table (_out_edges), which lists each edge under its tail
+with the masks of the edges, and of the marked edges, above it.  signed_sum
+is a forward DP with one layer per |U|, in the manner of Held and Karp ("A
+dynamic programming approach to sequencing problems", 1962): each state
+carries the signed weight and the number of trail prefixes reaching it, a
+layer is dropped once the next one is built, and nothing is pruned, since a
+state that cannot be completed just never reaches (all edges, t).  signed_sum
 takes the parallel edges of each type (same endpoints, same mark flag) in
 index order only, so its states are in effect per-type use counts, and
 scales the result by the factorials the swap laws give (see signed_sum).
@@ -163,11 +165,24 @@ def is_trail(g: MarkedDigraph, sigma) -> bool:
 
 # -- enumeration --------------------------------------------------------------
 
-def _out_edges(g: MarkedDigraph) -> dict[int, list[int]]:
-    """Edge indices leaving each touched vertex, ascending."""
-    out: dict[int, list[int]] = {}
-    for i, (u, _) in enumerate(g.edges, start=1):
-        out.setdefault(u, []).append(i)
+def _out_edges(g: MarkedDigraph) -> dict[int, list[tuple[int, int, int, int, int]]]:
+    """The edge table: each tail's edges, ascending, as (e, bit of e, head,
+    above, marked_above).  above masks the edges above e; marked_above masks
+    the marked ones among them when e is marked, and is 0 otherwise.
+
+    Appending e after the used set U flips sgn(sigma) by the parity of
+    U & above and the marked-order sign by that of U & marked_above, so
+    their product by that of U & (above ^ marked_above).
+    """
+    full = (1 << g.k) - 1
+    mmask = 0
+    for j in g.marked:
+        mmask |= 1 << (j - 1)
+    out: dict[int, list[tuple[int, int, int, int, int]]] = {}
+    for e, (u, v) in enumerate(g.edges, start=1):
+        above = full & ~((1 << e) - 1)
+        marked_above = above & mmask if e in g.marked else 0
+        out.setdefault(u, []).append((e, 1 << (e - 1), v, above, marked_above))
     return out
 
 
@@ -207,7 +222,7 @@ class SignedTrailWalk:
     Signs are carried on the stack: appending e after the used set U flips
     sgn(sigma) by the parity of |{j in U : j > e}| and, when e is marked,
     the marked-order sign by the parity of the same count within the marked
-    set; both are one popcount.
+    set; both are one popcount against the masks of the edge table.
 
     An extension step is pruned when some unused edge can no longer be
     reached from the new head (a flood over per-vertex incident-edge
@@ -215,13 +230,15 @@ class SignedTrailWalk:
     The verdict depends only on the target state (used edges, head), so
     each target is flooded once.  The surviving moves of a state, and their
     sign flips, depend only on that state: its first visit stores them in
-    ascending edge order, and revisits only iterate them.  Equal moves of
-    different states are one object.  Each stored state and move is a step
-    of a first visit, so max_nodes bounds the memo too (on G_3 with
-    mbar=3: 1,834 states, 4,462 moves, 40 distinct, for 294,351 steps).
+    ascending edge order, closed by an end entry that charges the
+    candidates pruned after the last move, and revisits only iterate them.
+    Equal entries of different states are one object.  Each stored state
+    and move is a step of a first visit, so max_nodes bounds the memo too
+    (on G_3 with mbar=3: 1,834 states, 4,462 moves and 1,834 end entries,
+    42 distinct, for 294,351 steps).
 
     Single-pass iterator.  ``steps`` counts the extension steps attempted,
-    added move by move as a step-by-step walk counts them, so it is exact
+    added entry by entry as a step-by-step walk counts them, so it is exact
     after every yield, and more than max_nodes steps raise
     BudgetExceededError right after the trails whose last step fits.
     ``floods`` counts the flood memo misses as the floods run; a state's
@@ -251,16 +268,7 @@ class SignedTrailWalk:
         edges = g.edges
         t = g.t
         full = (1 << g.k) - 1
-        mmask = 0
-        for j in g.marked:
-            mmask |= 1 << (j - 1)
-        candidates = {}
-        for u, out in _out_edges(g).items():
-            candidates[u] = []
-            for e in out:
-                above = full & ~((1 << e) - 1)
-                marked_above = above & mmask if e in g.marked else 0
-                candidates[u].append((e, 1 << (e - 1), edges[e - 1][1], above, marked_above))
+        candidates = _out_edges(g)
         incident: dict[int, int] = {}
         for i, (u, v) in enumerate(edges):
             incident[u] = incident.get(u, 0) | 1 << i
@@ -269,16 +277,16 @@ class SignedTrailWalk:
         # edge unreachable, True once it finds none, and the stored moves once
         # the state is first visited.
         memo: dict[int, dict[int, bool | tuple]] = {v: {} for v in incident}
-        shared: dict[tuple, tuple] = {}     # one copy of each distinct move
+        shared: dict[tuple, tuple] = {}     # one copy of each distinct entry
 
         def scan(used, head):
-            """First visit of (used, head): store its viable moves and
-            return (moves, tail steps) for this visit.
+            """First visit of (used, head): store and return its moves.
 
-            Stored: the candidates pruned after the last viable move, then
-            each viable move as (steps since the previous one, itself
+            Each viable move is (steps since the previous one, itself
             included; e; bit of e; head of e; sign flips, bit 0 for sgn and
-            1 for sgn_M).  Only this visit floods.
+            1 for sgn_M), and the end entry (the candidates pruned after the
+            last viable move, 0, 0, 0, 0) closes the list.  Only this visit
+            floods.
             """
             moves = []
             dsteps = 0
@@ -297,27 +305,30 @@ class SignedTrailWalk:
                         continue
                 flip = ((used & above).bit_count() & 1
                         | ((used & marked_above).bit_count() & 1) << 1)
-                move = (dsteps, e, bit, nxt, flip)
-                moves.append(shared.setdefault(move, move))
+                moves.append((dsteps, e, bit, nxt, flip))
                 dsteps = 0
-            memo[head][used] = moves = (dsteps, *moves)
-            it = iter(moves)
-            return it, next(it)
+            moves.append((dsteps, 0, 0, 0, 0))
+            memo[head][used] = moves = tuple(shared.setdefault(m, m) for m in moves)
+            return moves
 
         signs = ((1, 1), (-1, 1), (1, -1), (-1, -1))   # (sgn, sgn_M) by sign bits
         seq = [0] * g.k                 # the trail so far, position = frame depth
         depth, last = 0, g.k - 1
-        # Frames: (moves, tail steps, used edges, sign bits).
-        frames = [(*scan(0, g.s), 0, 0)]
+        # Frames: (moves, used edges, sign bits).
+        frames = [(iter(scan(0, g.s)), 0, 0)]
         steps = 0
         try:
             while frames:
-                it, tail_steps, used, sign = frames[-1]
+                it, used, sign = frames[-1]
                 for dsteps, e, bit, nxt, flip in it:
                     steps += dsteps
                     if steps > max_nodes:
                         steps = max_nodes + 1
                         raise BudgetExceededError(steps, max_nodes)
+                    if not e:           # the end entry
+                        frames.pop()
+                        depth -= 1
+                        break
                     seq[depth] = e
                     if depth == last:
                         self.steps = steps
@@ -327,19 +338,10 @@ class SignedTrailWalk:
                     nused = used | bit
                     stored = memo[nxt][nused]
                     if stored is True:
-                        frames.append((*scan(nused, nxt), nused, sign ^ flip))
-                    else:
-                        moves = iter(stored)
-                        frames.append((moves, next(moves), nused, sign ^ flip))
+                        stored = scan(nused, nxt)
+                    frames.append((iter(stored), nused, sign ^ flip))
                     depth += 1
                     break
-                else:
-                    steps += tail_steps
-                    if steps > max_nodes:
-                        steps = max_nodes + 1
-                        raise BudgetExceededError(steps, max_nodes)
-                    frames.pop()
-                    depth -= 1
         finally:
             self.steps = steps
 
@@ -366,25 +368,6 @@ def enumerate_trails(g: MarkedDigraph, max_nodes: int = DEFAULT_NODE_BUDGET):
 
 
 # -- the layered subset DP ------------------------------------------------------
-
-def _sign_masks(g: MarkedDigraph) -> list[int]:
-    """Entry e: the used edges whose presence flips the sign of appending e.
-
-    Appending e after the used set U contributes (-1)**|{j in U : j > e}|,
-    times (-1)**|{j in U, marked : j > e}| when e is marked; the product is
-    the parity of U restricted to the indices above e, less the marked ones
-    when e itself is marked.
-    """
-    full = (1 << g.k) - 1
-    mmask = 0
-    for j in g.marked:
-        mmask |= 1 << (j - 1)
-    masks = [0]
-    for e in range(1, g.k + 1):
-        above = full & ~((1 << e) - 1)
-        masks.append(above & ~mmask if e in g.marked else above)
-    return masks
-
 
 def _layered_sum(g: MarkedDigraph, moves, max_nodes: int) -> tuple[int, int, int]:
     """Forward DP over trail prefixes, one layer per number of used edges.
@@ -455,7 +438,6 @@ def signed_sum(g: MarkedDigraph, max_nodes: int = DEFAULT_NODE_BUDGET) -> Signed
         return SignedSumReport(ok, ok, ok, 0)
     if not validate(g).feasible:
         return SignedSumReport(0, 0, 0, 0)
-    smask = _sign_masks(g)
     prev = [0]                      # entry e: the bit of the previous edge of e's type
     last = {}                       # type -> (bit of its latest edge, rank of the next)
     S_scale = count_scale = 1       # the m! factors, one factor per edge
@@ -467,8 +449,8 @@ def signed_sum(g: MarkedDigraph, max_nodes: int = DEFAULT_NODE_BUDGET) -> Signed
         count_scale *= rank
         if rank > 1:
             S_scale *= rank if kind[1] else 0       # an unmarked repeat cancels
-    ordered = {head: [(1 << (e - 1) | prev[e], prev[e], g.edges[e - 1][1], smask[e], 0)
-                      for e in out]
+    ordered = {head: [(bit | prev[e], prev[e], nxt, above ^ marked_above, 0)
+                      for e, bit, nxt, above, marked_above in out]
                for head, out in _out_edges(g).items()}
     S, count, nodes = _layered_sum(g, lambda depth, head, forced: ordered.get(head, ()),
                                    max_nodes)
@@ -594,18 +576,13 @@ def filtered_signed_sum(g: MarkedDigraph, constraints,
     if contradictory or not validate(g).feasible:
         return 0
 
-    smask = _sign_masks(g)
     out_edges = _out_edges(g)
 
     def moves(depth, head, forced):
         pos = depth + 1
-        if forced:
-            cands = (forced,) if g.edges[forced - 1][0] == head else ()
-        else:
-            cands = out_edges.get(head, ())
-        return [(1 << (e - 1) | need[e], need[e], g.edges[e - 1][1], smask[e],
-                 succ.get(e, 0))
-                for e in cands if slot.get(pos, e) == e]
+        return [(bit | need[e], need[e], nxt, above ^ marked_above, succ.get(e, 0))
+                for e, bit, nxt, above, marked_above in out_edges.get(head, ())
+                if forced in (0, e) and slot.get(pos, e) == e]
 
     return _layered_sum(g, moves, max_nodes)[0]
 

@@ -136,6 +136,49 @@ def brute_signed_sum(g):
     return total, count
 
 
+def walk_steps(g):
+    """The steps of a plain depth-first trail walk, with no memo.
+
+    From the head, each unused out-edge is a candidate, taken in ascending
+    order and counted as one step; it is pruned when some edge left unused
+    is not weakly reachable, over the unused edges, from the new head or
+    from t.  Returns ([(trail, steps counted at its last move), ...], the
+    final step count).  g must be feasible.
+    """
+    k = g.k
+    found = []
+    steps = 0
+
+    def reachable(unused, head):
+        seen = {head, g.t}
+        grown = True
+        while grown:
+            grown = False
+            for e in unused:
+                u, v = g.edges[e - 1]
+                if (u in seen) != (v in seen):
+                    seen.update((u, v))
+                    grown = True
+        return all(g.edges[e - 1][0] in seen for e in unused)
+
+    def extend(trail, head):
+        nonlocal steps
+        if len(trail) == k:
+            if head == g.t:
+                found.append((tuple(trail), steps))
+            return
+        for e in range(1, k + 1):
+            if e in trail or g.edges[e - 1][0] != head:
+                continue
+            steps += 1
+            nxt = g.edges[e - 1][1]
+            if reachable([j for j in range(1, k + 1) if j not in trail and j != e], nxt):
+                extend(trail + [e], nxt)
+
+    extend([], g.s)
+    return found, steps
+
+
 def _run_offset(per, run):
     """Start of run as a consecutive block of per, found by trying every offset."""
     run = list(run)

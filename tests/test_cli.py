@@ -95,6 +95,15 @@ class TestSignedSumCommand:
             assert code == 1
             assert "usage error" in err
 
+    def test_filter_integers_are_ascii_digits(self, capsys, g2_file):
+        # int() would read these as at:1@1, at:10@1 and subtrail:1,2; the
+        # graph parser rejects such tokens too
+        for spec, token in (("at:1@\u0661", "'\u0661'"), ("at:1_0@1", "'1_0'"),
+                            ("subtrail:1,\uff12", "'\uff12'")):
+            code, out, err = run(capsys, ["signed-sum", g2_file, "--filter", spec])
+            assert (code, out) == (1, "")
+            assert err == f"usage error: bad constraint {spec!r}: not an integer: {token}\n"
+
     def test_out_of_range_filter_is_usage_error_before_any_output(self, capsys, g2_file):
         for spec in ("at:99@1", "at:1@99", "subtrail:1,99", "precedes:1|99",
                      "subtrail:0,1", "precedes:0|1"):
@@ -465,3 +474,22 @@ class TestUsageAndHelp:
         assert run(capsys, ["--help"])[0] == 0
         assert run(capsys, ["signed-sum", "--help"])[0] == 0
         assert run(capsys, ["verify", "--help"])[0] == 0
+
+    def test_negative_budget_is_usage_error(self, capsys, g2_file):
+        for argv in (["signed-sum", g2_file], ["gn", "--n", "2", "--mbar", "1", "--compute"],
+                     ["verify", "--suite", "gn-formulas"],
+                     ["exhaustive", "--n", "2", "--k", "4", "--bmax", "1"]):
+            code, out, err = run(capsys, argv + ["--budget", "-1"])
+            assert (code, out, err) == (1, "", "usage error: need --budget >= 0\n")
+        code, out, _ = run(capsys, ["exhaustive", "--n", "1", "--k", "2", "--bmax", "0",
+                                    "--budget", "0"])
+        assert (code, out.splitlines()[1]) == (0, "T=0 classes=1")
+
+    def test_numeric_options_are_ascii_digits(self, capsys):
+        for argv, option, token in (
+                (["gn", "--n", "\u0663", "--mbar", "1", "--compute"], "--n", "'\u0663'"),
+                (["exhaustive", "--n", "2", "--k", "1_0", "--bmax", "1"], "--k", "'1_0'"),
+                (["verify", "--suite", "swan", "--seed", "\u0667"], "--seed", "'\u0667'")):
+            code, out, err = run(capsys, argv)
+            assert (code, out) == (1, "")
+            assert err == f"usage error: argument {option}: invalid integer value: {token}\n"

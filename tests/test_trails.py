@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (brute_filtered_sum, brute_signed_sum, brute_trails,
-                     inversion_sign)
+                     inversion_sign, walk_steps)
 from trailsum.digraph import (MarkedDigraph, class_graph, enumerate_marked_graphs,
                               extend, make_gn, opposite, random_feasible_graph)
 from trailsum.trails import (AtPosition, BudgetExceededError, Precedes,
@@ -146,6 +146,14 @@ class TestSignedTrails:
             assert got == [(per, inversion_sign(per),
                             inversion_sign([e for e in per if e in marked]))
                            for per in sorted(brute_trails(g))]
+
+    def test_steps_match_a_plain_walk(self):
+        # the memoized walk charges each trail, and the whole walk, exactly
+        # the steps a depth-first walk with no memo counts
+        graphs = [g for g, _ in random_graphs(28, 60, k_max=6, bmax=4)]
+        for g in graphs + [make_gn(2, 2), make_gn(3, 2)]:
+            walk = signed_trails(g)
+            assert ([(t, walk.steps) for t, _, _ in walk], walk.steps) == walk_steps(g)
 
     def test_witness_graph_counts_and_budget(self):
         # G_3 mbar=3: 51,840 trails, 294,351 extension steps, 1,981 states
