@@ -24,6 +24,8 @@ from .digraph import (ClassRecord, MarkedDigraph, class_graph,
 from .grassmann import GrassmannElement, GrassmannMatrix, standard_polynomial_row
 from .trails import DEFAULT_NODE_BUDGET, signed_sum
 
+DEFAULT_MAX_CLASSES = 10 ** 6      # search_classes' guard on the search space
+
 
 def graph_matrices(g: MarkedDigraph) -> list[GrassmannMatrix]:
     """The simplified set of g: one basis matrix per edge, in edge order.
@@ -58,17 +60,13 @@ def cross_check(g: MarkedDigraph, max_nodes: int = DEFAULT_NODE_BUDGET) -> Cross
     """
     entry = standard_polynomial_row(graph_matrices(g), g.s, max_nodes=max_nodes)[g.t - 1]
     rep = signed_sum(g, max_nodes=max_nodes)
-    ell = len(g.marked)
-    if entry.is_zero():
-        return CrossCheckReport(entry, rep.S, rep.T, rep.T == 0, 0)
-    if rep.T == 0:
-        return CrossCheckReport(entry, rep.S, rep.T, False, 0)
-    target = GrassmannElement.monomial(ell, range(1, ell + 1), rep.T)
-    if entry == target:
-        return CrossCheckReport(entry, rep.S, rep.T, True, 1)
-    if entry == -target:
-        return CrossCheckReport(entry, rep.S, rep.T, True, -1)
-    return CrossCheckReport(entry, rep.S, rep.T, False, 0)
+    sign = 0
+    if rep.T and not entry.is_zero():
+        ell = len(g.marked)
+        target = GrassmannElement.monomial(ell, range(1, ell + 1), rep.T)
+        sign = 1 if entry == target else -1 if entry == -target else 0
+    agrees = sign != 0 if rep.T else entry.is_zero()
+    return CrossCheckReport(entry, rep.S, rep.T, agrees, sign)
 
 
 @dataclass(frozen=True)
@@ -106,7 +104,7 @@ class ClassSearch:
 
 def search_classes(n: int, k: int, bmax: int, stop_on_witness: bool = False,
                    max_nodes: int = DEFAULT_NODE_BUDGET,
-                   max_classes: int = 10 ** 6) -> ClassSearch:
+                   max_classes: int = DEFAULT_MAX_CLASSES) -> ClassSearch:
     """T over every class of n-vertex, k-edge graphs with at most bmax marks.
 
     Refuses, with ValueError, a search space (``search_space``) larger than

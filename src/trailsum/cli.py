@@ -25,8 +25,6 @@ from .digraph import GraphFormatError, MarkedDigraph, enumerate_marked_graphs, i
 from .trails import (AtPosition, BudgetExceededError, Precedes, Subtrail, check_constraint,
                      enumerate_trails, filtered_signed_sum, signed_sum, signed_trails)
 
-DEFAULT_BUDGET = trails.DEFAULT_NODE_BUDGET
-
 
 class _UsageError(Exception):
     pass
@@ -373,8 +371,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_exhaustive(args) -> int:
-    if args.n < 1 or args.k < 1 or args.bmax < 0:
-        raise _UsageError("need --n >= 1, --k >= 1 and --bmax >= 0")
+    if args.n < 1 or args.k < 1 or args.bmax < 0 or args.max_classes < 0:
+        raise _UsageError("need --n >= 1, --k >= 1, --bmax >= 0 and --max-classes >= 0")
     start = time.perf_counter()
     try:
         found = bridge.search_classes(args.n, args.k, args.bmax, args.stop_on_witness,
@@ -407,7 +405,7 @@ def build_parser() -> _Parser:
     p.add_argument("--filter", action="append", default=[], metavar="SPEC",
                    help="constraint: subtrail:3,5,2 | precedes:1,2|4 | at:4@7 "
                         "(repeatable; prints the constrained partial sum)")
-    p.add_argument("--budget", type=integer, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=integer, default=trails.DEFAULT_NODE_BUDGET)
     p.set_defaults(func=cmd_signed_sum)
 
     p = sub.add_parser("gn", help="emit or verify the lower-bound witness graph")
@@ -417,13 +415,13 @@ def build_parser() -> _Parser:
     group.add_argument("--emit", metavar="PATH", help="write the graph file")
     group.add_argument("--compute", action="store_true",
                        help="compare the enumerated sum against the closed form")
-    p.add_argument("--budget", type=integer, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=integer, default=trails.DEFAULT_NODE_BUDGET)
     p.set_defaults(func=cmd_gn)
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("--suite", required=True, choices=sorted(SUITES))
     p.add_argument("--seed", type=integer, default=0)
-    p.add_argument("--budget", type=integer, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=integer, default=trails.DEFAULT_NODE_BUDGET)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("exhaustive",
@@ -432,8 +430,8 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=integer, required=True)
     p.add_argument("--bmax", type=integer, required=True)
     p.add_argument("--stop-on-witness", action="store_true")
-    p.add_argument("--budget", type=integer, default=DEFAULT_BUDGET)
-    p.add_argument("--max-classes", type=integer, default=10 ** 6)
+    p.add_argument("--budget", type=integer, default=trails.DEFAULT_NODE_BUDGET)
+    p.add_argument("--max-classes", type=integer, default=bridge.DEFAULT_MAX_CLASSES)
     p.set_defaults(func=cmd_exhaustive)
     return parser
 

@@ -259,11 +259,10 @@ class SignedTrailWalk:
         return next(self._it)
 
     def _walk(self, g: MarkedDigraph, max_nodes: int):
-        if g.k == 0:
-            if g.s == g.t:
-                yield (), 1, 1
-            return
         if not validate(g).feasible:
+            return
+        if g.k == 0:
+            yield (), 1, 1
             return
         edges = g.edges
         t = g.t
@@ -380,8 +379,15 @@ def _layered_sum(g: MarkedDigraph, moves, max_nodes: int) -> tuple[int, int, int
     Nothing is pruned; a state that cannot be completed just never reaches
     (all edges, t).  Each layer is dropped once the next is built.  Returns
     (signed sum, trail count, states created), and raises
-    BudgetExceededError as soon as the states created pass max_nodes.
+    BudgetExceededError as soon as the states created pass max_nodes.  The
+    trivial graphs run no DP and fit any budget: an infeasible graph gives
+    (0, 0, 0), and the feasible empty graph (s = t) its one empty trail,
+    (1, 1, 0).
     """
+    if not validate(g).feasible:
+        return 0, 0, 0
+    if g.k == 0:
+        return 1, 1, 0
     nodes = 1
     if nodes > max_nodes:
         raise BudgetExceededError(nodes, max_nodes)
@@ -433,11 +439,6 @@ def signed_sum(g: MarkedDigraph, max_nodes: int = DEFAULT_NODE_BUDGET) -> Signed
     count is the ordered count times m! per type.  The result is identical
     to folding trail_signs over enumerate_trails, which stays unreduced.
     """
-    if g.k == 0:
-        ok = int(g.s == g.t)
-        return SignedSumReport(ok, ok, ok, 0)
-    if not validate(g).feasible:
-        return SignedSumReport(0, 0, 0, 0)
     prev = [0]                      # entry e: the bit of the previous edge of e's type
     last = {}                       # type -> (bit of its latest edge, rank of the next)
     S_scale = count_scale = 1       # the m! factors, one factor per edge
@@ -571,9 +572,7 @@ def filtered_signed_sum(g: MarkedDigraph, constraints,
                 contradictory |= succ.setdefault(a, b) != b
         if isinstance(c, Precedes):
             need[c.second[0]] |= 1 << (c.first[-1] - 1)
-    if g.k == 0:
-        return 1 if g.s == g.t else 0
-    if contradictory or not validate(g).feasible:
+    if contradictory:
         return 0
 
     out_edges = _out_edges(g)
@@ -637,10 +636,10 @@ def relabel(g: MarkedDigraph, pi) -> tuple[MarkedDigraph, int]:
 
     Returns the relabelled graph and the exact factor relating the two
     signed sums: S(relabelled) = sign_relation * S(original).  The factor is
-    sgn(pi) times the pattern sign of pi's action on the marked indices;
-    the second factor is +1 whenever pi keeps the marked indices in their
-    original relative order (in particular whenever |marked| <= 1), in which
-    case the relation is plain sgn(pi).
+    sgn(pi) times pi's marked-order sign, marked_order_sign(pi, marked) with
+    pi read as a sequence; the second factor is +1 whenever pi keeps the
+    marked indices in their original relative order (in particular whenever
+    |marked| <= 1), in which case the relation is plain sgn(pi).
     """
     pi = tuple(pi)
     k = g.k
@@ -648,10 +647,7 @@ def relabel(g: MarkedDigraph, pi) -> tuple[MarkedDigraph, int]:
         raise ValueError(f"{pi} is not a permutation of 1..{k}")
     new_edges = tuple(g.edges[pi[p] - 1] for p in range(k))
     new_marked = frozenset(p + 1 for p in range(k) if pi[p] in g.marked)
-    sign_relation = sgn_perm(pi)
-    M = g.marked_indices()
-    if len(M) >= 2:
-        sign_relation *= sgn_perm(sigma_M(invert_permutation(pi), M))
+    sign_relation = sgn_perm(pi) * marked_order_sign(pi, g.marked)
     return MarkedDigraph(g.n, new_edges, g.s, g.t, new_marked), sign_relation
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -15,7 +16,7 @@ from trailsum.digraph import (MarkedDigraph, class_graph, class_record,
                               search_space)
 from trailsum.grassmann import (GrassmannElement, simplify_basis_tuple,
                                 standard_polynomial, substitute_generators)
-from trailsum.trails import BudgetExceededError, signed_sum, signed_trails
+from trailsum.trails import BudgetExceededError, relabel, signed_sum, signed_trails
 
 
 def graph(n, edges, s, t, marked=()):
@@ -128,6 +129,26 @@ class TestCrossCheck:
         for _ in range(60):
             g = random_feasible_graph(rng, rng.randint(1, 3), rng.randint(1, 7), bmax=3)
             assert cross_check(g).agrees
+
+    def test_relabelled_witness_has_negative_sign(self):
+        # an unmarked transposition of G_2 flips S to -4
+        g, sign = relabel(make_gn(2, 1), (1, 2, 4, 3, 5))
+        rep = cross_check(g)
+        assert (sign, rep.S, rep.T, rep.agrees, rep.observed_sign) == (-1, -4, 4, True, -1)
+        assert rep.lhs_entry == GrassmannElement.monomial(2, [1, 2], -4)
+
+    @pytest.mark.parametrize("g", [
+        pytest.param(make_gn(2, 1), id="entry-4v1v2-against-T5"),
+        pytest.param(graph(2, [(1, 2), (2, 1), (1, 1), (2, 2)], 1, 1),
+                     id="vanishing-entry-against-T1")])
+    def test_disagreement_is_reported(self, monkeypatch, g):
+        def off_by_one(g, max_nodes):
+            rep = signed_sum(g, max_nodes=max_nodes)
+            return dataclasses.replace(rep, T=rep.T + 1)
+        entry = cross_check(g).lhs_entry
+        monkeypatch.setattr(bridge, "signed_sum", off_by_one)
+        rep = cross_check(g)
+        assert (rep.lhs_entry, rep.agrees, rep.observed_sign) == (entry, False, 0)
 
     def test_budget_bounds_both_sides(self):
         # G_2 mbar=1: the trail DP creates 22 states and row s of the

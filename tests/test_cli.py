@@ -374,6 +374,16 @@ class TestExhaustiveCommand:
         assert code == 1
         assert "guard" in err
 
+    def test_negative_guard_is_usage_error(self, capsys):
+        argv = ["exhaustive", "--n", "2", "--k", "4", "--bmax", "1", "--max-classes"]
+        code, out, err = run(capsys, argv + ["-1"])
+        assert (code, out) == (1, "")
+        assert err == ("usage error: need --n >= 1, --k >= 1, --bmax >= 0 "
+                       "and --max-classes >= 0\n")
+        code, out, err = run(capsys, argv + ["0"])
+        assert (code, out) == (1, "")
+        assert "guard of 0" in err
+
     @pytest.mark.parametrize("n, k, bmax, stop", [
         pytest.param(n, k, bmax, stop, id=f"{n}-{k}-{bmax}" + ("-stop" if stop else ""))
         for n, k, bmax, stop in [

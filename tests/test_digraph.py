@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_marked_graphs, brute_orbit_ids
+from oracles import brute_marked_graphs, brute_orbit_ids, brute_trails
 from trailsum import digraph
 from trailsum.digraph import (GraphFormatError, MarkedDigraph, class_graph,
                               class_record, enumerate_marked_graphs, extend,
@@ -87,6 +87,24 @@ class TestValidate:
                 assert validate(graph(50, edges, s, t, marked)) == prof
                 seen.add(prof)
         assert len(seen) == 5       # every reachable combination of the flags
+
+    def test_matches_brute_force(self):
+        # seeded random multisets at every root pair, feasible or not
+        rng = random.Random(19)
+        seen = collections.Counter()
+        for _ in range(60):
+            n, k = rng.randint(1, 3), rng.randint(0, 6)
+            edges = [(rng.randint(1, n), rng.randint(1, n)) for _ in range(k)]
+            marked = [i for i in range(1, k + 1) if rng.random() < 0.3]
+            for s, t in itertools.product(range(1, n + 1), repeat=2):
+                g = graph(n, edges, s, t, marked)
+                prof = validate(g)
+                outdeg = collections.Counter(u for u, _ in edges) + collections.Counter([t])
+                indeg = collections.Counter(v for _, v in edges) + collections.Counter([s])
+                assert prof.balanced == (outdeg == indeg)
+                assert prof.feasible == bool(brute_trails(g))
+                seen[prof.balanced, prof.feasible] += 1
+        assert set(seen) == {(False, False), (True, False), (True, True)}
 
     def test_random_feasible_graphs_are_balanced(self):
         rng = random.Random(3)

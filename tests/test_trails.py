@@ -231,8 +231,15 @@ class TestSignedSum:
         assert (r.S, r.T) == (2, 2)
 
     def test_empty_graph_convention(self):
-        assert signed_sum(graph(1, [], 1, 1)).trail_count == 1
-        assert signed_sum(graph(2, [], 1, 2)).trail_count == 0
+        # the trivial graphs run no DP: (S, T, trails, nodes) and the
+        # unfiltered filtered sum on the empty graph with s = t, the empty
+        # graph with s != t and an unbalanced one-edge graph
+        for g, report, filtered in ((graph(1, [], 1, 1), (1, 1, 1, 0), 1),
+                                    (graph(2, [], 1, 2), (0, 0, 0, 0), 0),
+                                    (graph(2, [(1, 2)], 1, 1), (0, 0, 0, 0), 0)):
+            r = signed_sum(g, max_nodes=0)
+            assert (r.S, r.T, r.trail_count, r.nodes) == report
+            assert filtered_signed_sum(g, [], max_nodes=0) == filtered
 
     def test_matches_brute_force(self):
         for g, _ in random_graphs(23, 60, k_max=6):
