@@ -142,8 +142,8 @@ class TestCrossCheck:
         pytest.param(graph(2, [(1, 2), (2, 1), (1, 1), (2, 2)], 1, 1),
                      id="vanishing-entry-against-T1")])
     def test_disagreement_is_reported(self, monkeypatch, g):
-        def off_by_one(g, max_nodes):
-            rep = signed_sum(g, max_nodes=max_nodes)
+        def off_by_one(h, max_nodes):
+            rep = signed_sum(h, max_nodes=max_nodes)
             return dataclasses.replace(rep, T=rep.T + 1)
         entry = cross_check(g).lhs_entry
         monkeypatch.setattr(bridge, "signed_sum", off_by_one)
