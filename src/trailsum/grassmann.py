@@ -115,6 +115,8 @@ class GrassmannElement:
         if terms:
             limit = 1 << m
             for mask, coeff in terms.items():
+                if not (isinstance(mask, int) and isinstance(coeff, int)):
+                    raise TypeError(f"term {mask!r}: {coeff!r} is not a pair of ints")
                 if not 0 <= mask < limit:
                     raise ValueError(f"monomial mask {mask} outside algebra on {m} generators")
                 if coeff:

@@ -27,23 +27,18 @@ signs of one trail from scratch and stays the independent route.
 
 The sums do not list trails.  The sign increment of appending edge e after
 the set U of used edges depends on U alone, not on the order inside it, so
-contributions factor through states (U, head); the walk and both DPs read
-it from one edge table (_out_edges), which lists each edge under its tail
-with the masks of the edges, and of the marked edges, above it.  signed_sum
-is a forward DP with one layer per |U|, in the manner of Held and Karp ("A
-dynamic programming approach to sequencing problems", 1962): each state
-carries the signed weight and the number of trail prefixes reaching it, a
-layer is dropped once the next one is built, and nothing is pruned, since a
-state that cannot be completed just never reaches (all edges, t).  signed_sum
-takes the parallel edges of each type (same endpoints, same mark flag) in
-index order only, so its states are in effect per-type use counts, and
-scales the result by the factorials the swap laws give (see signed_sum).
-filtered_signed_sum runs the same DP unreduced, since a constraint that
-names one edge of a type breaks that symmetry, with its constraints as
-state: a position is a check on |U|, consecutive runs become a forced next
-edge in the state, and the order of two runs is a check on U.  The listing
-walk and trail_signs stay unreduced too.  Both routes are exact and are
-cross-checked in the tests.
+contributions factor through states (U, head); the walk and the DP read it
+from one edge table (_out_edges).  signed_sum and filtered_signed_sum are
+one forward DP (_layered_sum) with one layer per |U|, in the manner of Held
+and Karp ("A dynamic programming approach to sequencing problems", 1962):
+each state carries the signed weight and the number of trail prefixes
+reaching it, a layer is dropped once the next one is built, and nothing is
+pruned.  A constraint is a check on |U| (a position), a forced next edge in
+the state (a consecutive run) or a check on U (the order of two runs).  The
+parallel edges of each type (same endpoints, same mark flag) that no
+constraint names are taken in index order only, and the result is scaled by
+the factorials the swap laws give.  The listing walk and trail_signs stay
+unreduced.  Both routes are exact and are cross-checked in the tests.
 """
 
 from __future__ import annotations
@@ -167,12 +162,14 @@ def is_trail(g: MarkedDigraph, sigma) -> bool:
 
 def _out_edges(g: MarkedDigraph) -> dict[int, list[tuple[int, int, int, int, int]]]:
     """The edge table: each tail's edges, ascending, as (e, bit of e, head,
-    above, marked_above).  above masks the edges above e; marked_above masks
-    the marked ones among them when e is marked, and is 0 otherwise.
+    sign mask, marked_above).  marked_above masks the marked edges above e
+    when e is marked, and is 0 otherwise; the sign mask masks the edges above
+    e less those, that is, above ^ marked_above.
 
-    Appending e after the used set U flips sgn(sigma) by the parity of
-    U & above and the marked-order sign by that of U & marked_above, so
-    their product by that of U & (above ^ marked_above).
+    Appending e after the used set U flips the marked-order sign by the
+    parity of U & marked_above and the product sgn(sigma) * marked-order
+    sign by that of U & sign mask.  The DP reads the sign mask alone, and
+    its rows hold the table's own mask objects, so each is stored once.
     """
     full = (1 << g.k) - 1
     mmask = 0
@@ -180,9 +177,12 @@ def _out_edges(g: MarkedDigraph) -> dict[int, list[tuple[int, int, int, int, int
         mmask |= 1 << (j - 1)
     out: dict[int, list[tuple[int, int, int, int, int]]] = {}
     for e, (u, v) in enumerate(g.edges, start=1):
-        above = full & ~((1 << e) - 1)
-        marked_above = above & mmask if e in g.marked else 0
-        out.setdefault(u, []).append((e, 1 << (e - 1), v, above, marked_above))
+        sign_mask = full & ~((1 << e) - 1)
+        marked_above = 0
+        if e in g.marked:
+            marked_above = sign_mask & mmask
+            sign_mask ^= marked_above
+        out.setdefault(u, []).append((e, 1 << (e - 1), v, sign_mask, marked_above))
     return out
 
 
@@ -219,10 +219,10 @@ class SignedTrailWalk:
     trail position on an explicit stack (so trail length is not bounded by
     the recursion limit), taking candidate edges in ascending index order.
 
-    Signs are carried on the stack: appending e after the used set U flips
-    sgn(sigma) by the parity of |{j in U : j > e}| and, when e is marked,
-    the marked-order sign by the parity of the same count within the marked
-    set; both are one popcount against the masks of the edge table.
+    Signs are carried on the stack as two bits: one for the product
+    sgn(sigma) * marked-order sign and one for the marked-order sign, which
+    the edge table's two masks flip by one popcount each.  A 4-entry table
+    maps the bits back to the pair yielded.
 
     An extension step is pruned when some unused edge can no longer be
     reached from the new head (a flood over per-vertex incident-edge
@@ -282,14 +282,14 @@ class SignedTrailWalk:
             """First visit of (used, head): store and return its moves.
 
             Each viable move is (steps since the previous one, itself
-            included; e; bit of e; head of e; sign flips, bit 0 for sgn and
-            1 for sgn_M), and the end entry (the candidates pruned after the
-            last viable move, 0, 0, 0, 0) closes the list.  Only this visit
-            floods.
+            included; e; bit of e; head of e; sign flips, bit 0 for
+            sgn * sgn_M and bit 1 for sgn_M), and the end entry (the
+            candidates pruned after the last viable move, 0, 0, 0, 0) closes
+            the list.  Only this visit floods.
             """
             moves = []
             dsteps = 0
-            for e, bit, nxt, above, marked_above in candidates.get(head, ()):
+            for e, bit, nxt, sign_mask, marked_above in candidates.get(head, ()):
                 if used & bit:
                     continue
                 dsteps += 1
@@ -302,7 +302,7 @@ class SignedTrailWalk:
                         ok = known[nused] = _reaches_all(incident, edges, full ^ nused, nxt, t)
                     if not ok:
                         continue
-                flip = ((used & above).bit_count() & 1
+                flip = ((used & sign_mask).bit_count() & 1
                         | ((used & marked_above).bit_count() & 1) << 1)
                 moves.append((dsteps, e, bit, nxt, flip))
                 dsteps = 0
@@ -310,7 +310,8 @@ class SignedTrailWalk:
             memo[head][used] = moves = tuple(shared.setdefault(m, m) for m in moves)
             return moves
 
-        signs = ((1, 1), (-1, 1), (1, -1), (-1, -1))   # (sgn, sgn_M) by sign bits
+        # (sgn, sgn_M) by the sign bits of (sgn * sgn_M, sgn_M)
+        signs = ((1, 1), (-1, 1), (-1, -1), (1, -1))
         seq = [0] * g.k                 # the trail so far, position = frame depth
         depth, last = 0, g.k - 1
         # Frames: (moves, used edges, sign bits).
@@ -368,39 +369,80 @@ def enumerate_trails(g: MarkedDigraph, max_nodes: int = DEFAULT_NODE_BUDGET):
 
 # -- the layered subset DP ------------------------------------------------------
 
-def _layered_sum(g: MarkedDigraph, moves, max_nodes: int) -> tuple[int, int, int]:
-    """Forward DP over trail prefixes, one layer per number of used edges.
+def _layered_sum(g: MarkedDigraph, constraints, max_nodes: int) -> tuple[int, int, int]:
+    """(S, trail count, states created) over the trails of g that satisfy
+    every constraint (see filtered_signed_sum); signed_sum passes none.
 
-    A layer maps (head, forced) to {used edge mask: [signed weight, count]},
-    where ``forced`` is the edge that must come next (0: none).
-    ``moves(depth, head, forced)`` lists the edges that may be appended at
-    trail position depth + 1 as tuples (mask, need, dest, sign mask, next
-    forced): a state with used set U takes the move when U & mask == need.
-    Nothing is pruned; a state that cannot be completed just never reaches
-    (all edges, t).  Each layer is dropped once the next is built.  Returns
-    (signed sum, trail count, states created), and raises
-    BudgetExceededError as soon as the states created pass max_nodes.  The
-    trivial graphs run no DP and fit any budget: an infeasible graph gives
-    (0, 0, 0), and the feasible empty graph (s = t) its one empty trail,
-    (1, 1, 0).
+    A layer maps (head, forced) to {used edge mask U: [signed weight,
+    count]}, where ``forced`` is the edge that must come next (0: none), and
+    is dropped once the next is built.  The parallel edges of each type that
+    no constraint names are taken in index order, so U is in effect a vector
+    of per-type use counts.  Swapping two of them maps satisfying trails to
+    satisfying trails and flips sgn(sigma), and the marked-order sign too
+    when they are marked: S is the ordered sum times m! per marked type of
+    multiplicity m, and 0 when an unmarked type repeats, and the count is
+    the ordered count times m! per type.
+
+    Raises BudgetExceededError as soon as the states created pass max_nodes.
+    The trivial graphs run no DP and fit any budget: an infeasible graph
+    gives (0, 0, 0), and the feasible empty graph (s = t) (1, 1, 0).
     """
-    if not validate(g).feasible:
+    slot: dict[int, int] = {}     # position -> edge
+    succ: dict[int, int] = {}
+    need = [0] * (g.k + 1)        # edges that must be used before edge e
+    named: set[int] = set()
+    contradictory = False
+    for c in constraints:
+        check_constraint(g, c)
+        if isinstance(c, AtPosition):
+            named.add(c.edge)
+            contradictory |= slot.setdefault(c.position, c.edge) != c.edge
+            continue
+        for run in [c.seq] if isinstance(c, Subtrail) else [c.first, c.second]:
+            named.update(run)
+            for a, b in zip(run, run[1:]):
+                contradictory |= succ.setdefault(a, b) != b
+        if isinstance(c, Precedes):
+            need[c.second[0]] |= 1 << (c.first[-1] - 1)
+    if contradictory or not validate(g).feasible:
         return 0, 0, 0
     if g.k == 0:
         return 1, 1, 0
+
+    # Rows (e, bit of e | need, need, head of e, sign mask, next forced): a
+    # state with used set U takes the row when U & (bit | need) == need.
+    rows = {}
+    S_scale = count_scale = 1       # the m! factors, one factor per edge
+    for tail, out in _out_edges(g).items():
+        last = {}                   # type -> (bit of its latest edge, rank of the next)
+        row = rows[tail] = []
+        for e, bit, dest, sign_mask, _ in out:
+            before = need[e]
+            if e not in named:      # after the previous edge of its type
+                kind = (dest, e in g.marked)
+                before, rank = last.get(kind, (0, 1))
+                last[kind] = (bit, rank + 1)
+                count_scale *= rank
+                if rank > 1:
+                    S_scale *= rank if kind[1] else 0       # an unmarked repeat cancels
+            row.append((e, bit | before if before else bit, before, dest, sign_mask,
+                        succ.get(e, 0)))
+
     nodes = 1
     if nodes > max_nodes:
         raise BudgetExceededError(nodes, max_nodes)
     layer = {(g.s, 0): {0: [1, 1]}}
-    for depth in range(g.k):
+    for pos in range(1, g.k + 1):
         nxt: dict[tuple[int, int], dict[int, list[int]]] = {}
         for (head, forced), states in layer.items():
-            for mask, need, dest, smask, nforced in moves(depth, head, forced):
+            for e, mask, before, dest, sign_mask, nforced in rows.get(head, ()):
+                if forced and forced != e or slot.get(pos, e) != e:
+                    continue
                 target = nxt.setdefault((dest, nforced), {})
                 for used, (w, c) in states.items():
-                    if used & mask != need:
+                    if used & mask != before:
                         continue
-                    if (used & smask).bit_count() & 1:
+                    if (used & sign_mask).bit_count() & 1:
                         w = -w
                     nused = used | mask
                     cur = target.get(nused)
@@ -414,49 +456,23 @@ def _layered_sum(g: MarkedDigraph, moves, max_nodes: int) -> tuple[int, int, int
                         cur[1] += c
         layer = nxt
     w, c = layer.get((g.t, 0), {}).get((1 << g.k) - 1, (0, 0))
-    return w, c, nodes
+    return w * S_scale, c * count_scale, nodes
 
 
 def signed_sum(g: MarkedDigraph, max_nodes: int = DEFAULT_NODE_BUDGET) -> SignedSumReport:
     """Exact signed trail sum S, its absolute value T, and the trail count.
 
-    A forward DP over states (U, head), one layer per |U|, where U is the
-    set of used edges.  The sign increment of placing edge e after U is the
-    parity of |{used indices above e}|, times the same count within the
-    marked set when e is marked; it depends on U alone, so each state holds
-    the signed weight and the number of trail prefixes reaching it.  No
-    branch is pruned: states that cannot be completed contribute nothing.
-    Only two layers are alive at a time.
-
-    The DP is quotiented by parallel edges of one type (same endpoints,
-    same mark flag): edge e may be placed only after the previous edge of
-    its type, so each type is taken in index order and U is in effect a
-    vector of per-type use counts.  Every trail is one ordered trail with
-    its types permuted.  Swapping two marked edges of one type flips both
-    sgn(sigma) and the marked-order sign, and swapping two unmarked ones
-    flips sgn(sigma) alone, so S is the ordered sum times m! per marked
-    type of multiplicity m, and 0 when an unmarked type repeats; the trail
-    count is the ordered count times m! per type.  The result is identical
-    to folding trail_signs over enumerate_trails, which stays unreduced.
+    The unconstrained run of _layered_sum: a forward DP over states (U,
+    head), one layer per |U|, where U is the set of used edges, quotiented
+    by the parallel edges of each type.  The sign increment of placing edge
+    e after U is the parity of |{used indices above e}|, times the same
+    count within the marked set when e is marked; it depends on U alone, so
+    each state holds the signed weight and the number of trail prefixes
+    reaching it.  The result is identical to folding trail_signs over
+    enumerate_trails, which stays unreduced.
     """
-    prev = [0]                      # entry e: the bit of the previous edge of e's type
-    last = {}                       # type -> (bit of its latest edge, rank of the next)
-    S_scale = count_scale = 1       # the m! factors, one factor per edge
-    for e, edge in enumerate(g.edges, start=1):
-        kind = (edge, e in g.marked)
-        bit, rank = last.get(kind, (0, 1))
-        prev.append(bit)
-        last[kind] = (1 << (e - 1), rank + 1)
-        count_scale *= rank
-        if rank > 1:
-            S_scale *= rank if kind[1] else 0       # an unmarked repeat cancels
-    ordered = {head: [(bit | prev[e], prev[e], nxt, above ^ marked_above, 0)
-                      for e, bit, nxt, above, marked_above in out]
-               for head, out in _out_edges(g).items()}
-    S, count, nodes = _layered_sum(g, lambda depth, head, forced: ordered.get(head, ()),
-                                   max_nodes)
-    S *= S_scale
-    return SignedSumReport(S, abs(S), count * count_scale, nodes)
+    S, count, nodes = _layered_sum(g, (), max_nodes)
+    return SignedSumReport(S, abs(S), count, nodes)
 
 
 # -- constrained partial sums -------------------------------------------------
@@ -551,39 +567,14 @@ def filtered_signed_sum(g: MarkedDigraph, constraints,
                         max_nodes: int = DEFAULT_NODE_BUDGET) -> int:
     """Signed sum restricted to trails satisfying every constraint.
 
-    Runs the layered DP of signed_sum with the constraints folded into the
-    moves, without listing trails.  AtPosition admits only its edge at its
-    position, and the runs of Subtrail and Precedes become a successor map:
-    the state carries the forced next edge.  Precedes also lets second[0]
-    be placed only once first[-1] is used.  Contradictory constraints give
-    0, since no edge can be placed twice.
+    The constrained run of signed_sum's DP (see _layered_sum), without
+    listing trails: AtPosition admits only its edge at its position, the
+    runs of Subtrail and Precedes force the next edge, and Precedes also
+    lets second[0] be placed only once first[-1] is used.  Filtered sums are
+    quotiented by the parallel edges no constraint names.  Contradictory
+    constraints give 0, since no edge can be placed twice.
     """
-    slot: dict[int, int] = {}     # position -> edge
-    succ: dict[int, int] = {}
-    need = [0] * (g.k + 1)        # edges that must be used before edge e
-    contradictory = False
-    for c in constraints:
-        check_constraint(g, c)
-        if isinstance(c, AtPosition):
-            contradictory |= slot.setdefault(c.position, c.edge) != c.edge
-            continue
-        for run in [c.seq] if isinstance(c, Subtrail) else [c.first, c.second]:
-            for a, b in zip(run, run[1:]):
-                contradictory |= succ.setdefault(a, b) != b
-        if isinstance(c, Precedes):
-            need[c.second[0]] |= 1 << (c.first[-1] - 1)
-    if contradictory:
-        return 0
-
-    out_edges = _out_edges(g)
-
-    def moves(depth, head, forced):
-        pos = depth + 1
-        return [(bit | need[e], need[e], nxt, above ^ marked_above, succ.get(e, 0))
-                for e, bit, nxt, above, marked_above in out_edges.get(head, ())
-                if forced in (0, e) and slot.get(pos, e) == e]
-
-    return _layered_sum(g, moves, max_nodes)[0]
+    return _layered_sum(g, constraints, max_nodes)[0]
 
 
 # -- parallel-subtrail swap ----------------------------------------------------

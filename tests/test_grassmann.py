@@ -125,6 +125,11 @@ class TestValueContract:
         with pytest.raises(AttributeError):
             setattr(mat, name, getattr(mat, name))
 
+    @pytest.mark.parametrize("terms", [{1: 0.5}, {1.0: 1}])
+    def test_rejects_non_integer_terms(self, terms):
+        with pytest.raises(TypeError):
+            GrassmannElement(1, terms)
+
     def test_equal_terms_give_equal_elements(self):
         x = GrassmannElement(3, {0b011: 2, 0b100: -1, 0: 5})
         same = [GrassmannElement(3, {0: 5, 0b100: -1, 0b011: 2}),

@@ -344,8 +344,8 @@ class TestParallelQuotient:
             unmarked_repeats += any(ids[0] not in g.marked for ids in groups)
             nonzero += S != 0
 
-            # a constraint on one edge of a marked group breaks the symmetry:
-            # the filtered sum stays unreduced
+            # a constraint on one edge of a marked group takes that edge out
+            # of the quotient and leaves the rest of its group in it
             marked_groups = [ids for ids in groups if ids[0] in g.marked]
             if marked_groups and trails:
                 a, b = rng.sample(rng.choice(marked_groups), 2)
@@ -354,6 +354,42 @@ class TestParallelQuotient:
                     assert filtered_signed_sum(g, [c]) == brute_filtered_sum(g, [c]), (g, c)
         # the draw must exercise both kinds of group and nonzero sums
         assert marked_repeats >= 40 and unmarked_repeats >= 20 and nonzero >= 25
+
+    def test_filtered_sums_quotient_the_unnamed_edges(self):
+        # each constraint names one edge a of a group, or a and an edge b
+        # outside it, so the rest of the group stays in the quotient
+        cases = nonzero = cancelled = 0
+        for g, rng in parallel_graphs(62, 80):
+            trails = brute_trails(g)
+            for ids in parallel_groups(g):
+                a = rng.choice(ids)
+                p = rng.choice(trails).index(a) + 1 if trails else rng.randint(1, g.k)
+                cs = [(AtPosition(a, p), {a}), (Subtrail([a]), {a})]
+                others = [e for e in range(1, g.k + 1) if e not in ids]
+                if others:
+                    b = rng.choice(others)
+                    cs += [(c, {a, b}) for c in (Subtrail([a, b]), Precedes([a], [b]),
+                                                 Precedes([b], [a]))]
+                for c, named in cs:
+                    expected = brute_filtered_sum(g, [c])
+                    assert filtered_signed_sum(g, [c]) == expected, (g, c)
+                    repeat = any(len(set(js) - named) > 1 for js in parallel_groups(g)
+                                 if js[0] not in g.marked)
+                    assert not (repeat and expected), (g, c)
+                    cases += 1
+                    nonzero += expected != 0
+                    cancelled += repeat
+        # the draw must exercise nonzero sums and unmarked repeats the
+        # quotient cancels
+        assert (cases, nonzero, cancelled) == (432, 223, 148)
+
+    def test_filtered_budget_counts_quotiented_states(self):
+        g = make_gn(3, 3)
+        assert signed_sum(g).nodes == 400
+        for cs, states, S in (([], 400, 1440), ([AtPosition(7, 3)], 179, 576)):
+            assert filtered_signed_sum(g, cs, max_nodes=states) == S
+            with pytest.raises(BudgetExceededError):
+                filtered_signed_sum(g, cs, max_nodes=states - 1)
 
 
 class TestFilteredSums:
