@@ -464,12 +464,9 @@ def signed_sum(g: MarkedDigraph, max_nodes: int = DEFAULT_NODE_BUDGET) -> Signed
 
     The unconstrained run of _layered_sum: a forward DP over states (U,
     head), one layer per |U|, where U is the set of used edges, quotiented
-    by the parallel edges of each type.  The sign increment of placing edge
-    e after U is the parity of |{used indices above e}|, times the same
-    count within the marked set when e is marked; it depends on U alone, so
-    each state holds the signed weight and the number of trail prefixes
-    reaching it.  The result is identical to folding trail_signs over
-    enumerate_trails, which stays unreduced.
+    by the parallel edges of each type.  Each state holds the signed weight
+    and the number of trail prefixes reaching it.  The result is identical
+    to folding trail_signs over enumerate_trails, which stays unreduced.
     """
     S, count, nodes = _layered_sum(g, (), max_nodes)
     return SignedSumReport(S, abs(S), count, nodes)
