@@ -2,11 +2,10 @@
 finitely generated exterior algebra, and the cross-check tying the two
 together through the standard alternating polynomial."""
 
-from .digraph import (DegreeProfile, GraphFormatError, MarkedDigraph,
-                      enumerate_marked_graphs, extend, format_graph, make_gn,
-                      opposite, parse_graph, random_feasible_graph,
-                      read_graph_file, surgery_in, surgery_out, validate,
-                      write_graph_file)
+from .digraph import (GraphFormatError, MarkedDigraph, enumerate_marked_graphs,
+                      extend, format_graph, make_gn, opposite, parse_graph,
+                      random_feasible_graph, read_graph_file, surgery_in,
+                      surgery_out, validate, write_graph_file)
 from .grassmann import (GrassmannElement, GrassmannMatrix, ShapeError,
                         SimplifiedBasisTuple, mat_mul,
                         simplify_basis_tuple, standard_polynomial,
@@ -22,7 +21,7 @@ from .bridge import (ClassSearch, CrossCheckReport, cross_check,
 
 __all__ = [
     "AtPosition", "BudgetExceededError", "ClassSearch", "CrossCheckReport",
-    "DegreeProfile", "GraphFormatError", "GrassmannElement", "GrassmannMatrix",
+    "GraphFormatError", "GrassmannElement", "GrassmannMatrix",
     "MarkedDigraph", "Precedes", "ShapeError",
     "SignedSumReport", "SimplifiedBasisTuple", "Subtrail",
     "check_constraint", "cross_check", "enumerate_marked_graphs",

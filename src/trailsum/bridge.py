@@ -107,12 +107,13 @@ def search_classes(n: int, k: int, bmax: int, stop_on_witness: bool = False,
                    max_classes: int = DEFAULT_MAX_CLASSES) -> ClassSearch:
     """T over every class of n-vertex, k-edge graphs with at most bmax marks.
 
-    Refuses, with ValueError, a search space (``search_space``) larger than
-    max_classes.  Walks the class records (``MarkedGraphEnumeration``:
-    roots and per-type edge counts) at root pairs (1, 1) and (1, 2) in
-    canonical order and computes T once per orbit under vertex relabelling
-    and reversal, keyed by ``record_orbit_key``; a ``MarkedDigraph`` is
-    built only for an orbit's trail DP and for the witness.  A class whose
+    Refuses, with ValueError, n < 1, k < 1, bmax < 0 and a search space
+    (``search_space``) larger than max_classes.  Walks the class records
+    (``MarkedGraphEnumeration``: roots and per-type edge counts) at root
+    pairs (1, 1) and (1, 2) in canonical order and computes T once per
+    orbit under vertex relabelling and reversal, keyed by
+    ``record_orbit_key``; a ``MarkedDigraph`` is built only for an orbit's
+    trail DP and for the witness.  A class whose
     unmarked edges repeat a type (u, v), a multiplicity of 2 or more in its
     record, has T = 0 with no key and no DP: s_k is alternating, so two
     equal arguments E_(u,v) make it vanish; on the trail side, swapping the
@@ -125,6 +126,8 @@ def search_classes(n: int, k: int, bmax: int, stop_on_witness: bool = False,
     counts are left unscaled and count the full stream's prefix up to the
     witness, itself included.
     """
+    if n < 1 or k < 1 or bmax < 0:
+        raise ValueError("need n, k >= 1 and bmax >= 0")
     space = search_space(n, k, bmax)
     if space > max_classes:
         raise ValueError(

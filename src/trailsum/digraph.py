@@ -74,48 +74,44 @@ class MarkedDigraph:
         return f"n={self.n} s={self.s} t={self.t} edges=" + ",".join(parts)
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
-    """The trail-existence flags of a graph (see ``validate``)."""
-    balanced: bool
-    connected: bool
-    feasible: bool
+def _spans(near: list[int], start: int) -> bool:
+    """Whether a flood from vertex start over the neighbour bitmasks near
+    (bit y of near[x] set when an edge joins x and y) reaches exactly the
+    vertices that have a neighbour, start among them."""
+    seen = todo = 1 << start
+    while todo:
+        x = todo.bit_length() - 1
+        fresh = near[x] & ~seen
+        seen |= fresh
+        todo = (todo ^ (1 << x)) | fresh
+    return seen == functools.reduce(operator.or_, near)
 
 
-def validate(g: MarkedDigraph) -> DegreeProfile:
-    """The necessary-and-sufficient trail-existence flags.
+def validate(g: MarkedDigraph) -> bool:
+    """Whether g has an Eulerian trail from s to t.
 
-    ``balanced`` holds when indeg(v) + [v = s] = outdeg(v) + [v = t] at every
-    vertex; ``connected`` is weak connectivity of the vertices touched by at
-    least one edge; ``feasible`` combines both with the roots being touched,
-    and is exactly the condition for an Eulerian trail from s to t to exist.
-    Only the roots and the touched vertices are visited, so the cost does not
-    grow with n.
+    With edges, that holds exactly when indeg(v) + [v = s] = outdeg(v) +
+    [v = t] at every vertex and a flood from s reaches every vertex on an
+    edge (balance puts t on an edge when t != s); with none, when s = t.
+    The roots and the vertices on edges are numbered 0, 1, ... first, so
+    the cost does not grow with n.
     """
-    net = {g.s: 1}                  # indeg + [v = s] - outdeg - [v = t]
-    net[g.t] = net.get(g.t, 0) - 1
-    adj: dict[int, set[int]] = {}
+    if not g.edges:
+        return g.s == g.t
+    index: dict[int, int] = {}
+    for x in itertools.chain((g.s, g.t), *g.edges):
+        index.setdefault(x, len(index))
+    net = [0] * len(index)          # indeg + [v = s] - outdeg - [v = t]
+    near = [0] * len(index)
+    net[index[g.s]] += 1
+    net[index[g.t]] -= 1
     for u, v in g.edges:
-        net[u] = net.get(u, 0) - 1
-        net[v] = net.get(v, 0) + 1
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    balanced = not any(net.values())
-
-    seen: set[int] = set()
-    stack = list(adj)[:1]           # flood from one touched vertex
-    while stack:
-        x = stack.pop()
-        if x not in seen:
-            seen.add(x)
-            stack.extend(adj[x])
-    connected = len(seen) == len(adj)
-
-    if g.k == 0:
-        feasible = g.s == g.t
-    else:
-        feasible = balanced and connected and g.s in adj and g.t in adj
-    return DegreeProfile(balanced, connected, feasible)
+        i, j = index[u], index[v]
+        net[i] -= 1
+        net[j] += 1
+        near[i] |= 1 << j
+        near[j] |= 1 << i
+    return not any(net) and _spans(near, index[g.s])
 
 
 def make_gn(n: int, mbar: int) -> MarkedDigraph:
@@ -223,9 +219,8 @@ class MarkedGraphEnumeration:
     balance d(v) = indeg + [v = s] - outdeg - [v = t] and cuts a subtree
     when it holds no balanced multiset: some vertex whose outgoing types
     are all behind has d(v) > 0, or the sum of the positive d(v) exceeds
-    the edges left.  It also carries each vertex's neighbours over the
-    picked types, so at a balanced leaf it decides feasibility (both roots
-    touched, touched vertices weakly connected) by one flood.
+    the edges left.  At a balanced leaf it decides feasibility by the rule
+    ``validate`` applies: one flood from s over the picked types.
 
     Iterating the enumeration yields class records (``class_record``) in
     one single pass; ``class_graph`` turns a record into its representative
@@ -272,22 +267,16 @@ class MarkedGraphEnumeration:
             return _bounded_multisets(last - i - unmarked, unmarked, r, beta)
 
         d = [0] * (n + 1)
-        near = [0] * (n + 1)            # neighbour bitmask of each vertex over the picked types
         picked: list[tuple[int, int, int, int]] = []
 
         def feasible() -> bool:
             # A balanced leaf has an Eulerian trail from s to t exactly when
-            # both roots are touched and the touched vertices are weakly
-            # connected.  Balance touches t when t != s, so it is enough that
-            # a flood from s over the neighbour bitmasks reaches exactly the
-            # touched vertices.
-            seen = todo = 1 << s
-            while todo:
-                x = todo.bit_length() - 1
-                fresh = near[x] & ~seen
-                seen |= fresh
-                todo = (todo ^ (1 << x)) | fresh
-            return seen == functools.reduce(operator.or_, near)
+            # a flood from s reaches every vertex on a picked type.
+            near = [0] * (n + 1)
+            for u, v, _, _ in picked:
+                near[u] |= 1 << v
+                near[v] |= 1 << u
+            return _spans(near, s)
 
         def walk(i: int, r: int, beta: int, pos: int):
             # Invariant: the multiset so far can still be balanced and pos is
@@ -299,23 +288,18 @@ class MarkedGraphEnumeration:
                     self.skipped_unbalanced += size(j, r, beta)
                     return
                 u, v, f = types[j]
-                closes = (j + 1) % width == 0   # the last outgoing type of u
                 du, dv = d[u], d[v]
                 # pos without u and v, whose d changes with m below
                 rest_pos = pos - (du if du > 0 else 0) - (dv if dv > 0 else 0)
-                near_u, near_v = near[u], near[v]
-                near[u] |= 1 << v
-                near[v] |= 1 << u
                 for m in range(min(r, beta) if f else r, 0, -1):
                     rest, beta_rest = r - m, beta - m * f
                     if u == v:
-                        dead = pos > rest or (closes and du > 0)
+                        dead = pos > rest
                         new_pos = pos
                     else:
                         new_pos = (rest_pos + (du - m if du > m else 0)
                                    + (dv + m if dv + m > 0 else 0))
-                        dead = (new_pos > rest or (closes and du > m)
-                                or (v < u and dv + m > 0))
+                        dead = new_pos > rest or (v < u and dv + m > 0)
                     if dead:
                         self.skipped_unbalanced += size(j + 1, rest, beta_rest)
                         continue
@@ -332,7 +316,6 @@ class MarkedGraphEnumeration:
                     picked.pop()
                     d[u] += m
                     d[v] -= m
-                near[u], near[v] = near_u, near_v
 
         for s, t in self.roots:
             d[s] += 1
@@ -488,7 +471,7 @@ def random_feasible_graph(rng: random.Random, n: int, k: int, bmax: int,
         if require_nonloop and all(u == v for u, v in edges):
             continue
         g = MarkedDigraph(n, edges, s, t, marked)
-        if validate(g).feasible:
+        if validate(g):
             return g
 
 

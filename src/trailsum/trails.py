@@ -259,7 +259,7 @@ class SignedTrailWalk:
         return next(self._it)
 
     def _walk(self, g: MarkedDigraph, max_nodes: int):
-        if not validate(g).feasible:
+        if not validate(g):
             return
         if g.k == 0:
             yield (), 1, 1
@@ -404,7 +404,7 @@ def _layered_sum(g: MarkedDigraph, constraints, max_nodes: int) -> tuple[int, in
                 contradictory |= succ.setdefault(a, b) != b
         if isinstance(c, Precedes):
             need[c.second[0]] |= 1 << (c.first[-1] - 1)
-    if contradictory or not validate(g).feasible:
+    if contradictory or not validate(g):
         return 0, 0, 0
     if g.k == 0:
         return 1, 1, 0
@@ -490,7 +490,10 @@ def _run_start(seq: tuple[int, ...], sub: tuple[int, ...]) -> int | None:
 
 
 def _check_seq(seq) -> tuple[int, ...]:
-    out = tuple(int(e) for e in seq)
+    out = tuple(seq)
+    for e in out:
+        if not isinstance(e, int):
+            raise TypeError(f"edge indices must be ints, not {e!r}")
     if not out:
         raise ValueError("edge sequence must be nonempty")
     if min(out) < 1:
@@ -535,6 +538,9 @@ class AtPosition:
     position: int
 
     def __post_init__(self):
+        for x in (self.edge, self.position):
+            if not isinstance(x, int):
+                raise TypeError(f"edge index and position must be ints, not {x!r}")
         if self.edge < 1 or self.position < 1:
             raise ValueError("edge index and position must be at least 1")
 

@@ -211,13 +211,44 @@ def brute_filtered_sum(g, constraints):
     return total
 
 
+def trail_flags(g):
+    """(balanced, connected, feasible): the trail-existence rule, spelled out.
+
+    ``balanced`` holds when indeg(v) + [v = s] = outdeg(v) + [v = t] at every
+    vertex; ``connected`` is weak connectivity of the vertices on edges, found
+    by a stack over neighbour sets; ``feasible`` is both with the roots on
+    edges, or s = t when there are no edges, and is exactly the condition
+    for an Eulerian trail from s to t to exist.
+    """
+    net = {g.s: 1}                  # indeg + [v = s] - outdeg - [v = t]
+    net[g.t] = net.get(g.t, 0) - 1
+    adj = {}
+    for u, v in g.edges:
+        net[u] = net.get(u, 0) - 1
+        net[v] = net.get(v, 0) + 1
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    balanced = not any(net.values())
+    seen = set()
+    stack = list(adj)[:1]           # flood from one vertex on an edge
+    while stack:
+        x = stack.pop()
+        if x not in seen:
+            seen.add(x)
+            stack.extend(adj[x])
+    connected = len(seen) == len(adj)
+    if not g.edges:
+        return balanced, connected, g.s == g.t
+    return balanced, connected, balanced and connected and g.s in adj and g.t in adj
+
+
 class _BruteMarkedGraphs:
     """Every multiset of (source, target, marked) triples, built and validated.
 
     The generator body is the package's original enumerator: for each root
     pair (all n^2 of them unless ``roots`` names some) it draws every
     multiset with at most bmax marked edges, builds the graph and lets
-    ``validate`` sort it into the counters.
+    ``trail_flags`` sort it into the counters.
     """
 
     def __init__(self, n, k, bmax, roots=None):
@@ -238,7 +269,7 @@ class _BruteMarkedGraphs:
         return next(self._it)
 
     def _generate(self):
-        from trailsum.digraph import MarkedDigraph, validate
+        from trailsum.digraph import MarkedDigraph
         n, k = self.n, self.k
         types = [(u, v, f) for u in range(1, n + 1) for v in range(1, n + 1) for f in (0, 1)]
         for s, t in self.roots:
@@ -248,11 +279,11 @@ class _BruteMarkedGraphs:
                 edges = tuple((u, v) for u, v, _ in combo)
                 marked = frozenset(i for i, (_, _, f) in enumerate(combo, start=1) if f)
                 g = MarkedDigraph(n, edges, s, t, marked)
-                prof = validate(g)
-                if not prof.balanced:
+                balanced, _, feasible = trail_flags(g)
+                if not balanced:
                     self.skipped_unbalanced += 1
                     continue
-                if not prof.feasible:
+                if not feasible:
                     self.skipped_infeasible += 1
                     continue
                 self.yielded += 1

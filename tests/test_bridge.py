@@ -247,6 +247,13 @@ class TestIdentityVerdict:
 
 
 class TestSearchClasses:
+    @pytest.mark.parametrize("n, k, bmax", [(0, 1, 0), (2000, 0, 1)])
+    def test_rejects_empty_sizes_before_the_guard(self, n, k, bmax):
+        # root_orbits(0) is empty, so n = 0 would give an empty record; the
+        # 4 * 10^6 root pairs at n = 2000 would trip the guard instead
+        with pytest.raises(ValueError, match="need n, k >= 1 and bmax >= 0"):
+            search_classes(n, k, bmax)
+
     @pytest.mark.parametrize("n, k, bmax, stop", [
         pytest.param(n, k, bmax, stop, id=f"{n}-{k}-{bmax}" + ("-stop" if stop else ""))
         for n, k, bmax, stop in [

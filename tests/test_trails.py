@@ -440,6 +440,23 @@ class TestFilteredSums:
         with pytest.raises(TypeError):
             filtered_signed_sum(g, ["subtrail:1"])
 
+    def test_subtrail_rejects_non_integers(self):
+        # int() would make it Subtrail((1, 2))
+        with pytest.raises(TypeError):
+            Subtrail([1.7, 2.9])
+
+    def test_precedes_rejects_non_integers(self):
+        with pytest.raises(TypeError):
+            Precedes(["1"], [2])
+
+    def test_at_position_rejects_non_integers(self):
+        # no layer has position 1.5, so the constraint would be dropped and
+        # the unfiltered 4 returned
+        with pytest.raises(TypeError):
+            filtered_signed_sum(make_gn(2, 1), [AtPosition(1, 1.5)])
+        with pytest.raises(TypeError):
+            AtPosition(1.0, 1)
+
     def test_random_partition_additivity(self):
         for g, rng in random_graphs(26, 30, k_max=6):
             trails = list(enumerate_trails(g))
