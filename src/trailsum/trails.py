@@ -21,9 +21,11 @@ preserving, since balance plus reachability guarantee a completion
 exists).  Which moves survive the prune, and how each flips the two signs,
 depends only on the state (used edges, head), so the first visit of a
 state scans its candidate edges once and stores its successor list; every
-later visit only iterates that list.  Each stored move is a step of a
-first visit, so max_nodes bounds the memo too.  trail_signs recomputes both
-signs of one trail from scratch and stays the independent route.
+later visit only iterates that list.  A state with at most five edges left
+stores its completions instead, so the walk lists them without descending.
+Each stored state is a step of a first visit or lies at most five edges
+below one, so max_nodes bounds the memo too.  trail_signs recomputes both signs of one trail from scratch and stays
+the independent route.
 
 The sums do not list trails.  The sign increment of appending edge e after
 the set U of used edges depends on U alone, not on the order inside it, so
@@ -48,6 +50,7 @@ from dataclasses import dataclass
 from .digraph import MarkedDigraph, extend, surgery_in, surgery_out, validate
 
 DEFAULT_NODE_BUDGET = 10 ** 8
+_TAIL_EDGES = 5                # see SignedTrailWalk
 
 
 class BudgetExceededError(RuntimeError):
@@ -232,19 +235,29 @@ class SignedTrailWalk:
     sign flips, depend only on that state: its first visit stores them in
     ascending edge order, closed by an end entry that charges the
     candidates pruned after the last move, and revisits only iterate them.
-    Equal entries of different states are one object.  Each stored state
-    and move is a step of a first visit, so max_nodes bounds the memo too
-    (on G_3 with mbar=3: 1,834 states, 4,462 moves and 1,834 end entries,
-    42 distinct, for 294,351 steps).
+    Equal moves of different states are one object.
+
+    A tail state, with at most _TAIL_EDGES = 5 edges left, is no frame: its
+    first visit stores its completions, built from its moves and its
+    successors' completions, in the order the walk would reach them.  Each
+    carries the edges left, its sign flips, and the steps a step-by-step
+    walk spends since the previous one, and an end entry holds the steps
+    after the last; every visit adds them entry by entry.  With r edges left
+    a state has at most r! completions, so a list holds at most 120 of at
+    most 5 edges, and the lists are at most the states visited.  On G_3 with
+    mbar=3 the 294,351 steps that list 51,840 trails push 13,346 frames
+    instead of 208,954, and store 1,460 completions in 541 tail lists (12 at
+    most) next to 3,571 moves of 1,292 deeper states.
 
     Single-pass iterator.  ``steps`` counts the extension steps attempted,
     added entry by entry as a step-by-step walk counts them, so it is exact
     after every yield, and more than max_nodes steps raise
     BudgetExceededError right after the trails whose last step fits.
     ``floods`` counts the flood memo misses as the floods run; a state's
-    first visit floods all its candidates at once, so ``floods`` is exact
-    once the walk ends, not after every yield.  Infeasible graphs yield
-    nothing.
+    first visit floods all its candidates at once, and a tail list's first
+    visit its whole subtree, so ``floods`` is exact once the walk ends, and
+    after a budget stop may count states the stopped walk never reached.
+    Infeasible graphs yield nothing.
     """
 
     def __init__(self, g: MarkedDigraph, max_nodes: int = DEFAULT_NODE_BUDGET):
@@ -273,19 +286,20 @@ class SignedTrailWalk:
             incident[u] = incident.get(u, 0) | 1 << i
             incident[v] = incident.get(v, 0) | 1 << i
         # Per head, per used edge mask: False once the flood finds some unused
-        # edge unreachable, True once it finds none, and the stored moves once
-        # the state is first visited.
-        memo: dict[int, dict[int, bool | tuple]] = {v: {} for v in incident}
-        shared: dict[tuple, tuple] = {}     # one copy of each distinct entry
+        # edge unreachable, True once it finds none, and from the state's
+        # first visit its completions (at most _TAIL_EDGES edges left) or its
+        # moves (more left).
+        self._memo = memo = {v: {} for v in incident}
+        shared: dict[tuple, tuple] = {}     # one copy of each distinct move
 
         def scan(used, head):
-            """First visit of (used, head): store and return its moves.
+            """The moves of (used, head), flooding each target not yet known.
 
             Each viable move is (steps since the previous one, itself
             included; e; bit of e; head of e; sign flips, bit 0 for
             sgn * sgn_M and bit 1 for sgn_M), and the end entry (the
             candidates pruned after the last viable move, 0, 0, 0, 0) closes
-            the list.  Only this visit floods.
+            the list.
             """
             moves = []
             dsteps = 0
@@ -307,18 +321,68 @@ class SignedTrailWalk:
                 moves.append((dsteps, e, bit, nxt, flip))
                 dsteps = 0
             moves.append((dsteps, 0, 0, 0, 0))
-            memo[head][used] = moves = tuple(shared.setdefault(m, m) for m in moves)
-            return moves
+            return tuple(shared.setdefault(m, m) for m in moves)
+
+        def complete(used, head):
+            """First visit of a tail state: store and return its completions.
+
+            Each is (steps the step-by-step walk spends before it, since the
+            previous one; the edges left, in trail order; sign flips as in
+            scan), and the end entry (the steps after the last one, (), 0)
+            closes the list.  Built from the state's moves and its
+            successors' completions, so the floods are scan's.
+            """
+            out = []
+            dsteps = 0
+            for d, e, bit, nxt, flip in scan(used, head):
+                dsteps += d
+                if not e:
+                    break
+                nused = used | bit
+                if nused == full:
+                    out.append((dsteps, (e,), flip))
+                    dsteps = 0
+                    continue
+                stored = memo[nxt][nused]
+                if stored is True:
+                    stored = complete(nused, nxt)
+                for d, suffix, f in stored:
+                    dsteps += d
+                    if suffix:
+                        out.append((dsteps, (e,) + suffix, flip ^ f))
+                        dsteps = 0
+            out.append((dsteps, (), 0))
+            memo[head][used] = out = tuple(out)
+            return out
 
         # (sgn, sgn_M) by the sign bits of (sgn * sgn_M, sgn_M)
         signs = ((1, 1), (-1, 1), (-1, -1), (1, -1))
         seq = [0] * g.k                 # the trail so far, position = frame depth
-        depth, last = 0, g.k - 1
-        # Frames: (moves, used edges, sign bits).
-        frames = [(iter(scan(0, g.s)), 0, 0)]
+        depth = 0
+        last = g.k - _TAIL_EDGES - 1    # the depth whose moves reach tail states
+        # Frames: (moves, used edges, sign bits).  A tail state is no frame:
+        # its completions, once pending, are listed in one go.
+        if last < 0:
+            frames, pending = [], (complete(0, g.s), 0, ())
+        else:
+            frames, pending = [(iter(scan(0, g.s)), 0, 0)], None
         steps = 0
         try:
-            while frames:
+            while True:
+                if pending is not None:
+                    stored, sign, prefix = pending
+                    pending = None
+                    for dsteps, suffix, flip in stored:
+                        steps += dsteps
+                        if steps > max_nodes:
+                            steps = max_nodes + 1
+                            raise BudgetExceededError(steps, max_nodes)
+                        if suffix:
+                            self.steps = steps
+                            sg, sm = signs[sign ^ flip]
+                            yield prefix + suffix, sg, sm
+                if not frames:
+                    break
                 it, used, sign = frames[-1]
                 for dsteps, e, bit, nxt, flip in it:
                     steps += dsteps
@@ -330,15 +394,15 @@ class SignedTrailWalk:
                         depth -= 1
                         break
                     seq[depth] = e
-                    if depth == last:
-                        self.steps = steps
-                        sg, sm = signs[sign ^ flip]
-                        yield tuple(seq), sg, sm
-                        continue
                     nused = used | bit
                     stored = memo[nxt][nused]
+                    if depth == last:
+                        if stored is True:
+                            stored = complete(nused, nxt)
+                        pending = stored, sign ^ flip, tuple(seq[:depth + 1])
+                        break
                     if stored is True:
-                        stored = scan(nused, nxt)
+                        memo[nxt][nused] = stored = scan(nused, nxt)
                     frames.append((iter(stored), nused, sign ^ flip))
                     depth += 1
                     break

@@ -9,7 +9,7 @@ from oracles import (brute_filtered_sum, brute_signed_sum, brute_trails,
                      inversion_sign, walk_steps)
 from trailsum.digraph import (MarkedDigraph, class_graph, enumerate_marked_graphs,
                               extend, make_gn, opposite, random_feasible_graph)
-from trailsum.trails import (AtPosition, BudgetExceededError, Precedes,
+from trailsum.trails import (_TAIL_EDGES, AtPosition, BudgetExceededError, Precedes,
                              Subtrail, enumerate_trails,
                              filtered_signed_sum, invert_permutation, is_trail,
                              marked_order_sign, relabel, sgn_perm, sigma_M,
@@ -23,6 +23,27 @@ def graph(n, edges, s, t, marked=()):
 
 def path_graph(k):
     return graph(k + 1, [(i, i + 1) for i in range(1, k + 1)], 1, k + 1)
+
+
+# Either side of the walk's tail depth (_TAIL_EDGES = 5 edges left): G_2 with
+# mbar=1 has k = 5, so its whole listing is one stored list, and a marked loop
+# at its source gives k = 6, whose root is the one state walked frame by frame.
+G2_K6 = graph(2, make_gn(2, 1).edges + ((1, 1),), 1, 2, marked=(1, 2, 6))
+
+
+def assert_budget_stops(g, found, budgets):
+    """Each walk stopped at a budget yields, with the same steps after each
+    trail, exactly the trails of found (walk_steps) whose last step fits."""
+    top = max(budgets)
+    signed = [((t, *trail_signs(g, t)), steps) for t, steps in found if steps <= top]
+    for max_nodes in budgets:
+        stopped = signed_trails(g, max_nodes=max_nodes)
+        got = []
+        with pytest.raises(BudgetExceededError) as info:
+            for item in stopped:
+                got.append((item, stopped.steps))
+        assert got == [(item, steps) for item, steps in signed if steps <= max_nodes]
+        assert info.value.nodes == stopped.steps == max_nodes + 1
 
 
 def random_graphs(seed, count, n_max=3, k_max=6, bmax=3, k_min=1):
@@ -151,19 +172,25 @@ class TestSignedTrails:
         # the memoized walk charges each trail, and the whole walk, exactly
         # the steps a depth-first walk with no memo counts
         graphs = [g for g, _ in random_graphs(28, 60, k_max=6, bmax=4)]
-        for g in graphs + [make_gn(2, 2), make_gn(3, 2)]:
+        for g in graphs + [make_gn(2, 1), G2_K6, make_gn(2, 2), make_gn(3, 2)]:
             walk = signed_trails(g)
             assert ([(t, walk.steps) for t, _, _ in walk], walk.steps) == walk_steps(g)
 
     def test_witness_graph_counts_and_budget(self):
         # G_3 mbar=3: 51,840 trails, 294,351 extension steps, 1,981 states
-        # (used edges, head) flooded
+        # (used edges, head) flooded; 541 tail states store 1,460 completions,
+        # and one with r edges left has at most r! of them
         g = make_gn(3, 3)
         walk = signed_trails(g, max_nodes=294351)
         got = list(walk)
         assert got == [(t, *trail_signs(g, t)) for t in enumerate_trails(g)]
         assert len(got) == 51840
         assert (walk.steps, walk.floods) == (294351, 1981)
+        lists = [(g.k - used.bit_count(), stored) for known in walk._memo.values()
+                 for used, stored in known.items()
+                 if stored not in (True, False) and g.k - used.bit_count() <= _TAIL_EDGES]
+        assert (len(lists), sum(len(stored) - 1 for _, stored in lists)) == (541, 1460)
+        assert all(len(stored) - 1 <= math.factorial(r) for r, stored in lists)
         with pytest.raises(BudgetExceededError):
             list(signed_trails(g, max_nodes=294350))
 
@@ -175,26 +202,45 @@ class TestSignedTrails:
         with pytest.raises(BudgetExceededError):
             list(signed_trails(g, max_nodes=walk.steps - 1))
 
-    @pytest.mark.parametrize("n, mbar, total, sample", [(2, 2, 481, None),
+    @pytest.mark.parametrize("n, mbar, total, sample", [(2, 1, 37, None),
+                                                         (2, 2, 481, None),
                                                          (3, 2, 12179, 60)])
     def test_budget_stop_yields_the_same_prefix(self, n, mbar, total, sample):
         # Every budget below the total (G_2) or a seeded sample (G_3): the
         # stopped walk yields exactly the trails whose last step fits.
         g = make_gn(n, mbar)
-        walk = signed_trails(g)
-        full = [(item, walk.steps) for item in walk]
-        assert walk.steps == total
+        found, steps = walk_steps(g)
+        assert steps == total
         budgets = range(total)
         if sample is not None:
             budgets = random.Random(31).sample(budgets, sample)
-        for max_nodes in budgets:
-            stopped = signed_trails(g, max_nodes=max_nodes)
-            got = []
-            with pytest.raises(BudgetExceededError) as info:
-                for item in stopped:
-                    got.append(item)
-            assert got == [item for item, steps in full if steps <= max_nodes]
-            assert info.value.nodes == stopped.steps == max_nodes + 1
+        assert_budget_stops(g, found, budgets)
+
+    def test_budget_stop_one_frame_above_the_tail_lists(self):
+        found, total = walk_steps(G2_K6)
+        assert total == 124
+        assert_budget_stops(G2_K6, found, range(total))
+
+    def test_budget_stop_inside_a_stored_list(self):
+        # G_3 mbar=3: the trails that share their first k - 5 edges are one
+        # visit of a tail state's stored list.  Among the first 1,800 of the
+        # 18,072 visits, take the first (which builds its list), the first
+        # that reuses a list and six seeded others, and stop at the list's
+        # first entry, at its second, at its last and right after its last.
+        g = make_gn(3, 3)
+        found, _ = walk_steps(g)
+        visits = {}
+        for trail, steps in found:
+            visits.setdefault(trail[:g.k - _TAIL_EDGES], []).append(steps)
+        assert len(visits) == 18072
+        prefixes = list(visits)[:1800]
+        states = [(frozenset(prefix), g.edges[prefix[-1] - 1][1]) for prefix in prefixes]
+        reused = next(i for i, state in enumerate(states) if state in states[:i])
+        steps = [visits[prefix] for prefix in prefixes]
+        budgets = set()
+        for i in [0, reused] + random.Random(41).sample(range(1800), 6):
+            budgets.update((steps[i][0] - 1, steps[i][0], steps[i][-1] - 1, steps[i][-1]))
+        assert_budget_stops(g, found, sorted(budgets))
 
     def test_counters_follow_the_stream(self):
         walk = signed_trails(make_gn(2, 2))
