@@ -44,7 +44,7 @@ class MarkedDigraph:
         object.__setattr__(self, "edges", tuple((u, v) for u, v in self.edges))
         object.__setattr__(self, "marked", frozenset(self.marked))
         for x in itertools.chain((self.n, self.s, self.t), self.marked, *self.edges):
-            if not isinstance(x, int):
+            if type(x) is not int:
                 raise TypeError(f"graph values must be ints, not {x!r}")
         if self.n < 1:
             raise ValueError("vertex count must be at least 1")

@@ -109,13 +109,15 @@ class GrassmannElement:
 
     def __post_init__(self):
         m, terms = self.m, self.terms
+        if type(m) is not int:
+            raise TypeError(f"generator count must be an int, not {m!r}")
         if m < 0:
             raise ValueError("generator count must be nonnegative")
         clean: dict[int, int] = {}
         if terms:
             limit = 1 << m
             for mask, coeff in terms.items():
-                if not (isinstance(mask, int) and isinstance(coeff, int)):
+                if not (type(mask) is int and type(coeff) is int):
                     raise TypeError(f"term {mask!r}: {coeff!r} is not a pair of ints")
                 if not 0 <= mask < limit:
                     raise ValueError(f"monomial mask {mask} outside algebra on {m} generators")

@@ -18,14 +18,13 @@ sigma sequence; enumerate_trails is the same walk without the signs.  The
 walk prunes a step when some unused edge can no longer be reached from the
 new head (a flood over per-vertex incident-edge bitmasks; completeness-
 preserving, since balance plus reachability guarantee a completion
-exists).  Which moves survive the prune, and how each flips the two signs,
-depends only on the state (used edges, head), so the first visit of a
-state scans its candidate edges once and stores its successor list; every
-later visit only iterates that list.  A state with at most five edges left
-stores its completions instead, so the walk lists them without descending.
-Each stored state is a step of a first visit or lies at most five edges
-below one, so max_nodes bounds the memo too.  trail_signs recomputes both signs of one trail from scratch and stays
-the independent route.
+exists).  What a state (used edges, head) contributes depends only on the
+state, so its first visit stores one list, and every visit walks that list
+in one frame: the state's moves, or, with at most five edges left, its
+completions.  Each stored state is a step of a first visit or lies at most
+five edges below one, so max_nodes bounds the memo too.  trail_signs
+recomputes both signs of one trail from scratch and stays the independent
+route.
 
 The sums do not list trails.  The sign increment of appending edge e after
 the set U of used edges depends on U alone, not on the order inside it, so
@@ -105,6 +104,8 @@ def invert_permutation(perm) -> tuple[int, ...]:
     seq = tuple(perm)
     inv = [0] * len(seq)
     for pos, val in enumerate(seq, start=1):
+        if not 1 <= val <= len(seq) or inv[val - 1]:
+            raise ValueError(f"{seq} is not a permutation of 1..{len(seq)}")
         inv[val - 1] = pos
     return tuple(inv)
 
@@ -218,9 +219,9 @@ class SignedTrailWalk:
     """Every Eulerian trail of g with its two signs, in lexicographic order.
 
     Iterating yields ``(trail, sgn(sigma), marked-order sign)``.  The walk
-    extends the trail depth first from the source root, one iterator per
-    trail position on an explicit stack (so trail length is not bounded by
-    the recursion limit), taking candidate edges in ascending index order.
+    extends the trail depth first from the source root on an explicit stack
+    of frames (so trail length is not bounded by the recursion limit),
+    taking candidate edges in ascending index order.
 
     Signs are carried on the stack as two bits: one for the product
     sgn(sigma) * marked-order sign and one for the marked-order sign, which
@@ -231,33 +232,32 @@ class SignedTrailWalk:
     reached from the new head (a flood over per-vertex incident-edge
     bitmasks; balance plus reachability guarantee a completion exists).
     The verdict depends only on the target state (used edges, head), so
-    each target is flooded once.  The surviving moves of a state, and their
-    sign flips, depend only on that state: its first visit stores them in
-    ascending edge order, closed by an end entry that charges the
-    candidates pruned after the last move, and revisits only iterate them.
-    Equal moves of different states are one object.
+    each target is flooded once.
 
-    A tail state, with at most _TAIL_EDGES = 5 edges left, is no frame: its
-    first visit stores its completions, built from its moves and its
-    successors' completions, in the order the walk would reach them.  Each
-    carries the edges left, its sign flips, and the steps a step-by-step
-    walk spends since the previous one, and an end entry holds the steps
-    after the last; every visit adds them entry by entry.  With r edges left
-    a state has at most r! completions, so a list holds at most 120 of at
-    most 5 edges, and the lists are at most the states visited.  On G_3 with
-    mbar=3 the 294,351 steps that list 51,840 trails push 13,346 frames
-    instead of 208,954, and store 1,460 completions in 541 tail lists (12 at
-    most) next to 3,571 moves of 1,292 deeper states.
+    A frame walks its state's stored list, which the state's first visit
+    writes and an end entry closes.  With more than _TAIL_EDGES = 5 edges
+    left the list holds the state's moves in ascending edge order, and a
+    move pushes its target's frame; equal moves of different states are one
+    object.  Otherwise it holds the state's completions, built from its
+    moves and its successors' lists in the order the walk would reach
+    them, and each is yielded.  Every entry, the end entry included,
+    carries the steps a step-by-step walk spends since the previous one.
+    With r edges left a state has at most r! completions, so a list holds
+    at most 120 of at most 5 edges, and the lists are at most the states
+    visited.  On G_3 with mbar=3 the 294,351 steps that list 51,840 trails
+    push 31,418 frames (18,072 of them walk tail lists) instead of the
+    209,114 of a frame per state visit, and store 1,460 completions in 541
+    tail lists (12 at most) next to 3,577 moves of 1,293 deeper states.
 
     Single-pass iterator.  ``steps`` counts the extension steps attempted,
     added entry by entry as a step-by-step walk counts them, so it is exact
     after every yield, and more than max_nodes steps raise
     BudgetExceededError right after the trails whose last step fits.
     ``floods`` counts the flood memo misses as the floods run; a state's
-    first visit floods all its candidates at once, and a tail list's first
-    visit its whole subtree, so ``floods`` is exact once the walk ends, and
-    after a budget stop may count states the stopped walk never reached.
-    Infeasible graphs yield nothing.
+    first visit floods all its candidates, and a tail state's its whole
+    subtree, so ``floods`` is exact once the walk ends, and after a budget
+    stop may count states the stopped walk never reached.  Infeasible
+    graphs yield nothing.
     """
 
     def __init__(self, g: MarkedDigraph, max_nodes: int = DEFAULT_NODE_BUDGET):
@@ -281,27 +281,31 @@ class SignedTrailWalk:
         t = g.t
         full = (1 << g.k) - 1
         candidates = _out_edges(g)
+        moves_to = [None] + [(1 << i, v) for i, (_, v) in enumerate(edges)]  # (bit, head)
         incident: dict[int, int] = {}
         for i, (u, v) in enumerate(edges):
             incident[u] = incident.get(u, 0) | 1 << i
             incident[v] = incident.get(v, 0) | 1 << i
         # Per head, per used edge mask: False once the flood finds some unused
         # edge unreachable, True once it finds none, and from the state's
-        # first visit its completions (at most _TAIL_EDGES edges left) or its
-        # moves (more left).
+        # first visit its stored list.
         self._memo = memo = {v: {} for v in incident}
         shared: dict[tuple, tuple] = {}     # one copy of each distinct move
 
-        def scan(used, head):
-            """The moves of (used, head), flooding each target not yet known.
+        def visit(used, head):
+            """First visit of (used, head): store and return its list.
 
-            Each viable move is (steps since the previous one, itself
-            included; e; bit of e; head of e; sign flips, bit 0 for
-            sgn * sgn_M and bit 1 for sgn_M), and the end entry (the
-            candidates pruned after the last viable move, 0, 0, 0, 0) closes
-            the list.
+            Each entry is (steps a step-by-step walk spends before it, since
+            the previous one; its edges; sign flips, bit 0 for sgn * sgn_M
+            and bit 1 for sgn_M), and the end entry (the steps after the
+            last one, (), 0) closes the list.  With more than _TAIL_EDGES
+            edges left an entry is a move and its edges are one edge index;
+            otherwise it is a completion, built from a move and the target's
+            list, and its edges are the edges left in trail order.  Each
+            candidate's target is flooded once, before its list is built.
             """
-            moves = []
+            tail = g.k - used.bit_count() <= _TAIL_EDGES
+            out = []
             dsteps = 0
             for e, bit, nxt, sign_mask, marked_above in candidates.get(head, ()):
                 if used & bit:
@@ -318,94 +322,54 @@ class SignedTrailWalk:
                         continue
                 flip = ((used & sign_mask).bit_count() & 1
                         | ((used & marked_above).bit_count() & 1) << 1)
-                moves.append((dsteps, e, bit, nxt, flip))
-                dsteps = 0
-            moves.append((dsteps, 0, 0, 0, 0))
-            return tuple(shared.setdefault(m, m) for m in moves)
-
-        def complete(used, head):
-            """First visit of a tail state: store and return its completions.
-
-            Each is (steps the step-by-step walk spends before it, since the
-            previous one; the edges left, in trail order; sign flips as in
-            scan), and the end entry (the steps after the last one, (), 0)
-            closes the list.  Built from the state's moves and its
-            successors' completions, so the floods are scan's.
-            """
-            out = []
-            dsteps = 0
-            for d, e, bit, nxt, flip in scan(used, head):
-                dsteps += d
-                if not e:
-                    break
-                nused = used | bit
-                if nused == full:
+                if not tail:
+                    move = (dsteps, e, flip)
+                    out.append(shared.setdefault(move, move))
+                    dsteps = 0
+                elif nused == full:
                     out.append((dsteps, (e,), flip))
                     dsteps = 0
-                    continue
-                stored = memo[nxt][nused]
-                if stored is True:
-                    stored = complete(nused, nxt)
-                for d, suffix, f in stored:
-                    dsteps += d
-                    if suffix:
-                        out.append((dsteps, (e,) + suffix, flip ^ f))
-                        dsteps = 0
-            out.append((dsteps, (), 0))
+                else:
+                    stored = memo[nxt][nused]
+                    if stored is True:
+                        stored = visit(nused, nxt)
+                    for d, suffix, f in stored:
+                        dsteps += d
+                        if suffix:
+                            out.append((dsteps, (e,) + suffix, flip ^ f))
+                            dsteps = 0
+            end = (dsteps, (), 0)
+            out.append(shared.setdefault(end, end))
             memo[head][used] = out = tuple(out)
             return out
 
         # (sgn, sgn_M) by the sign bits of (sgn * sgn_M, sgn_M)
         signs = ((1, 1), (-1, 1), (-1, -1), (1, -1))
-        seq = [0] * g.k                 # the trail so far, position = frame depth
-        depth = 0
-        last = g.k - _TAIL_EDGES - 1    # the depth whose moves reach tail states
-        # Frames: (moves, used edges, sign bits).  A tail state is no frame:
-        # its completions, once pending, are listed in one go.
-        if last < 0:
-            frames, pending = [], (complete(0, g.s), 0, ())
-        else:
-            frames, pending = [(iter(scan(0, g.s)), 0, 0)], None
+        # Frames: (entries, used edges, sign bits, trail so far, edges left)
+        frames = [(iter(visit(0, g.s)), 0, 0, (), g.k)]
         steps = 0
         try:
-            while True:
-                if pending is not None:
-                    stored, sign, prefix = pending
-                    pending = None
-                    for dsteps, suffix, flip in stored:
-                        steps += dsteps
-                        if steps > max_nodes:
-                            steps = max_nodes + 1
-                            raise BudgetExceededError(steps, max_nodes)
-                        if suffix:
-                            self.steps = steps
-                            sg, sm = signs[sign ^ flip]
-                            yield prefix + suffix, sg, sm
-                if not frames:
-                    break
-                it, used, sign = frames[-1]
-                for dsteps, e, bit, nxt, flip in it:
+            while frames:
+                it, used, sign, trail, left = frames[-1]
+                for dsteps, e, flip in it:
                     steps += dsteps
                     if steps > max_nodes:
                         steps = max_nodes + 1
                         raise BudgetExceededError(steps, max_nodes)
                     if not e:           # the end entry
                         frames.pop()
-                        depth -= 1
                         break
-                    seq[depth] = e
-                    nused = used | bit
-                    stored = memo[nxt][nused]
-                    if depth == last:
+                    if left > _TAIL_EDGES:      # a move: push its target's list
+                        bit, nxt = moves_to[e]
+                        nused = used | bit
+                        stored = memo[nxt][nused]
                         if stored is True:
-                            stored = complete(nused, nxt)
-                        pending = stored, sign ^ flip, tuple(seq[:depth + 1])
+                            stored = visit(nused, nxt)
+                        frames.append((iter(stored), nused, sign ^ flip, trail + (e,), left - 1))
                         break
-                    if stored is True:
-                        memo[nxt][nused] = stored = scan(nused, nxt)
-                    frames.append((iter(stored), nused, sign ^ flip))
-                    depth += 1
-                    break
+                    self.steps = steps
+                    sg, sm = signs[sign ^ flip]
+                    yield trail + e, sg, sm
         finally:
             self.steps = steps
 
@@ -556,7 +520,7 @@ def _run_start(seq: tuple[int, ...], sub: tuple[int, ...]) -> int | None:
 def _check_seq(seq) -> tuple[int, ...]:
     out = tuple(seq)
     for e in out:
-        if not isinstance(e, int):
+        if type(e) is not int:
             raise TypeError(f"edge indices must be ints, not {e!r}")
     if not out:
         raise ValueError("edge sequence must be nonempty")
@@ -603,7 +567,7 @@ class AtPosition:
 
     def __post_init__(self):
         for x in (self.edge, self.position):
-            if not isinstance(x, int):
+            if type(x) is not int:
                 raise TypeError(f"edge index and position must be ints, not {x!r}")
         if self.edge < 1 or self.position < 1:
             raise ValueError("edge index and position must be at least 1")

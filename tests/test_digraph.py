@@ -48,6 +48,8 @@ class TestMarkedDigraph:
         (2, (), 1.5, 1.5, ()),
         (2.0, ((1, 2),), 1, 2, ()),
         (2, ((1, 2),), 1, 2, (1.0,)),
+        # format_graph would write "s True", which parse_graph rejects
+        (2, ((True, 2), (2, 1), (1, 2)), True, 2, ()),
     ])
     def test_rejects_non_integers(self, n, edges, s, t, marked):
         with pytest.raises(TypeError):

@@ -125,10 +125,15 @@ class TestValueContract:
         with pytest.raises(AttributeError):
             setattr(mat, name, getattr(mat, name))
 
-    @pytest.mark.parametrize("terms", [{1: 0.5}, {1.0: 1}])
+    @pytest.mark.parametrize("terms", [{1: 0.5}, {1.0: 1}, {True: 1}, {1: True}])
     def test_rejects_non_integer_terms(self, terms):
         with pytest.raises(TypeError):
             GrassmannElement(1, terms)
+
+    @pytest.mark.parametrize("m", [True, 1.5])
+    def test_rejects_non_integer_generator_count(self, m):
+        with pytest.raises(TypeError):
+            GrassmannElement(m)
 
     def test_equal_terms_give_equal_elements(self):
         x = GrassmannElement(3, {0b011: 2, 0b100: -1, 0: 5})

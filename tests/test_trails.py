@@ -26,8 +26,9 @@ def path_graph(k):
 
 
 # Either side of the walk's tail depth (_TAIL_EDGES = 5 edges left): G_2 with
-# mbar=1 has k = 5, so its whole listing is one stored list, and a marked loop
-# at its source gives k = 6, whose root is the one state walked frame by frame.
+# mbar=1 has k = 5, so its root's frame walks the root's stored completions,
+# and a marked loop at its source gives k = 6, whose root's frame alone walks
+# moves.
 G2_K6 = graph(2, make_gn(2, 1).edges + ((1, 1),), 1, 2, marked=(1, 2, 6))
 
 
@@ -88,6 +89,16 @@ class TestSgnPerm:
         else:
             with pytest.raises(ValueError):
                 sgn_perm(seq)
+
+
+class TestInvertPermutation:
+    def test_rejects_a_repeat(self):
+        with pytest.raises(ValueError):
+            invert_permutation((1, 1))
+
+    def test_rejects_a_value_out_of_range(self):
+        with pytest.raises(ValueError):
+            invert_permutation((0,))
 
 
 class TestSigmaM:
@@ -175,6 +186,15 @@ class TestSignedTrails:
         for g in graphs + [make_gn(2, 1), G2_K6, make_gn(2, 2), make_gn(3, 2)]:
             walk = signed_trails(g)
             assert ([(t, walk.steps) for t, _, _ in walk], walk.steps) == walk_steps(g)
+
+    def test_budget_stops_on_random_graphs(self):
+        # k <= 5 makes the root a tail list, and small graphs reuse lists:
+        # every budget below a walk of at most 20 steps, else a seeded sample
+        rng = random.Random(32)
+        for g, _ in random_graphs(28, 60, k_max=6, bmax=4):
+            found, total = walk_steps(g)
+            budgets = range(total) if total <= 20 else sorted(rng.sample(range(total), 20))
+            assert_budget_stops(g, found, budgets)
 
     def test_witness_graph_counts_and_budget(self):
         # G_3 mbar=3: 51,840 trails, 294,351 extension steps, 1,981 states
@@ -502,6 +522,14 @@ class TestFilteredSums:
             filtered_signed_sum(make_gn(2, 1), [AtPosition(1, 1.5)])
         with pytest.raises(TypeError):
             AtPosition(1.0, 1)
+
+    def test_at_position_rejects_bools(self):
+        with pytest.raises(TypeError):
+            AtPosition(True, 1)
+
+    def test_subtrail_rejects_bools(self):
+        with pytest.raises(TypeError):
+            Subtrail([True])
 
     def test_random_partition_additivity(self):
         for g, rng in random_graphs(26, 30, k_max=6):
