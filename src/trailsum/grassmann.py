@@ -36,6 +36,8 @@ class ShapeError(ValueError):
 def mask_from_indices(indices, m: int) -> int:
     mask = 0
     for i in indices:
+        if type(i) is not int:
+            raise TypeError(f"generator index must be an int, not {i!r}")
         if not 1 <= i <= m:
             raise ValueError(f"generator index {i} outside 1..{m}")
         bit = 1 << (i - 1)
@@ -184,7 +186,7 @@ class GrassmannElement:
         return GrassmannElement(self.m, {k: -v for k, v in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if type(other) is int:
             return GrassmannElement(self.m, {k: v * other for k, v in self.terms.items()})
         if isinstance(other, GrassmannElement):
             self._check(other)
@@ -192,7 +194,7 @@ class GrassmannElement:
         return NotImplemented
 
     def __rmul__(self, other):
-        if isinstance(other, int):
+        if type(other) is int:
             return self * other
         return NotImplemented
 
@@ -252,6 +254,9 @@ class GrassmannMatrix:
     def unit(cls, n: int, m: int, alpha: int, beta: int,
              elem: GrassmannElement | None = None) -> "GrassmannMatrix":
         """The matrix unit E_(alpha,beta), optionally scaled by an element."""
+        for x in (alpha, beta):
+            if type(x) is not int:
+                raise TypeError(f"matrix unit indices must be ints, not {x!r}")
         if not (1 <= alpha <= n and 1 <= beta <= n):
             raise ValueError(f"unit position ({alpha},{beta}) outside 1..{n}")
         z = GrassmannElement.zero(m)
@@ -288,12 +293,12 @@ class GrassmannMatrix:
     def __mul__(self, other):
         if isinstance(other, GrassmannMatrix):
             return mat_mul(self, other)
-        if isinstance(other, (GrassmannElement, int)):
+        if isinstance(other, GrassmannElement) or type(other) is int:
             return GrassmannMatrix(self.n, self.m, [[e * other for e in row] for row in self.rows])
         return NotImplemented
 
     def __rmul__(self, other):
-        if isinstance(other, int):
+        if type(other) is int:
             return self * other
         if isinstance(other, GrassmannElement):
             return GrassmannMatrix(self.n, self.m, [[other * e for e in row] for row in self.rows])

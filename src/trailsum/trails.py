@@ -11,18 +11,9 @@ anticommutation bookkeeping of the marked edges).  The central quantities are
 
 computed exactly with arbitrary-precision integers.
 
-Listing is one depth-first walk (signed_trails) that extends the trail from
-the source root, kept on an explicit stack, taking candidate edges in
-ascending index order, which yields trails in lexicographic order of the
-sigma sequence; enumerate_trails is the same walk without the signs.  The
-walk prunes a step when some unused edge can no longer be reached from the
-new head (a flood over per-vertex incident-edge bitmasks; completeness-
-preserving, since balance plus reachability guarantee a completion
-exists).  What a state (used edges, head) contributes depends only on the
-state, so its first visit stores one list, and every visit walks that list
-in one frame: the state's moves, or, with at most five edges left, its
-completions.  Each stored state is a step of a first visit or lies at most
-five edges below one, so max_nodes bounds the memo too.  trail_signs
+Listing is one depth-first walk (signed_trails, described at
+SignedTrailWalk) that yields trails in lexicographic order of the sigma
+sequence; enumerate_trails is the same walk without the signs.  trail_signs
 recomputes both signs of one trail from scratch and stays the independent
 route.
 
@@ -80,9 +71,18 @@ class SignedSumReport:
 
 # -- permutation helpers -----------------------------------------------------
 
+def _ints(seq, what: str) -> tuple[int, ...]:
+    """seq as a tuple; TypeError unless every entry is an int (not a bool)."""
+    out = tuple(seq)
+    for x in out:
+        if type(x) is not int:
+            raise TypeError(f"{what} must be ints, not {x!r}")
+    return out
+
+
 def sgn_perm(perm) -> int:
     """Parity sign of a permutation of 1..k: (-1)^(k - number of cycles)."""
-    seq = tuple(perm)
+    seq = _ints(perm, "permutation entries")
     k = len(seq)
     seen = [False] * (k + 1)
     for x in seq:
@@ -101,7 +101,7 @@ def sgn_perm(perm) -> int:
 
 
 def invert_permutation(perm) -> tuple[int, ...]:
-    seq = tuple(perm)
+    seq = _ints(perm, "permutation entries")
     inv = [0] * len(seq)
     for pos, val in enumerate(seq, start=1):
         if not 1 <= val <= len(seq) or inv[val - 1]:
@@ -116,9 +116,9 @@ def sigma_M(perm, M) -> tuple[int, ...]:
     For M = {j_1 < ... < j_m} the g-th output is the rank of perm(j_g) among
     perm(j_1), ..., perm(j_m); the result is a permutation of 1..m.
     """
-    seq = tuple(perm)
+    seq = _ints(perm, "permutation entries")
     k = len(seq)
-    Ms = sorted(set(M))
+    Ms = sorted(set(_ints(M, "subset elements")))
     if Ms and not (1 <= Ms[0] and Ms[-1] <= k):
         raise ValueError(f"subset {Ms} is not contained in 1..{k}")
     vals = [seq[j - 1] for j in Ms]
@@ -151,7 +151,7 @@ def trail_signs(g: MarkedDigraph, trail) -> tuple[int, int]:
 
 
 def is_trail(g: MarkedDigraph, sigma) -> bool:
-    seq = tuple(sigma)
+    seq = _ints(sigma, "edge indices")
     if sorted(seq) != list(range(1, g.k + 1)):
         return False
     if g.k == 0:
@@ -234,20 +234,29 @@ class SignedTrailWalk:
     The verdict depends only on the target state (used edges, head), so
     each target is flooded once.
 
-    A frame walks its state's stored list, which the state's first visit
-    writes and an end entry closes.  With more than _TAIL_EDGES = 5 edges
-    left the list holds the state's moves in ascending edge order, and a
-    move pushes its target's frame; equal moves of different states are one
-    object.  Otherwise it holds the state's completions, built from its
-    moves and its successors' lists in the order the walk would reach
-    them, and each is yielded.  Every entry, the end entry included,
-    carries the steps a step-by-step walk spends since the previous one.
+    What a state contributes depends only on the state, so its first visit
+    stores one list, and every visit walks that list in one frame.  An
+    entry is (steps, edges, sign flips), where steps are those a
+    step-by-step walk spends since the previous entry.  With more than
+    _TAIL_EDGES = 5 edges left the entries are the state's moves in
+    ascending edge order: a move's edges are one edge index, and it pushes
+    its target's frame.  Otherwise they are the state's completions, each
+    built from a move and the target's list, in the order the walk would
+    reach them: a completion's edges are the tuple of edges left, and it is
+    yielded.  An end entry, whose edges are None, closes every list and
+    pops its frame.  The finished state (every edge used, head t) is stored
+    before the walk starts, with one empty completion, so the last edge
+    completes a trail as any move into a stored list does, and the empty
+    graph yields its one trail ().
+
     With r edges left a state has at most r! completions, so a list holds
-    at most 120 of at most 5 edges, and the lists are at most the states
-    visited.  On G_3 with mbar=3 the 294,351 steps that list 51,840 trails
-    push 31,418 frames (18,072 of them walk tail lists) instead of the
-    209,114 of a frame per state visit, and store 1,460 completions in 541
-    tail lists (12 at most) next to 3,577 moves of 1,293 deeper states.
+    at most 120 of at most 5 edges.  Equal moves and end entries are one
+    object.  Each stored state is a step of a first visit or lies at most
+    five edges below one, so max_nodes bounds the memo too.  On G_3 with
+    mbar=3 the 294,351 steps that list 51,840 trails push 31,418 frames
+    (18,072 of them walk tail lists), and store 1,460 completions in 541
+    tail lists besides the finished state's (12 at most) next to 3,577
+    moves of 1,293 deeper states.
 
     Single-pass iterator.  ``steps`` counts the extension steps attempted,
     added entry by entry as a step-by-step walk counts them, so it is exact
@@ -274,9 +283,6 @@ class SignedTrailWalk:
     def _walk(self, g: MarkedDigraph, max_nodes: int):
         if not validate(g):
             return
-        if g.k == 0:
-            yield (), 1, 1
-            return
         edges = g.edges
         t = g.t
         full = (1 << g.k) - 1
@@ -290,20 +296,12 @@ class SignedTrailWalk:
         # edge unreachable, True once it finds none, and from the state's
         # first visit its stored list.
         self._memo = memo = {v: {} for v in incident}
+        memo[t] = {full: ((0, (), 0), (0, None, 0))}   # the finished state
         shared: dict[tuple, tuple] = {}     # one copy of each distinct move
 
         def visit(used, head):
-            """First visit of (used, head): store and return its list.
-
-            Each entry is (steps a step-by-step walk spends before it, since
-            the previous one; its edges; sign flips, bit 0 for sgn * sgn_M
-            and bit 1 for sgn_M), and the end entry (the steps after the
-            last one, (), 0) closes the list.  With more than _TAIL_EDGES
-            edges left an entry is a move and its edges are one edge index;
-            otherwise it is a completion, built from a move and the target's
-            list, and its edges are the edges left in trail order.  Each
-            candidate's target is flooded once, before its list is built.
-            """
+            """First visit of (used, head): flood each candidate's target
+            unless known, then store and return the state's list."""
             tail = g.k - used.bit_count() <= _TAIL_EDGES
             out = []
             dsteps = 0
@@ -312,60 +310,55 @@ class SignedTrailWalk:
                     continue
                 dsteps += 1
                 nused = used | bit
-                if nused != full:
-                    known = memo[nxt]
-                    ok = known.get(nused)
-                    if ok is None:
-                        self.floods += 1
-                        ok = known[nused] = _reaches_all(incident, edges, full ^ nused, nxt, t)
-                    if not ok:
-                        continue
+                known = memo[nxt]
+                stored = known.get(nused)
+                if stored is None:
+                    self.floods += 1
+                    stored = known[nused] = _reaches_all(incident, edges, full ^ nused, nxt, t)
+                if not stored:
+                    continue
                 flip = ((used & sign_mask).bit_count() & 1
                         | ((used & marked_above).bit_count() & 1) << 1)
                 if not tail:
                     move = (dsteps, e, flip)
                     out.append(shared.setdefault(move, move))
                     dsteps = 0
-                elif nused == full:
-                    out.append((dsteps, (e,), flip))
-                    dsteps = 0
-                else:
-                    stored = memo[nxt][nused]
-                    if stored is True:
-                        stored = visit(nused, nxt)
-                    for d, suffix, f in stored:
-                        dsteps += d
-                        if suffix:
-                            out.append((dsteps, (e,) + suffix, flip ^ f))
-                            dsteps = 0
-            end = (dsteps, (), 0)
+                    continue
+                if stored is True:
+                    stored = visit(nused, nxt)
+                for d, suffix, f in stored:
+                    dsteps += d
+                    if suffix is not None:
+                        out.append((dsteps, (e,) + suffix, flip ^ f))
+                        dsteps = 0
+            end = (dsteps, None, 0)
             out.append(shared.setdefault(end, end))
             memo[head][used] = out = tuple(out)
             return out
 
         # (sgn, sgn_M) by the sign bits of (sgn * sgn_M, sgn_M)
         signs = ((1, 1), (-1, 1), (-1, -1), (1, -1))
-        # Frames: (entries, used edges, sign bits, trail so far, edges left)
-        frames = [(iter(visit(0, g.s)), 0, 0, (), g.k)]
+        # Frames: (entries, used edges, sign bits, trail so far)
+        frames = [(iter(memo[g.s].get(0) or visit(0, g.s)), 0, 0, ())]
         steps = 0
         try:
             while frames:
-                it, used, sign, trail, left = frames[-1]
+                it, used, sign, trail = frames[-1]
                 for dsteps, e, flip in it:
                     steps += dsteps
                     if steps > max_nodes:
                         steps = max_nodes + 1
                         raise BudgetExceededError(steps, max_nodes)
-                    if not e:           # the end entry
+                    if e is None:               # the end entry
                         frames.pop()
                         break
-                    if left > _TAIL_EDGES:      # a move: push its target's list
+                    if type(e) is int:          # a move: push its target's list
                         bit, nxt = moves_to[e]
                         nused = used | bit
                         stored = memo[nxt][nused]
                         if stored is True:
                             stored = visit(nused, nxt)
-                        frames.append((iter(stored), nused, sign ^ flip, trail + (e,), left - 1))
+                        frames.append((iter(stored), nused, sign ^ flip, trail + (e,)))
                         break
                     self.steps = steps
                     sg, sm = signs[sign ^ flip]
@@ -518,10 +511,7 @@ def _run_start(seq: tuple[int, ...], sub: tuple[int, ...]) -> int | None:
 
 
 def _check_seq(seq) -> tuple[int, ...]:
-    out = tuple(seq)
-    for e in out:
-        if type(e) is not int:
-            raise TypeError(f"edge indices must be ints, not {e!r}")
+    out = _ints(seq, "edge indices")
     if not out:
         raise ValueError("edge sequence must be nonempty")
     if min(out) < 1:
@@ -663,7 +653,7 @@ def relabel(g: MarkedDigraph, pi) -> tuple[MarkedDigraph, int]:
     marked indices in their original relative order (in particular whenever
     |marked| <= 1), in which case the relation is plain sgn(pi).
     """
-    pi = tuple(pi)
+    pi = _ints(pi, "permutation entries")
     k = g.k
     if sorted(pi) != list(range(1, k + 1)):
         raise ValueError(f"{pi} is not a permutation of 1..{k}")

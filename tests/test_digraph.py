@@ -43,6 +43,11 @@ class TestMarkedDigraph:
         with pytest.raises(ValueError):
             graph(2, [(1, 2)], 1, 2, marked=[2])
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_a_vertex_count_below_one(self, n):
+        with pytest.raises(ValueError):
+            graph(n, [], 1, 1)
+
     @pytest.mark.parametrize("n, edges, s, t, marked", [
         (2, ((1.7, 2.9),), 1, 2, ()),       # int() would make it edge (1, 2)
         (2, (), 1.5, 1.5, ()),
@@ -214,6 +219,20 @@ class TestSurgeries:
             surgery_in(g, 2, 3)  # c does not end at the tail of a
         with pytest.raises(ValueError):
             surgery_out(g, 2, 1)  # d does not start at the head of a
+
+    @pytest.mark.parametrize("a, c", [(0, 2), (4, 2), (2, 0), (2, 4)])
+    def test_surgery_in_rejects_an_index_out_of_range(self, a, c):
+        with pytest.raises(ValueError):
+            surgery_in(graph(2, [(1, 1), (1, 2), (2, 2)], 1, 2), a, c)
+
+    @pytest.mark.parametrize("a, d", [
+        (0, 3), (4, 3), (2, 0), (2, 4),     # out of range
+        (1, 2),                             # a is a loop
+        (2, 2),                             # d must differ from a
+    ])
+    def test_surgery_out_rejects(self, a, d):
+        with pytest.raises(ValueError):
+            surgery_out(graph(2, [(1, 1), (1, 2), (2, 2)], 1, 2), a, d)
 
     def test_extended_virtual_in_surgery_restricts_to_new_roots(self):
         # Redirecting the virtual entry edge onto the head of a leaves, inside

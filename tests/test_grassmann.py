@@ -1,3 +1,4 @@
+import operator
 import random
 
 import pytest
@@ -8,7 +9,7 @@ from oracles import (element_to_oracle, matrix_to_oracle,
                      o_standard_polynomial, oe_mul, random_basis_matrix,
                      random_matrix)
 from trailsum.grassmann import (GrassmannElement, GrassmannMatrix, ShapeError,
-                                mat_mul, simplify_basis_tuple,
+                                mask_from_indices, mat_mul, simplify_basis_tuple,
                                 standard_polynomial, standard_polynomial_row,
                                 substitute_generators)
 from trailsum.trails import BudgetExceededError
@@ -134,6 +135,78 @@ class TestValueContract:
     def test_rejects_non_integer_generator_count(self, m):
         with pytest.raises(TypeError):
             GrassmannElement(m)
+
+    @pytest.mark.parametrize("m, terms", [(-1, None), (1, {2: 1}), (2, {-1: 1})])
+    def test_rejects_a_bad_generator_count_or_mask(self, m, terms):
+        with pytest.raises(ValueError):
+            GrassmannElement(m, terms)
+
+    @pytest.mark.parametrize("indices", [[0], [3], [1, 1], [2, 1, 2]])
+    def test_mask_from_indices_rejects_bad_indices(self, indices):
+        with pytest.raises(ValueError):
+            mask_from_indices(indices, 2)
+
+    @pytest.mark.parametrize("indices", [[True], [1, True], [1.0]])
+    def test_mask_from_indices_rejects_non_integers(self, indices):
+        with pytest.raises(TypeError):
+            mask_from_indices(indices, 2)
+
+    def test_generator_rejects_bools(self):
+        with pytest.raises(TypeError):
+            GrassmannElement.generator(2, True)
+
+    @pytest.mark.parametrize("n, m, rows, error", [
+        (0, 1, [], ValueError),
+        (2, 1, [[GrassmannElement.zero(1)] * 2], ShapeError),
+        (2, 1, [[GrassmannElement.zero(1)] * 2, [GrassmannElement.zero(1)]], ShapeError),
+        (1, 1, [[1]], TypeError),
+        (1, 1, [[GrassmannElement.zero(2)]], ShapeError),
+    ])
+    def test_matrix_rejects_bad_shapes_and_entries(self, n, m, rows, error):
+        with pytest.raises(error):
+            GrassmannMatrix(n, m, rows)
+
+    @pytest.mark.parametrize("alpha, beta", [(0, 1), (1, 3), (3, 3)])
+    def test_unit_rejects_a_position_out_of_range(self, alpha, beta):
+        with pytest.raises(ValueError):
+            GrassmannMatrix.unit(2, 1, alpha, beta)
+
+    @pytest.mark.parametrize("alpha, beta", [(True, 2), (1, True), (1.0, 2)])
+    def test_unit_rejects_non_integers(self, alpha, beta):
+        with pytest.raises(TypeError):
+            GrassmannMatrix.unit(2, 1, alpha, beta)
+
+    @pytest.mark.parametrize("op, left, right", [
+        (operator.add, GrassmannElement.generator(1, 1), 1),
+        (operator.sub, GrassmannElement.generator(1, 1), 1),
+        (operator.mul, 1.5, GrassmannElement.generator(1, 1)),
+        (operator.add, GrassmannMatrix.identity(2, 1), 1),
+        (operator.sub, GrassmannMatrix.identity(2, 1), 1),
+        (operator.mul, GrassmannMatrix.identity(2, 1), 1.5),
+        (operator.mul, 1.5, GrassmannMatrix.identity(2, 1)),
+    ])
+    def test_other_operands_are_refused(self, op, left, right):
+        with pytest.raises(TypeError):
+            op(left, right)
+
+    @pytest.mark.parametrize("value", [GrassmannElement.generator(1, 1),
+                                       GrassmannMatrix.identity(2, 1)])
+    def test_scaling_rejects_bools(self, value):
+        with pytest.raises(TypeError):
+            value * True
+        with pytest.raises(TypeError):
+            True * value
+
+    def test_matrix_subtraction_negation_and_int_scaling(self):
+        v1 = GrassmannElement.generator(1, 1)
+        a = GrassmannMatrix.unit(2, 1, 1, 2, v1)
+        b = GrassmannMatrix.identity(2, 1)
+        assert (a - a).is_zero()
+        assert a - b == a + (-b)
+        assert (-b).entry(2, 2) == GrassmannElement.scalar(1, -1)
+        assert -(-a) == a
+        assert 3 * a == a * 3 == a + a + a
+        assert (-1) * b == -b
 
     def test_equal_terms_give_equal_elements(self):
         x = GrassmannElement(3, {0b011: 2, 0b100: -1, 0: 5})
@@ -370,6 +443,29 @@ class TestSimplifyBasisTuple:
         dense = GrassmannMatrix.identity(2, 1)
         with pytest.raises(ValueError):
             simplify_basis_tuple([dense])
+
+    @pytest.mark.parametrize("entry", [
+        GrassmannElement(1, {0: 1, 1: 1}),      # 1 + v1
+        GrassmannElement.scalar(1, 2),          # 2
+        GrassmannElement.zero(1),               # the zero matrix
+    ])
+    def test_rejects_an_entry_not_in_basis_form(self, entry):
+        with pytest.raises(ValueError):
+            simplify_basis_tuple([GrassmannMatrix.unit(2, 1, 1, 2, entry)])
+
+    @pytest.mark.parametrize("xs, error", [
+        ([], ValueError),
+        ([GrassmannMatrix.unit(2, 1, 1, 2), GrassmannMatrix.unit(2, 2, 1, 2)], ShapeError),
+        ([GrassmannMatrix.unit(2, 1, 1, 2), GrassmannMatrix.unit(3, 1, 1, 2)], ShapeError),
+    ])
+    def test_rejects_an_empty_or_mixed_tuple(self, xs, error):
+        with pytest.raises(error):
+            simplify_basis_tuple(xs)
+
+    @pytest.mark.parametrize("mapping", [{1: 2, 2: 1}, {1: 1, 2: 1}])
+    def test_substitution_needs_an_increasing_map(self, mapping):
+        with pytest.raises(ValueError):
+            substitute_generators(GrassmannElement.generator(2, 1), mapping, 2)
 
     def test_evaluation_factors_through_simplification(self):
         rng = random.Random(13)

@@ -26,9 +26,8 @@ def path_graph(k):
 
 
 # Either side of the walk's tail depth (_TAIL_EDGES = 5 edges left): G_2 with
-# mbar=1 has k = 5, so its root's frame walks the root's stored completions,
-# and a marked loop at its source gives k = 6, whose root's frame alone walks
-# moves.
+# mbar=1 has k = 5, so its root stores completions, and a marked loop at its
+# source gives k = 6, so its root alone stores moves.
 G2_K6 = graph(2, make_gn(2, 1).edges + ((1, 1),), 1, 2, marked=(1, 2, 6))
 
 
@@ -71,6 +70,11 @@ class TestSgnPerm:
     def test_accepts_any_sequence(self):
         assert sgn_perm([2, 1]) == sgn_perm(iter((2, 1))) == -1
 
+    @pytest.mark.parametrize("perm", [(True,), (2, True), (1.0,)])
+    def test_rejects_non_integers(self, perm):
+        with pytest.raises(TypeError):
+            sgn_perm(perm)
+
     @settings(derandomize=True, max_examples=300)
     @given(st.integers(0, 12).flatmap(lambda k: st.permutations(range(1, k + 1))))
     def test_matches_inversion_count(self, perm):
@@ -100,6 +104,11 @@ class TestInvertPermutation:
         with pytest.raises(ValueError):
             invert_permutation((0,))
 
+    @pytest.mark.parametrize("perm", [(True,), (2, True)])
+    def test_rejects_bools(self, perm):
+        with pytest.raises(TypeError):
+            invert_permutation(perm)
+
 
 class TestSigmaM:
     def test_identity_any_subset(self):
@@ -118,6 +127,11 @@ class TestSigmaM:
         with pytest.raises(ValueError):
             sigma_M((1, 2), [3])
 
+    @pytest.mark.parametrize("perm, M", [((2, 1), [True]), ((2, True), [1, 2])])
+    def test_rejects_bools(self, perm, M):
+        with pytest.raises(TypeError):
+            sigma_M(perm, M)
+
     def test_marked_order_sign_is_sigma_m_of_inverse(self):
         rng = random.Random(2)
         for _ in range(100):
@@ -127,6 +141,26 @@ class TestSigmaM:
             marked = rng.sample(range(1, k + 1), rng.randint(0, k))
             expected = sgn_perm(sigma_M(invert_permutation(sigma), sorted(marked)))
             assert marked_order_sign(sigma, marked) == expected
+
+
+class TestIsTrail:
+    @pytest.mark.parametrize("g, sigma, expected", [
+        (make_gn(2, 1), (1, 2, 3, 4, 5), True),
+        (make_gn(2, 1), (1, 1, 3, 4, 5), False),       # not a permutation
+        (make_gn(2, 1), (1, 2, 3), False),             # too short
+        (make_gn(2, 1), (2, 1, 3, 4, 5), False),       # starts at 2, not at s = 1
+        (make_gn(2, 1), (1, 2, 4, 5, 3), False),       # ends at 1, not at t = 2
+        (make_gn(2, 1), (1, 3, 2, 4, 5), False),       # (1,2) then (1,1) breaks
+        (graph(1, [], 1, 1), (), True),
+        (graph(2, [], 1, 2), (), False),
+    ])
+    def test_verdicts(self, g, sigma, expected):
+        assert is_trail(g, sigma) is expected
+
+    @pytest.mark.parametrize("sigma", [(True, 2, 3, 4, 5), (1.0, 2, 3, 4, 5)])
+    def test_rejects_non_integers(self, sigma):
+        with pytest.raises(TypeError):
+            is_trail(make_gn(2, 1), sigma)
 
 
 class TestEnumerateTrails:
@@ -198,8 +232,8 @@ class TestSignedTrails:
 
     def test_witness_graph_counts_and_budget(self):
         # G_3 mbar=3: 51,840 trails, 294,351 extension steps, 1,981 states
-        # (used edges, head) flooded; 541 tail states store 1,460 completions,
-        # and one with r edges left has at most r! of them
+        # (used edges, head) flooded; 541 tail states besides the finished one
+        # store 1,460 completions, and one with r edges left has at most r!
         g = make_gn(3, 3)
         walk = signed_trails(g, max_nodes=294351)
         got = list(walk)
@@ -208,7 +242,7 @@ class TestSignedTrails:
         assert (walk.steps, walk.floods) == (294351, 1981)
         lists = [(g.k - used.bit_count(), stored) for known in walk._memo.values()
                  for used, stored in known.items()
-                 if stored not in (True, False) and g.k - used.bit_count() <= _TAIL_EDGES]
+                 if stored not in (True, False) and 0 < g.k - used.bit_count() <= _TAIL_EDGES]
         assert (len(lists), sum(len(stored) - 1 for _, stored in lists)) == (541, 1460)
         assert all(len(stored) - 1 <= math.factorial(r) for r, stored in lists)
         with pytest.raises(BudgetExceededError):
@@ -287,6 +321,11 @@ class TestSignedSum:
 
     def test_g3_mbar2(self):
         assert signed_sum(make_gn(3, 2)).S == 64
+
+    def test_budget_zero_stops_at_the_start_state(self):
+        with pytest.raises(BudgetExceededError) as info:
+            signed_sum(make_gn(2, 1), max_nodes=0)
+        assert (info.value.nodes, info.value.limit) == (1, 0)
 
     def test_two_unmarked_parallel_loops(self):
         r = signed_sum(graph(1, [(1, 1), (1, 1)], 1, 1))
@@ -527,6 +566,19 @@ class TestFilteredSums:
         with pytest.raises(TypeError):
             AtPosition(True, 1)
 
+    @pytest.mark.parametrize("edge, position", [(1, 0), (0, 1), (-1, 2)])
+    def test_at_position_rejects_values_below_one(self, edge, position):
+        with pytest.raises(ValueError):
+            AtPosition(edge, position)
+
+    @pytest.mark.parametrize("seq, run, found", [((1, 2, 3), (1, 3), False),
+                                                 ((1, 2, 3), (2, 1), False),
+                                                 ((1, 2, 3), (4,), False),
+                                                 ((1, 2, 3), (2, 3), True)])
+    def test_subtrail_needs_the_whole_run(self, seq, run, found):
+        # a run whose first edge occurs but whose rest does not follow it
+        assert Subtrail(run).satisfied(seq) is found
+
     def test_subtrail_rejects_bools(self):
         with pytest.raises(TypeError):
             Subtrail([True])
@@ -722,6 +774,10 @@ class TestRelabel:
         with pytest.raises(ValueError):
             relabel(make_gn(2, 1), (1, 1, 2, 3, 4))
 
+    def test_rejects_bools(self):
+        with pytest.raises(TypeError):
+            relabel(make_gn(2, 1), (True, 2, 3, 4, 5))
+
 
 class TestStructuralSignLaws:
     def test_extension_preserves_sum(self):
@@ -765,6 +821,11 @@ class TestSwanIdentity:
         g = graph(1, [(1, 1)], 1, 1)
         with pytest.raises(ValueError):
             swan_identity(g, 1)
+
+    @pytest.mark.parametrize("a", [0, 6])
+    def test_rejects_an_edge_out_of_range(self, a):
+        with pytest.raises(ValueError):
+            swan_identity(make_gn(2, 1), a)
 
 
 class TestVanishingFamilies:
