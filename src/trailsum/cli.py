@@ -319,13 +319,13 @@ def cmd_signed_sum(args) -> int:
     walk = None
     if args.list_trails:
         # Streamed line by line: a listing can be far larger than the graph.
-        walk = signed_trails(g, max_nodes=args.budget)
+        # The walk builds each trail's text, with a leading comma, from these.
+        walk = signed_trails(g, args.budget, [""] + [f",{e}" for e in range(1, g.k + 1)])
         write = sys.stdout.write
-        label = [str(e) for e in range(g.k + 1)]
         tails = {(sg, sm): f" sgn={sg:+d} sgn_M={sm:+d}\n" for sg in (1, -1) for sm in (1, -1)}
         total = listed = 0
-        for trail, sg, sm in walk:
-            write("trail=" + ",".join([label[e] for e in trail]) + tails[sg, sm])
+        for text, sg, sm in walk:
+            write("trail=" + text[1:] + tails[sg, sm])
             total += sg * sm
             listed += 1
     r = signed_sum(g, max_nodes=args.budget)

@@ -291,7 +291,9 @@ class MarkedGraphEnumeration:
                 du, dv = d[u], d[v]
                 # pos without u and v, whose d changes with m below
                 rest_pos = pos - (du if du > 0 else 0) - (dv if dv > 0 else 0)
-                for m in range(min(r, beta) if f else r, 0, -1):
+                # the last type must take every edge left: a smaller m leaves
+                # edges over that no type can take (a subtree of size 0)
+                for m in range(min(r, beta) if f else r, r - 1 if j == last - 1 else 0, -1):
                     rest, beta_rest = r - m, beta - m * f
                     if u == v:
                         dead = pos > rest

@@ -231,6 +231,9 @@ class GrassmannMatrix:
 
     def __post_init__(self):
         n, m = self.n, self.m
+        for x in (n, m):
+            if type(x) is not int:
+                raise TypeError(f"matrix dimension and generator count must be ints, not {x!r}")
         if n < 1:
             raise ValueError("matrix dimension must be at least 1")
         rows = tuple(tuple(row) for row in self.rows)

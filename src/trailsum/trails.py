@@ -114,10 +114,13 @@ def sigma_M(perm, M) -> tuple[int, ...]:
     """Relative-order pattern of the values of the permutation on a subset.
 
     For M = {j_1 < ... < j_m} the g-th output is the rank of perm(j_g) among
-    perm(j_1), ..., perm(j_m); the result is a permutation of 1..m.
+    perm(j_1), ..., perm(j_m); the result is a permutation of 1..m.  Raises
+    ValueError unless perm is a permutation of 1..k.
     """
     seq = _ints(perm, "permutation entries")
     k = len(seq)
+    if sorted(seq) != list(range(1, k + 1)):
+        raise ValueError(f"{seq} is not a permutation of 1..{k}")
     Ms = sorted(set(_ints(M, "subset elements")))
     if Ms and not (1 <= Ms[0] and Ms[-1] <= k):
         raise ValueError(f"subset {Ms} is not contained in 1..{k}")
@@ -221,7 +224,10 @@ class SignedTrailWalk:
     Iterating yields ``(trail, sgn(sigma), marked-order sign)``.  The walk
     extends the trail depth first from the source root on an explicit stack
     of frames (so trail length is not bounded by the recursion limit),
-    taking candidate edges in ascending index order.
+    taking candidate edges in ascending index order.  Each trail is built
+    with ``+`` from ``pieces``, whose entry 0 is the empty trail and entry e
+    the one-edge trail of edge e: by default () and (e,), so a trail is a
+    tuple, while the strings "" and ",e" give its text with a leading comma.
 
     Signs are carried on the stack as two bits: one for the product
     sgn(sigma) * marked-order sign and one for the marked-order sign, which
@@ -242,12 +248,12 @@ class SignedTrailWalk:
     ascending edge order: a move's edges are one edge index, and it pushes
     its target's frame.  Otherwise they are the state's completions, each
     built from a move and the target's list, in the order the walk would
-    reach them: a completion's edges are the tuple of edges left, and it is
-    yielded.  An end entry, whose edges are None, closes every list and
+    reach them: a completion's edges are the trail of the edges left, and it
+    is yielded.  An end entry, whose edges are None, closes every list and
     pops its frame.  The finished state (every edge used, head t) is stored
     before the walk starts, with one empty completion, so the last edge
     completes a trail as any move into a stored list does, and the empty
-    graph yields its one trail ().
+    graph yields its one trail, the empty one.
 
     With r edges left a state has at most r! completions, so a list holds
     at most 120 of at most 5 edges.  Equal moves and end entries are one
@@ -269,10 +275,16 @@ class SignedTrailWalk:
     graphs yield nothing.
     """
 
-    def __init__(self, g: MarkedDigraph, max_nodes: int = DEFAULT_NODE_BUDGET):
+    def __init__(self, g: MarkedDigraph, max_nodes: int = DEFAULT_NODE_BUDGET,
+                 pieces=None):
+        if pieces is None:
+            pieces = [()] + [(e,) for e in range(1, g.k + 1)]
+        elif len(pieces) != g.k + 1:
+            raise ValueError(f"pieces must hold {g.k + 1} entries "
+                             f"(the empty trail, then one per edge), not {len(pieces)}")
         self.steps = 0
         self.floods = 0
-        self._it = self._walk(g, max_nodes)
+        self._it = self._walk(g, max_nodes, pieces)
 
     def __iter__(self):
         return self
@@ -280,7 +292,7 @@ class SignedTrailWalk:
     def __next__(self) -> tuple[tuple[int, ...], int, int]:
         return next(self._it)
 
-    def _walk(self, g: MarkedDigraph, max_nodes: int):
+    def _walk(self, g: MarkedDigraph, max_nodes: int, pieces):
         if not validate(g):
             return
         edges = g.edges
@@ -296,7 +308,7 @@ class SignedTrailWalk:
         # edge unreachable, True once it finds none, and from the state's
         # first visit its stored list.
         self._memo = memo = {v: {} for v in incident}
-        memo[t] = {full: ((0, (), 0), (0, None, 0))}   # the finished state
+        memo[t] = {full: ((0, pieces[0], 0), (0, None, 0))}   # the finished state
         shared: dict[tuple, tuple] = {}     # one copy of each distinct move
 
         def visit(used, head):
@@ -329,7 +341,7 @@ class SignedTrailWalk:
                 for d, suffix, f in stored:
                     dsteps += d
                     if suffix is not None:
-                        out.append((dsteps, (e,) + suffix, flip ^ f))
+                        out.append((dsteps, pieces[e] + suffix, flip ^ f))
                         dsteps = 0
             end = (dsteps, None, 0)
             out.append(shared.setdefault(end, end))
@@ -339,7 +351,7 @@ class SignedTrailWalk:
         # (sgn, sgn_M) by the sign bits of (sgn * sgn_M, sgn_M)
         signs = ((1, 1), (-1, 1), (-1, -1), (1, -1))
         # Frames: (entries, used edges, sign bits, trail so far)
-        frames = [(iter(memo[g.s].get(0) or visit(0, g.s)), 0, 0, ())]
+        frames = [(iter(memo[g.s].get(0) or visit(0, g.s)), 0, 0, pieces[0])]
         steps = 0
         try:
             while frames:
@@ -358,7 +370,7 @@ class SignedTrailWalk:
                         stored = memo[nxt][nused]
                         if stored is True:
                             stored = visit(nused, nxt)
-                        frames.append((iter(stored), nused, sign ^ flip, trail + (e,)))
+                        frames.append((iter(stored), nused, sign ^ flip, trail + pieces[e]))
                         break
                     self.steps = steps
                     sg, sm = signs[sign ^ flip]
@@ -367,14 +379,15 @@ class SignedTrailWalk:
             self.steps = steps
 
 
-def signed_trails(g: MarkedDigraph, max_nodes: int = DEFAULT_NODE_BUDGET) -> SignedTrailWalk:
+def signed_trails(g: MarkedDigraph, max_nodes: int = DEFAULT_NODE_BUDGET,
+                  pieces=None) -> SignedTrailWalk:
     """Walk every trail of g, yielding (trail, sgn(sigma), marked-order sign).
 
     Lexicographic order; see SignedTrailWalk for the memoized prune, the
-    incremental signs and the ``steps``/``floods`` counters.  The signs
-    equal trail_signs(g, trail), which stays the independent route.
+    incremental signs, the ``steps``/``floods`` counters and ``pieces``.
+    The signs equal trail_signs(g, trail), which stays the independent route.
     """
-    return SignedTrailWalk(g, max_nodes)
+    return SignedTrailWalk(g, max_nodes, pieces)
 
 
 def enumerate_trails(g: MarkedDigraph, max_nodes: int = DEFAULT_NODE_BUDGET):

@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -12,8 +13,8 @@ import pytest
 from oracles import brute_marked_graphs, brute_signed_sum, repeats_unmarked_type
 from trailsum import bridge, cli
 from trailsum.digraph import (class_graph, enumerate_marked_graphs, format_graph,
-                              make_gn, parse_graph, search_space)
-from trailsum.trails import signed_sum, signed_trails
+                              make_gn, parse_graph, random_feasible_graph, search_space)
+from trailsum.trails import BudgetExceededError, signed_sum, signed_trails
 
 
 @pytest.fixture
@@ -61,14 +62,54 @@ class TestSignedSumCommand:
 
     def test_list_trails_fold_disagreeing_with_the_sum_exits_2(self, capsys, monkeypatch,
                                                                g2_file):
-        def one_sign_flipped(g, max_nodes):
-            for i, (trail, sg, sm) in enumerate(signed_trails(g, max_nodes)):
+        def one_sign_flipped(g, max_nodes, pieces):
+            for i, (trail, sg, sm) in enumerate(signed_trails(g, max_nodes, pieces)):
                 yield trail, sg, -sm if i == 3 else sm
         monkeypatch.setattr(cli, "signed_trails", one_sign_flipped)
         code, out, err = run(capsys, ["signed-sum", g2_file, "--list-trails"])
         assert code == 2
         assert out.splitlines()[-1] == "S=4 T=4 trails=8"
         assert err == "error: the listed trails give S=2 trails=8, the DP S=4 trails=8\n"
+
+    def test_listing_equals_the_tuple_walk_rendered(self, capsys, tmp_path):
+        # The 60 seeded graphs of the walk's budget tests and G_3 mbar=3, whole
+        # and stopped at seeded budgets: the lines, then the budget error line.
+        rng = random.Random(28)
+        graphs = [random_feasible_graph(rng, rng.randint(1, 3), rng.randint(1, 6), bmax=4)
+                  for _ in range(60)]
+        path = tmp_path / "g.graph"
+        budgets = random.Random(34)
+        for g in graphs + [make_gn(3, 3)]:
+            path.write_text(format_graph(g), encoding="utf-8")
+            total = signed_trails(g)
+            lines = [f"trail={','.join(map(str, trail))} sgn={sg:+d} sgn_M={sm:+d}"
+                     for trail, sg, sm in total]
+            code, out, _ = run(capsys, ["signed-sum", str(path), "--list-trails"])
+            assert code == 0
+            assert out.splitlines()[:-1] == lines
+            for budget in budgets.sample(range(total.steps), min(total.steps, 3)):
+                prefix = 0
+                with pytest.raises(BudgetExceededError) as info:
+                    for _ in signed_trails(g, budget):
+                        prefix += 1
+                code, out, err = run(capsys, ["signed-sum", str(path), "--list-trails",
+                                              "--budget", str(budget)])
+                assert code == 4
+                assert out.splitlines() == lines[:prefix]
+                assert err == f"error: {info.value}\n"
+
+    @pytest.mark.parametrize("text, budget, line", [
+        ("n 1 s 1 t 1\n", "0", "trail= sgn=+1 sgn_M=+1"),
+        ("n 1 s 1 t 1\n", "100", "trail= sgn=+1 sgn_M=+1"),
+        ("n 2 s 1 t 2\n1 2 1\n", "2", "trail=1 sgn=+1 sgn_M=+1")])
+    def test_listing_of_the_empty_and_one_edge_graphs(self, capsys, tmp_path, text, budget,
+                                                       line):
+        path = tmp_path / "small.graph"
+        path.write_text(text, encoding="utf-8")
+        code, out, _ = run(capsys, ["signed-sum", str(path), "--list-trails",
+                                    "--budget", budget])
+        assert code == 0
+        assert out == f"{line}\nS=1 T=1 trails=1\n"
 
     def test_filter_partial_sums_add_up(self, capsys, tmp_path):
         path = tmp_path / "two.graph"

@@ -2,6 +2,7 @@ import collections
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given
@@ -299,6 +300,16 @@ class TestEnumeration:
         assert counters(fast) == counters(brute)
         assert fast.yielded > 0
         assert sum(counters(fast)) == search_space(n, k, bmax)
+
+    def test_many_loops_drain_without_hopeless_picks(self):
+        # (a unmarked, 3000 - a marked) loops for each a: the last type takes
+        # every edge left, so the walk makes 3001 picks of it, not 3001 * 3000 / 2
+        stream = enumerate_marked_graphs(1, 3000, 3000)
+        start = time.perf_counter()
+        assert sum(1 for _ in stream) == 3001
+        assert (stream.yielded, stream.skipped_unbalanced, stream.skipped_infeasible) \
+            == (3001, 0, 0)
+        assert time.perf_counter() - start < 2
 
     @pytest.mark.parametrize("n, k, bmax", [(2, 5, 2), (3, 5, 2)])
     def test_root_pairs_of_one_kind_look_alike(self, n, k, bmax):

@@ -166,6 +166,16 @@ class TestValueContract:
         with pytest.raises(error):
             GrassmannMatrix(n, m, rows)
 
+    @pytest.mark.parametrize("n, m, entry", [
+        (True, 1, GrassmannElement.zero(1)),
+        (1.0, 1, GrassmannElement.zero(1)),
+        # its entry's m == True, so it would equal GrassmannMatrix.identity(1, 1)
+        (1, True, GrassmannElement.one(1)),
+    ])
+    def test_matrix_rejects_non_integer_sizes(self, n, m, entry):
+        with pytest.raises(TypeError):
+            GrassmannMatrix(n, m, [[entry]])
+
     @pytest.mark.parametrize("alpha, beta", [(0, 1), (1, 3), (3, 3)])
     def test_unit_rejects_a_position_out_of_range(self, alpha, beta):
         with pytest.raises(ValueError):

@@ -127,6 +127,14 @@ class TestSigmaM:
         with pytest.raises(ValueError):
             sigma_M((1, 2), [3])
 
+    # ties would share one rank: (5, 5) on [1, 2] gave (1, 1), and (1, 2, 2)
+    # on [1, 2, 3] gave (1, 2, 2)
+    @pytest.mark.parametrize("perm, M", [((5, 5), [1, 2]), ((1, 2, 2), [1, 2, 3]),
+                                         ((0, 1), [1]), ((2, 3), [])])
+    def test_rejects_a_non_permutation(self, perm, M):
+        with pytest.raises(ValueError, match="not a permutation"):
+            sigma_M(perm, M)
+
     @pytest.mark.parametrize("perm, M", [((2, 1), [True]), ((2, True), [1, 2])])
     def test_rejects_bools(self, perm, M):
         with pytest.raises(TypeError):
@@ -312,6 +320,57 @@ class TestSignedTrails:
 
     def test_long_path_is_not_bounded_by_recursion(self):
         assert list(signed_trails(path_graph(1200))) == [(tuple(range(1, 1201)), 1, 1)]
+
+
+def drain(walk):
+    """Each item with the walk's (steps, floods) after it, then the step
+    count of the budget error that ended the walk (None if none did) and
+    the final (steps, floods)."""
+    got = []
+    stop = None
+    try:
+        for item in walk:
+            got.append((item, walk.steps, walk.floods))
+    except BudgetExceededError as exc:
+        stop = exc.nodes
+    return got, (stop, walk.steps, walk.floods)
+
+
+class TestTrailPieces:
+    """String pieces build each trail's text, ",e" per edge, with the tuple
+    walk's order, signs, counters after every yield and budget stops."""
+
+    @staticmethod
+    def assert_text_walk_matches(g, max_nodes):
+        text = [""] + [f",{e}" for e in range(1, g.k + 1)]
+        got, stop = drain(signed_trails(g, max_nodes, text))
+        want, want_stop = drain(signed_trails(g, max_nodes))
+        assert stop == want_stop
+        assert got == [(("".join(f",{e}" for e in trail), sg, sm), steps, floods)
+                       for (trail, sg, sm), steps, floods in want]
+
+    def test_random_graphs_whole_and_stopped(self):
+        rng = random.Random(33)
+        for g, _ in random_graphs(28, 60, k_max=6, bmax=4):
+            _, total = walk_steps(g)
+            self.assert_text_walk_matches(g, total)
+            for max_nodes in sorted(rng.sample(range(total), min(total, 3))):
+                self.assert_text_walk_matches(g, max_nodes)
+
+    def test_witness_graph_whole_and_stopped(self):
+        g = make_gn(3, 3)
+        for max_nodes in (294351, 150000, 294350, 6):
+            self.assert_text_walk_matches(g, max_nodes)
+
+    def test_empty_and_one_edge_graphs(self):
+        assert list(signed_trails(graph(1, [], 1, 1), 0, [""])) == [("", 1, 1)]
+        assert list(signed_trails(graph(2, [(1, 2)], 1, 2), 1, ["", ",1"])) == [(",1", 1, 1)]
+
+    def test_wrong_length_is_a_value_error(self):
+        g = make_gn(2, 1)
+        for pieces in ([""] * g.k, [""] * (g.k + 2), []):
+            with pytest.raises(ValueError, match="pieces"):
+                signed_trails(g, pieces=pieces)
 
 
 class TestSignedSum:
