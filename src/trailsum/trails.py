@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .digraph import MarkedDigraph, extend, surgery_in, surgery_out, validate
+from .digraph import MarkedDigraph, _spans, extend, surgery_in, surgery_out, validate
 
 DEFAULT_NODE_BUDGET = 10 ** 8
 _TAIL_EDGES = 5                # see SignedTrailWalk
@@ -80,32 +80,35 @@ def _ints(seq, what: str) -> tuple[int, ...]:
     return out
 
 
+def _permutation(perm) -> tuple[int, ...]:
+    """perm as a tuple; TypeError unless its entries are ints (not bools),
+    ValueError unless it is a permutation of 1..len(perm)."""
+    seq = _ints(perm, "permutation entries")
+    if sorted(seq) != list(range(1, len(seq) + 1)):
+        raise ValueError(f"{seq} is not a permutation of 1..{len(seq)}")
+    return seq
+
+
 def sgn_perm(perm) -> int:
     """Parity sign of a permutation of 1..k: (-1)^(k - number of cycles)."""
-    seq = _ints(perm, "permutation entries")
+    seq = _permutation(perm)
     k = len(seq)
     seen = [False] * (k + 1)
-    for x in seq:
-        if not 1 <= x <= k or seen[x]:
-            raise ValueError(f"{seq} is not a permutation of 1..{k}")
-        seen[x] = True
     parity = k
     for start in range(1, k + 1):
-        if seen[start]:                 # unvisited: walk its cycle
+        if not seen[start]:             # walk its cycle
             parity -= 1
             x = start
-            while seen[x]:
-                seen[x] = False
+            while not seen[x]:
+                seen[x] = True
                 x = seq[x - 1]
     return -1 if parity & 1 else 1
 
 
 def invert_permutation(perm) -> tuple[int, ...]:
-    seq = _ints(perm, "permutation entries")
+    seq = _permutation(perm)
     inv = [0] * len(seq)
     for pos, val in enumerate(seq, start=1):
-        if not 1 <= val <= len(seq) or inv[val - 1]:
-            raise ValueError(f"{seq} is not a permutation of 1..{len(seq)}")
         inv[val - 1] = pos
     return tuple(inv)
 
@@ -117,10 +120,8 @@ def sigma_M(perm, M) -> tuple[int, ...]:
     perm(j_1), ..., perm(j_m); the result is a permutation of 1..m.  Raises
     ValueError unless perm is a permutation of 1..k.
     """
-    seq = _ints(perm, "permutation entries")
+    seq = _permutation(perm)
     k = len(seq)
-    if sorted(seq) != list(range(1, k + 1)):
-        raise ValueError(f"{seq} is not a permutation of 1..{k}")
     Ms = sorted(set(_ints(M, "subset elements")))
     if Ms and not (1 <= Ms[0] and Ms[-1] <= k):
         raise ValueError(f"subset {Ms} is not contained in 1..{k}")
@@ -132,24 +133,22 @@ def sigma_M(perm, M) -> tuple[int, ...]:
 def marked_order_sign(sigma, marked) -> int:
     """Sign of the order in which marked edges appear along the trail.
 
-    Equals sgn_perm(sigma_M(inverse of sigma, marked)): the pattern of the
-    positions at which the marked edges occur.  This is the sign that sorts
-    the anticommuting generators attached to the marked edges into ascending
-    order, so it is the second factor of every trail's contribution.
+    sgn_perm(sigma_M(inverse of sigma, marked)): the sign of the pattern of
+    the positions at which the marked edges occur.  This is the sign that
+    sorts the anticommuting generators attached to the marked edges into
+    ascending order, so it is the second factor of every trail's
+    contribution.  Raises ValueError unless sigma is a permutation of 1..k
+    and marked lies in 1..k.
     """
-    marked = set(marked)
-    appearing = [e for e in sigma if e in marked]
-    inv = 0
-    for i in range(len(appearing)):
-        for j in range(i + 1, len(appearing)):
-            if appearing[i] > appearing[j]:
-                inv += 1
-    return -1 if inv & 1 else 1
+    return sgn_perm(sigma_M(invert_permutation(sigma), marked))
 
 
 def trail_signs(g: MarkedDigraph, trail) -> tuple[int, int]:
-    """The pair (sgn(sigma), marked-order sign) of one trail of g."""
-    seq = tuple(trail)
+    """The pair (sgn(sigma), marked-order sign) of one trail of g.  Raises
+    ValueError unless trail is a trail of g (is_trail)."""
+    seq = _ints(trail, "edge indices")
+    if not is_trail(g, seq):
+        raise ValueError(f"{seq} is not a trail of the graph")
     return sgn_perm(seq), marked_order_sign(seq, g.marked)
 
 
@@ -193,31 +192,6 @@ def _out_edges(g: MarkedDigraph) -> dict[int, list[tuple[int, int, int, int, int
     return out
 
 
-def _reaches_all(incident: dict[int, int], edges, rem: int, head: int, t: int) -> bool:
-    """Whether every edge in the mask rem is weakly reachable from head.
-
-    The flood runs over rem only, with t counted as adjacent to head (the
-    finished trail returns to t); ``incident`` maps each vertex to the mask
-    of its incident edges.
-    """
-    reached = 0
-    seen = {head, t}
-    stack = [head, t]
-    while stack:
-        new = incident.get(stack.pop(), 0) & rem & ~reached
-        reached |= new
-        if reached == rem:
-            return True
-        while new:
-            low = new & -new
-            new ^= low
-            for w in edges[low.bit_length() - 1]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-    return False
-
-
 class SignedTrailWalk:
     """Every Eulerian trail of g with its two signs, in lexicographic order.
 
@@ -234,11 +208,14 @@ class SignedTrailWalk:
     the edge table's two masks flip by one popcount each.  A 4-entry table
     maps the bits back to the pair yielded.
 
-    An extension step is pruned when some unused edge can no longer be
-    reached from the new head (a flood over per-vertex incident-edge
-    bitmasks; balance plus reachability guarantee a completion exists).
-    The verdict depends only on the target state (used edges, head), so
-    each target is flooded once.
+    An extension step is pruned when the edges left admit no trail from
+    the new head to t, decided by the one flood (digraph._spans) that also
+    decides trail existence for ``validate`` and the class walk.  The edges
+    left have out - in = [v = head] - [v = t], which sums to 0 over each
+    weak component, so t lies in head's component and a trail exists
+    exactly when a flood from head over their neighbour masks reaches every
+    vertex on them.  The verdict depends only on the target state (used
+    edges, head), so each target is flooded once.
 
     What a state contributes depends only on the state, so its first visit
     stores one list, and every visit walks that list in one frame.  An
@@ -295,19 +272,22 @@ class SignedTrailWalk:
     def _walk(self, g: MarkedDigraph, max_nodes: int, pieces):
         if not validate(g):
             return
-        edges = g.edges
         t = g.t
         full = (1 << g.k) - 1
         candidates = _out_edges(g)
-        moves_to = [None] + [(1 << i, v) for i, (_, v) in enumerate(edges)]  # (bit, head)
-        incident: dict[int, int] = {}
-        for i, (u, v) in enumerate(edges):
-            incident[u] = incident.get(u, 0) | 1 << i
-            incident[v] = incident.get(v, 0) | 1 << i
-        # Per head, per used edge mask: False once the flood finds some unused
-        # edge unreachable, True once it finds none, and from the state's
-        # first visit its stored list.
-        self._memo = memo = {v: {} for v in incident}
+        moves_to = [None] + [(1 << i, v) for i, (_, v) in enumerate(g.edges)]  # (bit, head)
+        # The vertices on edges numbered 0, 1, ..., and per edge i from x to y
+        # (bit i, x, bit y, y, bit x) in those numbers: the neighbour masks of
+        # the edges left, which the prune floods, are built from these.
+        index: dict[int, int] = {}
+        for u, v in g.edges:
+            index.setdefault(u, len(index))
+            index.setdefault(v, len(index))
+        ends = [(1 << i, index[u], 1 << index[v], index[v], 1 << index[u])
+                for i, (u, v) in enumerate(g.edges)]
+        # Per head, per used edge mask: the flood's verdict on the edges left
+        # until the state's first visit, and from then its stored list.
+        self._memo = memo = {v: {} for v in index}
         memo[t] = {full: ((0, pieces[0], 0), (0, None, 0))}   # the finished state
         shared: dict[tuple, tuple] = {}     # one copy of each distinct move
 
@@ -326,7 +306,14 @@ class SignedTrailWalk:
                 stored = known.get(nused)
                 if stored is None:
                     self.floods += 1
-                    stored = known[nused] = _reaches_all(incident, edges, full ^ nused, nxt, t)
+                    near = [0] * len(index)
+                    rem = full ^ nused
+                    while rem:
+                        edge_bit, x, y_bit, y, x_bit = ends[rem.bit_length() - 1]
+                        rem ^= edge_bit
+                        near[x] |= y_bit
+                        near[y] |= x_bit
+                    stored = known[nused] = _spans(near, index[nxt])
                 if not stored:
                     continue
                 flip = ((used & sign_mask).bit_count() & 1
@@ -576,7 +563,7 @@ class AtPosition:
             raise ValueError("edge index and position must be at least 1")
 
     def satisfied(self, sigma: tuple[int, ...]) -> bool:
-        return sigma[self.position - 1] == self.edge
+        return self.position <= len(sigma) and sigma[self.position - 1] == self.edge
 
 
 TrailConstraint = Subtrail | Precedes | AtPosition
@@ -666,9 +653,9 @@ def relabel(g: MarkedDigraph, pi) -> tuple[MarkedDigraph, int]:
     marked indices in their original relative order (in particular whenever
     |marked| <= 1), in which case the relation is plain sgn(pi).
     """
-    pi = _ints(pi, "permutation entries")
+    pi = _permutation(pi)
     k = g.k
-    if sorted(pi) != list(range(1, k + 1)):
+    if len(pi) != k:
         raise ValueError(f"{pi} is not a permutation of 1..{k}")
     new_edges = tuple(g.edges[pi[p] - 1] for p in range(k))
     new_marked = frozenset(p + 1 for p in range(k) if pi[p] in g.marked)

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (brute_filtered_sum, brute_signed_sum, brute_trails,
-                     inversion_sign, walk_steps)
+                     inversion_sign, trail_flags, walk_steps)
 from trailsum.digraph import (MarkedDigraph, class_graph, enumerate_marked_graphs,
                               extend, make_gn, opposite, random_feasible_graph)
 from trailsum.trails import (_TAIL_EDGES, AtPosition, BudgetExceededError, Precedes,
@@ -149,6 +149,47 @@ class TestSigmaM:
             marked = rng.sample(range(1, k + 1), rng.randint(0, k))
             expected = sgn_perm(sigma_M(invert_permutation(sigma), sorted(marked)))
             assert marked_order_sign(sigma, marked) == expected
+
+
+class TestMarkedOrderSign:
+    def test_matches_the_inversion_count(self):
+        rng = random.Random(3)
+        for _ in range(100):
+            k = rng.randint(0, 8)
+            sigma = rng.sample(range(1, k + 1), k)
+            marked = rng.sample(range(1, k + 1), rng.randint(0, k))
+            assert marked_order_sign(sigma, marked) == inversion_sign(
+                [e for e in sigma if e in marked])
+
+    # each of these returned 1 before the arguments were checked
+    @pytest.mark.parametrize("sigma, marked", [((2, 2, 1), [2, 1]), ((0, 1), [1]),
+                                               ((1, 2), [3]), ((1, 2), [0])])
+    def test_rejects_a_non_permutation_or_a_stray_mark(self, sigma, marked):
+        with pytest.raises(ValueError):
+            marked_order_sign(sigma, marked)
+
+    @pytest.mark.parametrize("sigma, marked", [((1.0, 2), [1.0]), ((True, 2), [2]),
+                                               ((1, 2), [True]), ((1, 2), [1.0])])
+    def test_rejects_non_integers(self, sigma, marked):
+        with pytest.raises(TypeError):
+            marked_order_sign(sigma, marked)
+
+
+class TestTrailSigns:
+    # (1, 2, 3) gave (1, 1) for three of the five edges
+    @pytest.mark.parametrize("seq", [(1, 2, 3), (2, 1, 3, 4, 5), (1, 1, 3, 4, 5), ()])
+    def test_rejects_a_non_trail(self, seq):
+        with pytest.raises(ValueError, match="not a trail"):
+            trail_signs(make_gn(2, 1), seq)
+
+    def test_rejects_non_integers(self):
+        with pytest.raises(TypeError):
+            trail_signs(make_gn(2, 1), (1.0, 2, 3, 4, 5))
+
+    def test_empty_graph(self):
+        assert trail_signs(graph(1, [], 1, 1), ()) == (1, 1)
+        with pytest.raises(ValueError):
+            trail_signs(graph(2, [], 1, 2), ())
 
 
 class TestIsTrail:
@@ -312,6 +353,31 @@ class TestSignedTrails:
         assert first[0] >= 5 and first[1] >= 1
         list(walk)
         assert walk.steps > first[0] and walk.floods >= first[1]
+
+    @staticmethod
+    def assert_flood_verdicts(g):
+        """Each state (used edges, head) left in the memo, the finished one
+        aside, admits a trail of its edges left from head to t exactly when
+        trail_flags (tests/oracles.py) says so."""
+        walk = signed_trails(g)
+        list(walk)
+        full = (1 << g.k) - 1
+        verdicts = [(used, head, stored is not False) for head, known in walk._memo.items()
+                    for used, stored in known.items() if used != full]
+        assert len(verdicts) >= walk.floods
+        for used, head, verdict in verdicts:
+            left = tuple(g.edges[i] for i in range(g.k) if not used >> i & 1)
+            assert verdict == trail_flags(graph(g.n, left, head, g.t))[2]
+
+    def test_flood_verdicts_on_random_graphs(self):
+        for g, _ in random_graphs(28, 60, k_max=6, bmax=4):
+            self.assert_flood_verdicts(g)
+
+    @pytest.mark.parametrize("g", [make_gn(3, 3), extend(make_gn(3, 2))],
+                             ids=["G3-mbar3", "extended-G3-mbar2"])
+    def test_flood_verdicts_on_witness_graphs(self, g):
+        # the extended graph has s = t, so some floods start at head = t
+        self.assert_flood_verdicts(g)
 
     def test_empty_and_infeasible(self):
         assert list(signed_trails(graph(1, [], 1, 1))) == [((), 1, 1)]
@@ -620,6 +686,11 @@ class TestFilteredSums:
             filtered_signed_sum(make_gn(2, 1), [AtPosition(1, 1.5)])
         with pytest.raises(TypeError):
             AtPosition(1.0, 1)
+
+    def test_at_position_past_the_trail_is_not_satisfied(self):
+        # raised IndexError; a run that does not occur is unsatisfied too
+        assert AtPosition(1, 5).satisfied((1, 2)) is False
+        assert AtPosition(2, 2).satisfied((1, 2)) is True
 
     def test_at_position_rejects_bools(self):
         with pytest.raises(TypeError):
