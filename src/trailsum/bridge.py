@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .digraph import (ClassRecord, MarkedDigraph, class_graph,
+from .digraph import (MarkedDigraph, class_graph, count_classes,
                       enumerate_marked_graphs, record_orbit_key, root_orbits,
                       search_space)
 from .grassmann import GrassmannElement, GrassmannMatrix, standard_polynomial_row
@@ -78,14 +78,15 @@ class ClassSearch:
     (None if there is none) and ``witness_T`` its T; it is the
     representative ``class_graph`` builds from the walk's record.
     ``classes``, ``skipped_unbalanced`` and ``skipped_infeasible`` are the
-    counters of the class stream.  Of the ``walked`` classes,
-    ``alternating`` repeat an unmarked edge type and have T = 0 by the
-    alternating law, with no orbit key, no graph and no trail DP; of the
-    rest, ``orbits`` counts the trail DPs run, each on a graph built for
-    it, and ``reused`` the values taken from the orbit memo.  The law
-    decides T, not whether a class is in the stream, so ``classes`` and the
-    histogram still count every class, these under T = 0: a walk that left
-    them out would print different counts.
+    counters of the class stream.  Of the ``walked`` classes (those at the
+    walked root pairs), ``alternating`` repeat an unmarked edge type and
+    have T = 0 by the alternating law: they are counted, with no record,
+    no orbit key, no graph and no trail DP.  Of the rest, ``orbits`` counts
+    the trail DPs run, each on a graph built for it, and ``reused`` the
+    values taken from the orbit memo.  The law decides T, not whether a
+    class is in the stream, so ``classes`` and the histogram still count
+    every class, these under T = 0: a search that left them out would print
+    different counts.
     """
     histogram: tuple[tuple[int, int], ...]
     witness: MarkedDigraph | None
@@ -108,23 +109,26 @@ def search_classes(n: int, k: int, bmax: int, stop_on_witness: bool = False,
     """T over every class of n-vertex, k-edge graphs with at most bmax marks.
 
     Refuses, with ValueError, n < 1, k < 1, bmax < 0 and a search space
-    (``search_space``) larger than max_classes.  Walks the class records
-    (``MarkedGraphEnumeration``: roots and per-type edge counts) at root
-    pairs (1, 1) and (1, 2) in canonical order and computes T once per
-    orbit under vertex relabelling and reversal, keyed by
-    ``record_orbit_key``; a ``MarkedDigraph`` is built only for an orbit's
-    trail DP and for the witness.  A class whose
-    unmarked edges repeat a type (u, v), a multiplicity of 2 or more in its
-    record, has T = 0 with no key and no DP: s_k is alternating, so two
-    equal arguments E_(u,v) make it vanish; on the trail side, swapping the
-    two edges in a trail flips sgn(sigma) and keeps the marked order, so the
-    trails cancel in pairs.  Every other root pair repeats one of these two
-    up to relabelling (``root_orbits``), so each walked pair's counts are
-    scaled by its orbit size, and the record counts the full stream.  With
-    stop_on_witness the walk ends at the first class with T > 0; that class
-    lies at (1, 1) or (1, 2), the first two pairs of the full stream, so the
-    counts are left unscaled and count the full stream's prefix up to the
-    witness, itself included.
+    (``search_space``) larger than max_classes.  A class whose unmarked
+    edges repeat a type (u, v), a multiplicity of 2 or more in its record,
+    has T = 0: s_k is alternating, so two equal arguments E_(u,v) make it
+    vanish; on the trail side, swapping the two edges in a trail flips
+    sgn(sigma) and keeps the marked order, so the trails cancel in pairs.
+    So only the other classes, the simplified sets, are walked: the class
+    records (``MarkedGraphEnumeration``: roots and per-type edge counts)
+    with unmarked multiplicities capped at 1, at root pairs (1, 1) and
+    (1, 2) in canonical order.  T is computed once per orbit under vertex
+    relabelling and reversal, keyed by ``record_orbit_key``; a
+    ``MarkedDigraph`` is built only for an orbit's trail DP and for the
+    witness.  ``count_classes`` gives each pair's classes and skipped
+    counts, and the T = 0 row is its classes less the walked T != 0 rows.
+    Every other root pair repeats one of these two up to relabelling
+    (``root_orbits``), so each walked pair's counts are scaled by its orbit
+    size, and the record counts the full stream.  With stop_on_witness the
+    walk ends at the first class with T > 0; that class lies at (1, 1) or
+    (1, 2), the first two pairs of the full stream, so the counts are left
+    unscaled and count the full stream's prefix up to the witness, itself
+    included: at the witness's pair the uncapped walk is drained that far.
     """
     if n < 1 or k < 1 or bmax < 0:
         raise ValueError("need n, k >= 1 and bmax >= 0")
@@ -133,45 +137,44 @@ def search_classes(n: int, k: int, bmax: int, stop_on_witness: bool = False,
         raise ValueError(
             f"search space of {space} classes exceeds the guard of {max_classes}")
     values: dict[tuple[int, ...], int] = {}     # T by orbit key
-    reused = alternating = 0
-    walks = []      # (root-orbit size, T histogram, class stream) per walked root pair
-    witness, witness_T = None, 0
+    reused = 0
+    walks = []      # (root-orbit size, T != 0 histogram, stream counters) per walked pair
+    first, witness_T = None, 0                  # the witness's record and T
     for roots, size in root_orbits(n):
-        stream = enumerate_marked_graphs(n, k, bmax, [roots])
         counts: dict[int, int] = {}
-        walks.append((size, counts, stream))
-        for record in stream:
-            if _repeats_unmarked_type(record):
-                alternating += 1
-                value = 0
+        for record in enumerate_marked_graphs(n, k, bmax, [roots], cap=1):
+            key = record_orbit_key(record)
+            value = values.get(key)
+            if value is None:
+                value = values[key] = signed_sum(class_graph(n, record),
+                                                 max_nodes=max_nodes).T
             else:
-                key = record_orbit_key(record)
-                value = values.get(key)
-                if value is None:
-                    value = values[key] = signed_sum(class_graph(n, record),
-                                                     max_nodes=max_nodes).T
-                else:
-                    reused += 1
-            counts[value] = counts.get(value, 0) + 1
-            if value and witness is None:
-                witness, witness_T = class_graph(n, record), value
-                if stop_on_witness:
-                    break
-        if witness is not None and stop_on_witness:
-            # The walked prefix is the full stream's prefix up to the witness.
-            walks = [(1, counts, stream) for _, counts, stream in walks]
-            break
+                reused += 1
+            if value:
+                counts[value] = counts.get(value, 0) + 1
+                if first is None:
+                    first, witness_T = record, value
+                    if stop_on_witness:
+                        break
+        if first is None or not stop_on_witness:
+            walks.append((size, counts, count_classes(n, k, bmax, roots)))
+            continue
+        stream = enumerate_marked_graphs(n, k, bmax, [roots])
+        for record in stream:
+            if record == first:
+                break
+        walks = [(1, *walk[1:]) for walk in walks] + [
+            (1, counts, (stream.yielded, stream.skipped_unbalanced, stream.skipped_infeasible))]
+        break
     histogram: dict[int, int] = {}
-    for size, counts, _ in walks:
+    for size, counts, tally in walks:
+        counts[0] = tally[0] - sum(counts.values())
         for value, count in counts.items():
-            histogram[value] = histogram.get(value, 0) + size * count
-    yielded, unbalanced, infeasible = (
-        sum(size * getattr(stream, counter) for size, _, stream in walks)
-        for counter in ("yielded", "skipped_unbalanced", "skipped_infeasible"))
+            if count:
+                histogram[value] = histogram.get(value, 0) + size * count
+    classes, unbalanced, infeasible = (sum(size * tally[i] for size, _, tally in walks)
+                                       for i in range(3))
+    alternating = sum(tally[0] for _, _, tally in walks) - len(values) - reused
+    witness = None if first is None else class_graph(n, first)
     return ClassSearch(tuple(sorted(histogram.items())), witness, witness_T,
-                       yielded, unbalanced, infeasible, len(values), reused, alternating)
-
-
-def _repeats_unmarked_type(record: ClassRecord) -> bool:
-    """Does a class record hold two or more unmarked edges of one type?"""
-    return any(m > 1 for _, _, f, m in record[2] if not f)
+                       classes, unbalanced, infeasible, len(values), reused, alternating)

@@ -8,7 +8,8 @@ distinguished edges.
 The module also provides the witness family ``make_gn``, the root-absorbing
 extension, the opposite graph, the two loop-creating edge surgeries, an
 exhaustive enumerator of small marked graphs up to edge relabelling (as
-per-type count records), orbit keys of those classes under vertex
+per-type count records), their counts by a generating function
+(``count_classes``), orbit keys of those classes under vertex
 relabelling and reversal, a seeded sampler of trail-feasible graphs, and a
 strict line-oriented text format used by the command line tools.
 """
@@ -20,6 +21,7 @@ import itertools
 import math
 import operator
 import random
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -230,10 +232,15 @@ class MarkedGraphEnumeration:
     when the walk reaches it, so after every yield the counters equal those
     of building and validating every multiset of the walked root pairs in
     turn.
+
+    With a cap, unmarked types take multiplicities 1..cap only, and the walk
+    returns once the edges left exceed cap per unmarked type left plus beta.
+    It yields the uncapped walk's records within the cap, in order, and its
+    counters count the multisets within the cap.
     """
 
     def __init__(self, n: int, k: int, bmax: int,
-                 roots: Iterable[tuple[int, int]] | None = None):
+                 roots: Iterable[tuple[int, int]] | None = None, cap: int | None = None):
         if n < 1 or k < 1 or bmax < 0:
             raise ValueError("need n, k >= 1 and bmax >= 0")
         self.n = n
@@ -243,6 +250,9 @@ class MarkedGraphEnumeration:
                       else tuple(roots))
         if not all(1 <= s <= n and 1 <= t <= n for s, t in self.roots):
             raise ValueError(f"root pairs must lie in 1..{n}")
+        if cap is not None and cap < 1:
+            raise ValueError("need cap >= 1")
+        self.cap = cap
         self.yielded = 0
         self.skipped_unbalanced = 0
         self.skipped_infeasible = 0
@@ -255,16 +265,17 @@ class MarkedGraphEnumeration:
         return next(self._walk)
 
     def _generate(self):
-        n, k = self.n, self.k
+        n, k, cap = self.n, self.k, self.cap
         types = [(u, v, f) for u in range(1, n + 1) for v in range(1, n + 1) for f in (0, 1)]
         width = 2 * n                   # types per source vertex
         last = len(types)
 
         @functools.cache
         def size(i: int, r: int, beta: int) -> int:
-            """Multisets of r edges from types[i:] with at most beta marked."""
+            """Multisets of r edges from types[i:] with at most beta marked,
+            within the cap."""
             unmarked = (last - i) // 2      # types alternate unmarked, marked
-            return _bounded_multisets(last - i - unmarked, unmarked, r, beta)
+            return _bounded_multisets(last - i - unmarked, unmarked, r, beta, cap)
 
         d = [0] * (n + 1)
         picked: list[tuple[int, int, int, int]] = []
@@ -287,13 +298,16 @@ class MarkedGraphEnumeration:
                 if j % width == 0 and j and d[j // width] > 0:
                     self.skipped_unbalanced += size(j, r, beta)
                     return
+                if cap is not None and r > (last - j) // 2 * cap + beta:
+                    return      # no multiset left within the cap (size 0)
                 u, v, f = types[j]
                 du, dv = d[u], d[v]
                 # pos without u and v, whose d changes with m below
                 rest_pos = pos - (du if du > 0 else 0) - (dv if dv > 0 else 0)
                 # the last type must take every edge left: a smaller m leaves
                 # edges over that no type can take (a subtree of size 0)
-                for m in range(min(r, beta) if f else r, r - 1 if j == last - 1 else 0, -1):
+                top = min(r, beta) if f else r if cap is None else min(r, cap)
+                for m in range(top, r - 1 if j == last - 1 else 0, -1):
                     rest, beta_rest = r - m, beta - m * f
                     if u == v:
                         dead = pos > rest
@@ -371,14 +385,20 @@ def root_orbits(n: int) -> tuple[tuple[tuple[int, int], int], ...]:
     return (((1, 1), n), ((1, 2), n * (n - 1)))[:min(n, 2)]
 
 
-def _multichoose(kinds: int, r: int) -> int:
-    """Multisets of size r over the given number of kinds."""
-    return math.comb(kinds + r - 1, r) if kinds else int(r == 0)
+def _multichoose(kinds: int, r: int, cap: int | None = None) -> int:
+    """Multisets of size r over the given number of kinds, each at most cap
+    times if cap is given (inclusion-exclusion on the kinds past it)."""
+    if cap is None:
+        return math.comb(kinds + r - 1, r) if kinds else int(r == 0)
+    return sum((-1) ** i * math.comb(kinds, i) * _multichoose(kinds, r - i * (cap + 1))
+               for i in range(min(kinds, r // (cap + 1)) + 1))
 
 
-def _bounded_multisets(marked: int, unmarked: int, r: int, beta: int) -> int:
-    """Multisets of size r over marked and unmarked kinds, at most beta marked."""
-    return sum(_multichoose(marked, j) * _multichoose(unmarked, r - j)
+def _bounded_multisets(marked: int, unmarked: int, r: int, beta: int,
+                       cap: int | None = None) -> int:
+    """Multisets of size r over marked and unmarked kinds, at most beta
+    marked, and each unmarked kind at most cap times when cap is given."""
+    return sum(_multichoose(marked, j) * _multichoose(unmarked, r - j, cap)
                for j in range(min(beta, r) + 1))
 
 
@@ -391,6 +411,77 @@ def search_space(n: int, k: int, bmax: int) -> int:
     """
     pairs = n * n
     return pairs * _bounded_multisets(pairs, pairs, k, bmax)
+
+
+def count_classes(n: int, k: int, bmax: int, roots: tuple[int, int]) -> tuple[int, int, int]:
+    """The counters (yielded, skipped_unbalanced, skipped_infeasible) of a
+    drained ``MarkedGraphEnumeration`` at one root pair, with no walk.
+
+    A generating function in edges and marked edges, truncated at (k, bmax).
+    Loops leave the balance alone, so each vertex's two loop types are
+    counted in closed form at the end (``at_k``); the non-loop pairs are
+    folded over balance vectors (``balanced``).  With B_W the balanced
+    multisets on vertex set W with the roots, A_X the rootless ones on X and
+    C_U those whose edges all lie in the weak component U of s,
+    B_W = sum over {s, t} <= U <= W of C_U A_(W - U): the "connected from
+    all" recursion (Harary and Palmer, Graphical Enumeration, 1973, ch. 1),
+    solved for C_U from the smaller U up.  Feasible = sum of C_U at k.  All
+    terms depend only on |U| and whether s = t, so isomorphic sets share a DP.
+    """
+    if n < 1 or k < 1 or bmax < 0:
+        raise ValueError("need n, k >= 1 and bmax >= 0")
+    s, t = roots
+    if not (1 <= s <= n and 1 <= t <= n):
+        raise ValueError(f"root pairs must lie in 1..{n}")
+    apart = int(s != t)
+
+    @functools.cache
+    def balanced(w: int, apart: int) -> Counter:
+        """Non-loop multisets on vertices 0..w-1 by (edges, marked) with
+        in - out = [v = 1] - [v = 0] at each vertex when apart, else 0."""
+        want = (-1, 1) + (0,) * (w - 2) if apart else (0,) * w
+        states = Counter({((0,) * w, 0, 0): 1})     # (in - out, edges, marked)
+        for x in range(w):
+            for y in range(x + 1, w):
+                for a, b in ((x, y), (y, x)):
+                    grown = Counter()
+                    for (d, e, beta), c in states.items():
+                        for m in range(k - e + 1):
+                            moved = list(d)
+                            moved[a] -= m
+                            moved[b] += m
+                            # each edge left lowers the shortfall by at most 1
+                            if e + m + sum(p - q for p, q in zip(want, moved) if p > q) <= k:
+                                for j in range(min(m, bmax - beta) + 1):
+                                    grown[tuple(moved), e + m, beta + j] += c
+                    states = grown
+            # every pair at x is placed, so its balance is final
+            states = Counter({key: c for key, c in states.items() if key[0][x] == want[x]})
+        out = Counter()
+        for (_, e, beta), c in states.items():
+            out[e, beta] += c
+        return out
+
+    def at_k(w: int, poly: Counter) -> int:
+        # times the loops of w vertices, at k edges with at most bmax marked
+        return sum(c * _bounded_multisets(w, w, k - e, bmax - beta)
+                   for (e, beta), c in poly.items())
+
+    rooted = 1 + apart                  # root vertices, in every U
+    connected: list[Counter] = []       # C_U by |U| - rooted, loops aside
+    feasible = 0
+    for u in range(rooted, n + 1):
+        poly = Counter(balanced(u, apart))
+        for i, part in enumerate(connected):
+            rest = balanced(u - rooted - i, 0)
+            for (e1, b1), c1 in part.items():
+                for (e2, b2), c2 in rest.items():
+                    if e1 + e2 <= k and b1 + b2 <= bmax:
+                        poly[e1 + e2, b1 + b2] -= math.comb(u - rooted, i) * c1 * c2
+        connected.append(poly)
+        feasible += math.comb(n - rooted, u - rooted) * at_k(u, poly)
+    balance = at_k(n, balanced(n, apart))
+    return feasible, _bounded_multisets(n * n, n * n, k, bmax) - balance, balance - feasible
 
 
 @functools.lru_cache(maxsize=8)
@@ -454,9 +545,9 @@ def record_orbit_key(record: ClassRecord) -> tuple[int, ...]:
 
 
 def enumerate_marked_graphs(n: int, k: int, bmax: int,
-                            roots: Iterable[tuple[int, int]] | None = None
-                            ) -> MarkedGraphEnumeration:
-    return MarkedGraphEnumeration(n, k, bmax, roots)
+                            roots: Iterable[tuple[int, int]] | None = None,
+                            cap: int | None = None) -> MarkedGraphEnumeration:
+    return MarkedGraphEnumeration(n, k, bmax, roots, cap)
 
 
 def random_feasible_graph(rng: random.Random, n: int, k: int, bmax: int,

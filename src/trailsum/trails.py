@@ -89,9 +89,10 @@ def _permutation(perm) -> tuple[int, ...]:
     return seq
 
 
-def sgn_perm(perm) -> int:
-    """Parity sign of a permutation of 1..k: (-1)^(k - number of cycles)."""
-    seq = _permutation(perm)
+# Unchecked cores: they take a checked permutation tuple (and, for
+# _pattern, a checked ascending subset); the public functions check once.
+
+def _cycle_sign(seq: tuple[int, ...]) -> int:
     k = len(seq)
     seen = [False] * (k + 1)
     parity = k
@@ -105,12 +106,26 @@ def sgn_perm(perm) -> int:
     return -1 if parity & 1 else 1
 
 
-def invert_permutation(perm) -> tuple[int, ...]:
-    seq = _permutation(perm)
+def _inverse(seq: tuple[int, ...]) -> tuple[int, ...]:
     inv = [0] * len(seq)
     for pos, val in enumerate(seq, start=1):
         inv[val - 1] = pos
     return tuple(inv)
+
+
+def _pattern(seq: tuple[int, ...], Ms) -> tuple[int, ...]:
+    vals = [seq[j - 1] for j in Ms]
+    order = sorted(vals)
+    return tuple(order.index(v) + 1 for v in vals)
+
+
+def sgn_perm(perm) -> int:
+    """Parity sign of a permutation of 1..k: (-1)^(k - number of cycles)."""
+    return _cycle_sign(_permutation(perm))
+
+
+def invert_permutation(perm) -> tuple[int, ...]:
+    return _inverse(_permutation(perm))
 
 
 def sigma_M(perm, M) -> tuple[int, ...]:
@@ -125,9 +140,7 @@ def sigma_M(perm, M) -> tuple[int, ...]:
     Ms = sorted(set(_ints(M, "subset elements")))
     if Ms and not (1 <= Ms[0] and Ms[-1] <= k):
         raise ValueError(f"subset {Ms} is not contained in 1..{k}")
-    vals = [seq[j - 1] for j in Ms]
-    order = sorted(vals)
-    return tuple(order.index(v) + 1 for v in vals)
+    return _pattern(seq, Ms)
 
 
 def marked_order_sign(sigma, marked) -> int:
@@ -140,16 +153,17 @@ def marked_order_sign(sigma, marked) -> int:
     contribution.  Raises ValueError unless sigma is a permutation of 1..k
     and marked lies in 1..k.
     """
-    return sgn_perm(sigma_M(invert_permutation(sigma), marked))
+    return _cycle_sign(sigma_M(_inverse(_permutation(sigma)), marked))
 
 
 def trail_signs(g: MarkedDigraph, trail) -> tuple[int, int]:
     """The pair (sgn(sigma), marked-order sign) of one trail of g.  Raises
-    ValueError unless trail is a trail of g (is_trail)."""
+    ValueError unless trail is a trail of g (is_trail), which makes it a
+    permutation of 1..k, so both signs come from the checked tuple."""
     seq = _ints(trail, "edge indices")
     if not is_trail(g, seq):
         raise ValueError(f"{seq} is not a trail of the graph")
-    return sgn_perm(seq), marked_order_sign(seq, g.marked)
+    return _cycle_sign(seq), _cycle_sign(_pattern(_inverse(seq), g.marked_indices()))
 
 
 def is_trail(g: MarkedDigraph, sigma) -> bool:

@@ -247,14 +247,16 @@ class _BruteMarkedGraphs:
 
     The generator body is the package's original enumerator: for each root
     pair (all n^2 of them unless ``roots`` names some) it draws every
-    multiset with at most bmax marked edges, builds the graph and lets
-    ``trail_flags`` sort it into the counters.
+    multiset with at most bmax marked edges, and with a cap drops those
+    holding an unmarked triple more than cap times; it builds the graph and
+    lets ``trail_flags`` sort it into the counters.
     """
 
-    def __init__(self, n, k, bmax, roots=None):
+    def __init__(self, n, k, bmax, roots=None, cap=None):
         self.n = n
         self.k = k
         self.bmax = bmax
+        self.cap = cap
         self.roots = (list(itertools.product(range(1, n + 1), repeat=2)) if roots is None
                       else list(roots))
         self.yielded = 0
@@ -276,6 +278,11 @@ class _BruteMarkedGraphs:
             for combo in itertools.combinations_with_replacement(types, k):
                 if sum(f for _, _, f in combo) > self.bmax:
                     continue
+                # combo is sorted, so a triple taken more than cap times
+                # meets itself cap places on
+                if self.cap is not None and any(
+                        x == y and not x[2] for x, y in zip(combo, combo[self.cap:])):
+                    continue
                 edges = tuple((u, v) for u, v, _ in combo)
                 marked = frozenset(i for i, (_, _, f) in enumerate(combo, start=1) if f)
                 g = MarkedDigraph(n, edges, s, t, marked)
@@ -290,9 +297,9 @@ class _BruteMarkedGraphs:
                 yield g
 
 
-def brute_marked_graphs(n, k, bmax, roots=None):
+def brute_marked_graphs(n, k, bmax, roots=None, cap=None):
     """Reference class stream with the counters of MarkedGraphEnumeration."""
-    return _BruteMarkedGraphs(n, k, bmax, roots)
+    return _BruteMarkedGraphs(n, k, bmax, roots, cap)
 
 
 def brute_orbit_ids(graphs):

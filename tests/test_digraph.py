@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from oracles import brute_marked_graphs, brute_orbit_ids, brute_trails, trail_flags
 from trailsum import digraph
 from trailsum.digraph import (GraphFormatError, MarkedDigraph, class_graph,
-                              class_record, enumerate_marked_graphs, extend,
+                              class_record, count_classes, enumerate_marked_graphs, extend,
                               format_graph, make_gn, opposite, parse_graph,
                               random_feasible_graph, record_orbit_key,
                               search_space, surgery_in, surgery_out, validate)
@@ -301,6 +301,23 @@ class TestEnumeration:
         assert fast.yielded > 0
         assert sum(counters(fast)) == search_space(n, k, bmax)
 
+    @pytest.mark.parametrize("n, k, bmax, cap", [
+        (1, 4, 4, 1), (2, 4, 2, 1), (2, 5, 2, 2), (2, 6, 3, 1), (3, 5, 2, 1), (3, 5, 2, 2),
+    ])
+    def test_capped_stream_matches_brute_force(self, n, k, bmax, cap):
+        # the capped walk's records and counters are the brute-force stream's
+        # once the multisets past the cap are dropped
+        def counters(stream):
+            return stream.yielded, stream.skipped_unbalanced, stream.skipped_infeasible
+
+        fast = enumerate_marked_graphs(n, k, bmax, cap=cap)
+        brute = brute_marked_graphs(n, k, bmax, cap=cap)
+        for a, b in itertools.zip_longest(fast, brute):
+            assert class_graph(n, a) == b
+            assert counters(fast) == counters(brute)
+        assert counters(fast) == counters(brute)
+        assert fast.yielded > 0
+
     def test_many_loops_drain_without_hopeless_picks(self):
         # (a unmarked, 3000 - a marked) loops for each a: the last type takes
         # every edge left, so the walk makes 3001 picks of it, not 3001 * 3000 / 2
@@ -326,7 +343,7 @@ class TestEnumeration:
             for a, b in itertools.zip_longest(fast, brute):
                 assert class_graph(n, a) == b
                 histogram[signed_sum(b).T] += 1
-            assert counters(fast) == counters(brute)
+            assert counters(fast) == counters(brute) == count_classes(n, k, bmax, (s, t))
             tallies[s == t].add((counters(brute), frozenset(histogram.items())))
         assert len(tallies[True]) == len(tallies[False]) == 1
         assert [size for _, size in digraph.root_orbits(n)] == [n, n * (n - 1)]
@@ -334,6 +351,49 @@ class TestEnumeration:
     def test_root_pairs_out_of_range(self):
         with pytest.raises(ValueError):
             enumerate_marked_graphs(2, 3, 1, [(1, 3)])
+
+    def test_cap_below_one(self):
+        with pytest.raises(ValueError, match="cap >= 1"):
+            enumerate_marked_graphs(2, 3, 1, cap=0)
+
+
+def _drained(stream):
+    collections.deque(stream, maxlen=0)
+    return stream.yielded, stream.skipped_unbalanced, stream.skipped_infeasible
+
+
+class TestCountClasses:
+    # every size the class walk and the class search run at in the tests
+    @pytest.mark.parametrize("n, k, bmax", [
+        (1, 1, 0), (1, 2, 0), (1, 2, 2), (1, 3, 2), (1, 256, 256), (2, 3, 1), (2, 4, 0),
+        (2, 4, 1), (2, 4, 2), (2, 5, 2), (2, 5, 5), (2, 6, 3), (2, 7, 3), (3, 4, 0),
+        (3, 4, 1), (3, 5, 2), (3, 6, 2),
+    ])
+    def test_matches_walk_and_brute_force(self, n, k, bmax):
+        for roots, _ in digraph.root_orbits(n):
+            walk = enumerate_marked_graphs(n, k, bmax, [roots])
+            brute = brute_marked_graphs(n, k, bmax, [roots])
+            assert count_classes(n, k, bmax, roots) == _drained(walk) == _drained(brute)
+
+    # past the brute force's reach: CI cells, the 3,000-loop drain, one edge on four vertices
+    @pytest.mark.parametrize("n, k, bmax", [
+        (1, 3000, 3000), (2, 8, 5), (2, 11, 8), (3, 7, 2), (3, 8, 3), (4, 6, 2), (4, 1, 0),
+    ])
+    def test_matches_walk(self, n, k, bmax):
+        for roots, _ in digraph.root_orbits(n):
+            walk = enumerate_marked_graphs(n, k, bmax, [roots])
+            assert count_classes(n, k, bmax, roots) == _drained(walk)
+
+    def test_one_root_pair_of_the_space(self):
+        # the counters add up to the multisets at one root pair
+        assert sum(count_classes(3, 12, 5, (1, 2))) == search_space(3, 12, 5) // 9
+
+    @pytest.mark.parametrize("n, k, bmax, roots", [
+        (0, 1, 0, (1, 1)), (2, 0, 1, (1, 1)), (2, 1, -1, (1, 1)), (2, 3, 1, (1, 3)),
+        (2, 3, 1, (0, 1))])
+    def test_bad_arguments(self, n, k, bmax, roots):
+        with pytest.raises(ValueError):
+            count_classes(n, k, bmax, roots)
 
 
 class TestSearchSpace:
