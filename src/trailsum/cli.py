@@ -331,7 +331,8 @@ def cmd_signed_sum(args) -> int:
     r = signed_sum(g, max_nodes=args.budget)
     print(f"S={r.S} T={r.T} trails={r.trail_count}")
     # The walk lists every trail; the DP takes parallel edges of one type in
-    # index order and scales, so the fold checks the quotient on each listing.
+    # index order and scales, and the count comes from the BEST theorem, so
+    # the fold checks both on each listing.
     if walk is not None and (total, listed) != (r.S, r.trail_count):
         print(f"error: the listed trails give S={total} trails={listed}, "
               f"the DP S={r.S} trails={r.trail_count}", file=sys.stderr)

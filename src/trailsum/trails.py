@@ -23,19 +23,27 @@ contributions factor through states (U, head); the walk and the DP read it
 from one edge table (_out_edges).  signed_sum and filtered_signed_sum are
 one forward DP (_layered_sum) with one layer per |U|, in the manner of Held
 and Karp ("A dynamic programming approach to sequencing problems", 1962):
-each state carries the signed weight and the number of trail prefixes
-reaching it, a layer is dropped once the next one is built, and nothing is
-pruned.  A constraint is a check on |U| (a position), a forced next edge in
-the state (a consecutive run) or a check on U (the order of two runs).  The
-parallel edges of each type (same endpoints, same mark flag) that no
-constraint names are taken in index order only, and the result is scaled by
-the factorials the swap laws give.  The listing walk and trail_signs stay
+each state carries its signed weight alone, a state whose weight cancels to
+0 is dropped at once (the DP is linear, so it adds nothing to any
+completion), and a layer is dropped once the next one is built.  A
+constraint is a check on |U| (a position), a forced next edge in the state
+(a consecutive run) or a check on U (the order of two runs).  The parallel
+edges of each type (same endpoints, same mark flag) that no constraint
+names are taken in index order only, and the result is scaled by the
+factorials the swap laws give.  The listing walk and trail_signs stay
 unreduced.  Both routes are exact and are cross-checked in the tests.
+
+The trail count is not a DP quantity: _trail_count takes it from one
+determinant by the BEST theorem, and signed_sum's report computes it only
+when it is read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from collections import Counter, defaultdict
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .digraph import MarkedDigraph, _spans, extend, surgery_in, surgery_out, validate
 
@@ -60,13 +68,20 @@ class SignedSumReport:
 
     ``nodes`` is the number of states (used-edge set, head) created by the
     ordered DP, which takes the parallel edges of each type in index order,
-    the start state included; it is the quantity max_nodes bounds, and 0
-    when no DP ran (no edges, or no trail can exist).
+    the start state included.  A state whose weight cancels to 0 is
+    dropped, and one created again counts again, so ``nodes`` bounds both
+    the live states and the work; it is the quantity max_nodes bounds, and
+    0 when no DP ran (no edges, or no trail can exist).  ``trail_count`` is
+    computed from g (_trail_count) the first time it is read.
     """
     S: int
     T: int
-    trail_count: int
     nodes: int
+    g: MarkedDigraph = field(compare=False, repr=False)
+
+    @cached_property
+    def trail_count(self) -> int:
+        return _trail_count(self.g)
 
 
 # -- permutation helpers -----------------------------------------------------
@@ -404,23 +419,26 @@ def enumerate_trails(g: MarkedDigraph, max_nodes: int = DEFAULT_NODE_BUDGET):
 
 # -- the layered subset DP ------------------------------------------------------
 
-def _layered_sum(g: MarkedDigraph, constraints, max_nodes: int) -> tuple[int, int, int]:
-    """(S, trail count, states created) over the trails of g that satisfy
-    every constraint (see filtered_signed_sum); signed_sum passes none.
+def _layered_sum(g: MarkedDigraph, constraints, max_nodes: int) -> tuple[int, int]:
+    """(S, states created) over the trails of g that satisfy every
+    constraint (see filtered_signed_sum); signed_sum passes none.
 
-    A layer maps (head, forced) to {used edge mask U: [signed weight,
-    count]}, where ``forced`` is the edge that must come next (0: none), and
-    is dropped once the next is built.  The parallel edges of each type that
-    no constraint names are taken in index order, so U is in effect a vector
+    A layer maps (head, forced) to {used edge mask U: signed weight}, where
+    ``forced`` is the edge that must come next (0: none), and is dropped
+    once the next is built.  An addition that brings a weight to 0 deletes
+    its state on the spot: every completion of it adds weight times a sign,
+    so S does not change.  The parallel edges of each type that no
+    constraint names are taken in index order, so U is in effect a vector
     of per-type use counts.  Swapping two of them maps satisfying trails to
     satisfying trails and flips sgn(sigma), and the marked-order sign too
     when they are marked: S is the ordered sum times m! per marked type of
-    multiplicity m, and 0 when an unmarked type repeats, and the count is
-    the ordered count times m! per type.
+    multiplicity m, and 0 when an unmarked type repeats.
 
-    Raises BudgetExceededError as soon as the states created pass max_nodes.
-    The trivial graphs run no DP and fit any budget: an infeasible graph
-    gives (0, 0, 0), and the feasible empty graph (s = t) (1, 1, 0).
+    Every insertion counts as a state created, a state created again after
+    its deletion included, and the DP raises BudgetExceededError as soon as
+    they pass max_nodes.  The trivial graphs run no DP and fit any budget:
+    an infeasible graph gives (0, 0), and the feasible empty graph (s = t)
+    (1, 0).
     """
     slot: dict[int, int] = {}     # position -> edge
     succ: dict[int, int] = {}
@@ -440,14 +458,14 @@ def _layered_sum(g: MarkedDigraph, constraints, max_nodes: int) -> tuple[int, in
         if isinstance(c, Precedes):
             need[c.second[0]] |= 1 << (c.first[-1] - 1)
     if contradictory or not validate(g):
-        return 0, 0, 0
+        return 0, 0
     if g.k == 0:
-        return 1, 1, 0
+        return 1, 0
 
     # Rows (e, bit of e | need, need, head of e, sign mask, next forced): a
     # state with used set U takes the row when U & (bit | need) == need.
     rows = {}
-    S_scale = count_scale = 1       # the m! factors, one factor per edge
+    scale = 1                       # the m! factors of the repeated types
     for tail, out in _out_edges(g).items():
         last = {}                   # type -> (bit of its latest edge, rank of the next)
         row = rows[tail] = []
@@ -457,24 +475,23 @@ def _layered_sum(g: MarkedDigraph, constraints, max_nodes: int) -> tuple[int, in
                 kind = (dest, e in g.marked)
                 before, rank = last.get(kind, (0, 1))
                 last[kind] = (bit, rank + 1)
-                count_scale *= rank
                 if rank > 1:
-                    S_scale *= rank if kind[1] else 0       # an unmarked repeat cancels
+                    scale *= rank if kind[1] else 0     # an unmarked repeat cancels
             row.append((e, bit | before if before else bit, before, dest, sign_mask,
                         succ.get(e, 0)))
 
     nodes = 1
     if nodes > max_nodes:
         raise BudgetExceededError(nodes, max_nodes)
-    layer = {(g.s, 0): {0: [1, 1]}}
+    layer = {(g.s, 0): {0: 1}}
     for pos in range(1, g.k + 1):
-        nxt: dict[tuple[int, int], dict[int, list[int]]] = {}
+        nxt: dict[tuple[int, int], dict[int, int]] = {}
         for (head, forced), states in layer.items():
             for e, mask, before, dest, sign_mask, nforced in rows.get(head, ()):
                 if forced and forced != e or slot.get(pos, e) != e:
                     continue
                 target = nxt.setdefault((dest, nforced), {})
-                for used, (w, c) in states.items():
+                for used, w in states.items():
                     if used & mask != before:
                         continue
                     if (used & sign_mask).bit_count() & 1:
@@ -485,13 +502,13 @@ def _layered_sum(g: MarkedDigraph, constraints, max_nodes: int) -> tuple[int, in
                         nodes += 1
                         if nodes > max_nodes:
                             raise BudgetExceededError(nodes, max_nodes)
-                        target[nused] = [w, c]
-                    else:
-                        cur[0] += w
-                        cur[1] += c
+                        target[nused] = w
+                    elif cur + w:
+                        target[nused] = cur + w
+                    else:                   # cancelled: drop it
+                        del target[nused]
         layer = nxt
-    w, c = layer.get((g.t, 0), {}).get((1 << g.k) - 1, (0, 0))
-    return w * S_scale, c * count_scale, nodes
+    return layer.get((g.t, 0), {}).get((1 << g.k) - 1, 0) * scale, nodes
 
 
 def signed_sum(g: MarkedDigraph, max_nodes: int = DEFAULT_NODE_BUDGET) -> SignedSumReport:
@@ -499,12 +516,101 @@ def signed_sum(g: MarkedDigraph, max_nodes: int = DEFAULT_NODE_BUDGET) -> Signed
 
     The unconstrained run of _layered_sum: a forward DP over states (U,
     head), one layer per |U|, where U is the set of used edges, quotiented
-    by the parallel edges of each type.  Each state holds the signed weight
-    and the number of trail prefixes reaching it.  The result is identical
-    to folding trail_signs over enumerate_trails, which stays unreduced.
+    by the parallel edges of each type.  Each state holds its signed
+    weight, and a state whose weight cancels to 0 is dropped.  The result
+    is identical to folding trail_signs over enumerate_trails, which stays
+    unreduced.  The report's trail_count comes from _trail_count, computed
+    when first read, so a caller that reads only S and T never counts.
     """
-    S, count, nodes = _layered_sum(g, (), max_nodes)
-    return SignedSumReport(S, abs(S), count, nodes)
+    S, nodes = _layered_sum(g, (), max_nodes)
+    return SignedSumReport(S, abs(S), nodes, g)
+
+
+# -- the trail count ------------------------------------------------------------
+
+def _trail_count(g: MarkedDigraph) -> int:
+    """The number of Eulerian trails of g from s to t (edges distinct), by
+    the BEST theorem (van Aardenne-Ehrenfest and de Bruijn, 1951; Smith and
+    Tutte, 1941).
+
+    With the closing edge t -> s added when s != t, the trails are the
+    Eulerian circuits through that edge, and when s = t each circuit gives
+    outdeg(s) trails, one per first edge.  A balanced connected graph has
+    tau * prod over its vertices of (outdeg - 1)! circuits, where tau counts
+    the spanning trees oriented towards s: the determinant of the
+    out-degree Laplacian (loops left out) without s's row and column.  A
+    vertex other than s whose out-edges other than loops all go to one
+    vertex u, m of them, takes one of those m in every such tree, so it is
+    first merged into u and tau multiplied by m; that takes a path or a
+    chain of 2-cycles down to s alone.  What is left is one Bareiss
+    determinant.
+    """
+    if not validate(g):
+        return 0
+    if not g.edges:
+        return 1                    # the empty trail
+    edges = list(g.edges)
+    if g.s != g.t:
+        edges.append((g.t, g.s))
+    outdeg = Counter(u for u, _ in edges)
+    count = outdeg[g.s] if g.s == g.t else 1
+    for d in outdeg.values():
+        count *= math.factorial(d - 1)
+    out: defaultdict[int, Counter] = defaultdict(Counter)   # non-loop edges: head -> count
+    into: defaultdict[int, set[int]] = defaultdict(set)     # their tails, per head
+    for u, v in edges:
+        if u != v:
+            out[u][v] += 1
+            into[v].add(u)
+
+    todo = list(out)
+    while todo:
+        v = todo.pop()
+        heads = out.get(v)
+        if v == g.s or heads is None or len(heads) != 1:
+            continue
+        (u, m), = heads.items()
+        count *= m                  # merge v into u: edges between them become loops
+        del out[v]
+        out[u].pop(v, None)
+        into[u].discard(v)
+        for p in into.pop(v):
+            if p != u:
+                out[p][u] += out[p].pop(v)
+                into[u].add(p)
+                todo.append(p)
+        todo.append(u)
+
+    rest = [v for v in out if v != g.s]
+    pos = {v: i for i, v in enumerate(rest)}
+    a = [[0] * len(rest) for _ in rest]
+    for i, v in enumerate(rest):
+        for u, m in out[v].items():
+            a[i][i] += m
+            if u != g.s:
+                a[i][pos[u]] -= m
+    return count * _determinant(a)
+
+
+def _determinant(a: list[list[int]]) -> int:
+    """Determinant of a reduced Laplacian a (which it overwrites), by
+    Bareiss's fraction-free elimination.
+
+    Each pivot is a leading principal minor, which counts the forests in
+    which each of its vertices takes one out-edge and every tree leaves its
+    vertex set; in a strongly connected graph every vertex reaches s, so
+    there is one, and no pivot is 0.
+    """
+    n = len(a)
+    prev = 1
+    for k in range(n - 1):
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            row, lead = a[i], a[i][k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - lead * a[k][j]) // prev
+        prev = pivot
+    return a[-1][-1] if n else 1
 
 
 # -- constrained partial sums -------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 
 from oracles import (brute_marked_graphs, matrix_to_oracle, o_standard_polynomial,
                      repeats_unmarked_type)
-from trailsum import bridge
+from trailsum import bridge, trails
 from trailsum.bridge import (ClassSearch, cross_check, graph_matrices,
                              search_classes)
 from trailsum.digraph import (MarkedDigraph, class_graph, class_record,
@@ -312,6 +312,17 @@ class TestSearchClasses:
         found = search_classes(3, 6, 2)
         assert (found.orbits, found.walked) == (389, 2684)
         assert 0 < built[0] <= found.orbits + 1
+
+    def test_search_and_cross_check_never_count_trails(self, monkeypatch):
+        usual = search_classes(3, 6, 2), cross_check(make_gn(3, 2))
+
+        def refuse(g):
+            raise AssertionError("the trail count was read")
+
+        monkeypatch.setattr(trails, "_trail_count", refuse)
+        found, rep = search_classes(3, 6, 2), cross_check(make_gn(3, 2))
+        assert (found, rep) == usual
+        assert (found.orbits, found.walked, rep.S, rep.agrees) == (389, 2684, 64, True)
 
     def test_count_path_runs_past_255_edges(self):
         # At k = 256 two classes reach the orbit key and the trail DP: 256

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,7 +11,7 @@ from oracles import (brute_filtered_sum, brute_signed_sum, brute_trails,
 from trailsum.digraph import (MarkedDigraph, class_graph, enumerate_marked_graphs,
                               extend, make_gn, opposite, random_feasible_graph)
 from trailsum.trails import (_TAIL_EDGES, AtPosition, BudgetExceededError, Precedes,
-                             Subtrail, enumerate_trails,
+                             Subtrail, _trail_count, enumerate_trails,
                              filtered_signed_sum, invert_permutation, is_trail,
                              marked_order_sign, relabel, sgn_perm, sigma_M,
                              signed_sum, signed_trails, swan_identity,
@@ -509,6 +510,60 @@ class TestSignedSum:
         assert r.nodes > 0
 
 
+def complete_digraph(n, s, t):
+    """Every ordered pair of distinct vertices as one edge, less t -> s when
+    s != t, so that trails run from s to t."""
+    return graph(n, [(u, v) for u in range(1, n + 1) for v in range(1, n + 1)
+                     if u != v and (u, v) != (t, s)], s, t)
+
+
+class TestTrailCount:
+    """_trail_count (the BEST theorem) against lists of the trails."""
+
+    def test_matches_brute_trails(self):
+        seen = {"s = t": 0, "s != t": 0, "loops at the root": 0, "parallel non-loops": 0}
+        drawn = [g for g, _ in random_graphs(41, 120, n_max=4, k_max=5)]
+        rng = random.Random(42)
+        for g in drawn[:40]:            # one or two loops at s, among the other edges
+            edges = list(g.edges) + [(g.s, g.s)] * rng.randint(1, 2)
+            rng.shuffle(edges)
+            drawn.append(graph(g.n, edges, g.s, g.t))
+        drawn += [g for g, _ in parallel_graphs(43, 60)]
+        for g in drawn:
+            count = _trail_count(g)
+            assert count == len(brute_trails(g)), g
+            if count:
+                seen["s = t" if g.s == g.t else "s != t"] += 1
+                seen["loops at the root"] += (g.s, g.s) in g.edges
+                seen["parallel non-loops"] += any(
+                    u != v and g.edges.count((u, v)) > 1 for u, v in g.edges)
+        assert min(seen.values()) >= 10, seen
+
+    def test_complete_digraphs(self):
+        # No vertex has a single out-neighbour, so nothing contracts and the
+        # determinant does all the work.  The plain walk lists the trails on
+        # four vertices; on n vertices the graph has n^(n-2) ((n-2)!)^n
+        # Eulerian circuits, each giving n - 1 trails from s back to s.
+        for s, t in ((1, 1), (1, 2), (3, 1)):
+            g = complete_digraph(4, s, t)
+            assert _trail_count(g) == len(walk_steps(g)[0]) == (768 if s == t else 256)
+        assert _trail_count(complete_digraph(5, 2, 2)) == 5 ** 3 * math.factorial(3) ** 5 * 4
+        assert _trail_count(complete_digraph(5, 2, 4)) == 5 ** 3 * math.factorial(3) ** 5
+
+    @pytest.mark.parametrize("g, listed", [(make_gn(3, 3), 51840),
+                                           (extend(make_gn(3, 2)), 2016)])
+    def test_matches_the_listing_walk(self, g, listed):
+        assert _trail_count(g) == sum(1 for _ in signed_trails(g)) == listed
+
+    def test_path_and_chain_contract_to_the_root(self):
+        chain = graph(10000, [e for v in range(1, 10000) for e in ((v, v + 1), (v + 1, v))],
+                      1, 1)
+        for g in (path_graph(20000), chain):
+            start = time.perf_counter()
+            assert _trail_count(g) == 1
+            assert time.perf_counter() - start < 1
+
+
 def parallel_graphs(seed, count):
     """Graphs with repeated edge types, in shuffled index order.
 
@@ -549,10 +604,11 @@ def parallel_groups(g):
 
 class TestParallelQuotient:
     def test_witness_state_counts(self):
-        # the ordered DP keeps per-type use counts: 79,190 and 133,574
-        # states without the quotient
-        assert signed_sum(make_gn(5, 3)).nodes == 16054
-        assert signed_sum(make_gn(6, 2)).nodes == 67608
+        # the ordered DP keeps per-type use counts and drops the states whose
+        # weight cancels: 16,054 and 67,608 states with every state kept,
+        # 79,190 and 133,574 without the quotient either
+        assert signed_sum(make_gn(5, 3)).nodes == 11319
+        assert signed_sum(make_gn(6, 2)).nodes == 39156
 
     def test_unmarked_loops_take_one_state_per_count(self):
         g = graph(1, [(1, 1)] * 255, 1, 1)
@@ -615,8 +671,8 @@ class TestParallelQuotient:
 
     def test_filtered_budget_counts_quotiented_states(self):
         g = make_gn(3, 3)
-        assert signed_sum(g).nodes == 400
-        for cs, states, S in (([], 400, 1440), ([AtPosition(7, 3)], 179, 576)):
+        assert signed_sum(g).nodes == 376
+        for cs, states, S in (([], 376, 1440), ([AtPosition(7, 3)], 185, 576)):
             assert filtered_signed_sum(g, cs, max_nodes=states) == S
             with pytest.raises(BudgetExceededError):
                 filtered_signed_sum(g, cs, max_nodes=states - 1)
