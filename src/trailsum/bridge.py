@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .digraph import (MarkedDigraph, class_graph, count_classes,
-                      enumerate_marked_graphs, record_orbit_key, root_orbits,
-                      search_space)
+                      enumerate_marked_graphs, multisets_through, record_orbit_key,
+                      root_orbits, search_space)
 from .grassmann import GrassmannElement, GrassmannMatrix, standard_polynomial_row
 from .trails import DEFAULT_NODE_BUDGET, signed_sum
 
@@ -116,9 +116,9 @@ def search_classes(n: int, k: int, bmax: int, stop_on_witness: bool = False,
     sgn(sigma) and keeps the marked order, so the trails cancel in pairs.
     So only the other classes, the simplified sets, are walked: the class
     records (``MarkedGraphEnumeration``: roots and per-type edge counts)
-    with unmarked multiplicities capped at 1, at root pairs (1, 1) and
-    (1, 2) in canonical order.  T is computed once per orbit under vertex
-    relabelling and reversal, keyed by ``record_orbit_key``; a
+    of the repeat_free walk, at root pairs (1, 1) and (1, 2) in canonical
+    order.  T is computed once per orbit under vertex relabelling and
+    reversal, keyed by ``record_orbit_key``; a
     ``MarkedDigraph`` is built only for an orbit's trail DP and for the
     witness.  ``count_classes`` gives each pair's classes and skipped
     counts, and the T = 0 row is its classes less the walked T != 0 rows.
@@ -128,7 +128,8 @@ def search_classes(n: int, k: int, bmax: int, stop_on_witness: bool = False,
     walk ends at the first class with T > 0; that class lies at (1, 1) or
     (1, 2), the first two pairs of the full stream, so the counts are left
     unscaled and count the full stream's prefix up to the witness, itself
-    included: at the witness's pair the uncapped walk is drained that far.
+    included: at the witness's pair the full walk is drained that far, and
+    ``multisets_through`` the witness less the walk's leaves is unbalanced.
     """
     if n < 1 or k < 1 or bmax < 0:
         raise ValueError("need n, k >= 1 and bmax >= 0")
@@ -142,7 +143,7 @@ def search_classes(n: int, k: int, bmax: int, stop_on_witness: bool = False,
     first, witness_T = None, 0                  # the witness's record and T
     for roots, size in root_orbits(n):
         counts: dict[int, int] = {}
-        for record in enumerate_marked_graphs(n, k, bmax, [roots], cap=1):
+        for record in enumerate_marked_graphs(n, k, bmax, [roots], repeat_free=True):
             key = record_orbit_key(record)
             value = values.get(key)
             if value is None:
@@ -163,8 +164,10 @@ def search_classes(n: int, k: int, bmax: int, stop_on_witness: bool = False,
         for record in stream:
             if record == first:
                 break
+        leaves = stream.yielded + stream.skipped_infeasible
         walks = [(1, *walk[1:]) for walk in walks] + [
-            (1, counts, (stream.yielded, stream.skipped_unbalanced, stream.skipped_infeasible))]
+            (1, counts, (stream.yielded, multisets_through(n, k, bmax, first) - leaves,
+                         stream.skipped_infeasible))]
         break
     histogram: dict[int, int] = {}
     for size, counts, tally in walks:

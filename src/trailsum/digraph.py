@@ -226,21 +226,17 @@ class MarkedGraphEnumeration:
 
     Iterating the enumeration yields class records (``class_record``) in
     one single pass; ``class_graph`` turns a record into its representative
-    graph.  The counters cover the root pairs walked and update as items
-    are consumed, in stream order.  A cut subtree adds its size
-    (multisets with at most bmax marked edges) to ``skipped_unbalanced``
-    when the walk reaches it, so after every yield the counters equal those
-    of building and validating every multiset of the walked root pairs in
-    turn.
+    graph.  The counters ``yielded`` and ``skipped_infeasible`` count the
+    walk's leaves as items are consumed; the unbalanced multisets it cuts
+    are counted in closed form (``count_classes``, ``multisets_through``).
 
-    With a cap, unmarked types take multiplicities 1..cap only, and the walk
-    returns once the edges left exceed cap per unmarked type left plus beta.
-    It yields the uncapped walk's records within the cap, in order, and its
-    counters count the multisets within the cap.
+    With repeat_free, unmarked types take multiplicity 1 only, and the walk
+    returns once the edges left exceed the unmarked types left plus beta:
+    it yields the full walk's records that repeat no unmarked type.
     """
 
     def __init__(self, n: int, k: int, bmax: int,
-                 roots: Iterable[tuple[int, int]] | None = None, cap: int | None = None):
+                 roots: Iterable[tuple[int, int]] | None = None, repeat_free: bool = False):
         if n < 1 or k < 1 or bmax < 0:
             raise ValueError("need n, k >= 1 and bmax >= 0")
         self.n = n
@@ -250,11 +246,8 @@ class MarkedGraphEnumeration:
                       else tuple(roots))
         if not all(1 <= s <= n and 1 <= t <= n for s, t in self.roots):
             raise ValueError(f"root pairs must lie in 1..{n}")
-        if cap is not None and cap < 1:
-            raise ValueError("need cap >= 1")
-        self.cap = cap
+        self.repeat_free = repeat_free
         self.yielded = 0
-        self.skipped_unbalanced = 0
         self.skipped_infeasible = 0
         self._walk = self._generate()
 
@@ -265,18 +258,10 @@ class MarkedGraphEnumeration:
         return next(self._walk)
 
     def _generate(self):
-        n, k, cap = self.n, self.k, self.cap
+        n, k, repeat_free = self.n, self.k, self.repeat_free
         types = [(u, v, f) for u in range(1, n + 1) for v in range(1, n + 1) for f in (0, 1)]
         width = 2 * n                   # types per source vertex
         last = len(types)
-
-        @functools.cache
-        def size(i: int, r: int, beta: int) -> int:
-            """Multisets of r edges from types[i:] with at most beta marked,
-            within the cap."""
-            unmarked = (last - i) // 2      # types alternate unmarked, marked
-            return _bounded_multisets(last - i - unmarked, unmarked, r, beta, cap)
-
         d = [0] * (n + 1)
         picked: list[tuple[int, int, int, int]] = []
 
@@ -296,34 +281,28 @@ class MarkedGraphEnumeration:
             # last outgoing type that vertex is closed: its d(v) can only grow.
             for j in range(i, last):
                 if j % width == 0 and j and d[j // width] > 0:
-                    self.skipped_unbalanced += size(j, r, beta)
                     return
-                if cap is not None and r > (last - j) // 2 * cap + beta:
-                    return      # no multiset left within the cap (size 0)
+                if repeat_free and r > (last - j) // 2 + beta:
+                    return      # more edges left than the types can take
                 u, v, f = types[j]
                 du, dv = d[u], d[v]
                 # pos without u and v, whose d changes with m below
                 rest_pos = pos - (du if du > 0 else 0) - (dv if dv > 0 else 0)
                 # the last type must take every edge left: a smaller m leaves
-                # edges over that no type can take (a subtree of size 0)
-                top = min(r, beta) if f else r if cap is None else min(r, cap)
+                # edges over that no type can take
+                top = min(r, beta) if f else 1 if repeat_free else r
                 for m in range(top, r - 1 if j == last - 1 else 0, -1):
-                    rest, beta_rest = r - m, beta - m * f
-                    if u == v:
-                        dead = pos > rest
-                        new_pos = pos
-                    else:
-                        new_pos = (rest_pos + (du - m if du > m else 0)
-                                   + (dv + m if dv + m > 0 else 0))
-                        dead = new_pos > rest or (v < u and dv + m > 0)
-                    if dead:
-                        self.skipped_unbalanced += size(j + 1, rest, beta_rest)
+                    rest = r - m
+                    new_pos = pos if u == v else (rest_pos + (du - m if du > m else 0)
+                                                  + (dv + m if dv + m > 0 else 0))
+                    # dead: more positive balance than edges left, or closed v with d(v) > 0
+                    if new_pos > rest or (v < u and dv + m > 0):
                         continue
                     d[u] -= m
                     d[v] += m
                     picked.append((u, v, f, m))
                     if rest:
-                        yield from walk(j + 1, rest, beta_rest, new_pos)
+                        yield from walk(j + 1, rest, beta - m * f, new_pos)
                     elif feasible():    # a live pick of the last edges is balanced
                         self.yielded += 1
                         yield s, t, tuple(picked)
@@ -385,37 +364,49 @@ def root_orbits(n: int) -> tuple[tuple[tuple[int, int], int], ...]:
     return (((1, 1), n), ((1, 2), n * (n - 1)))[:min(n, 2)]
 
 
-def _multichoose(kinds: int, r: int, cap: int | None = None) -> int:
-    """Multisets of size r over the given number of kinds, each at most cap
-    times if cap is given (inclusion-exclusion on the kinds past it)."""
-    if cap is None:
-        return math.comb(kinds + r - 1, r) if kinds else int(r == 0)
-    return sum((-1) ** i * math.comb(kinds, i) * _multichoose(kinds, r - i * (cap + 1))
-               for i in range(min(kinds, r // (cap + 1)) + 1))
+def _multichoose(kinds: int, r: int) -> int:
+    """Multisets of size r over the given number of kinds."""
+    return math.comb(kinds + r - 1, r) if kinds else int(r == 0)
 
 
-def _bounded_multisets(marked: int, unmarked: int, r: int, beta: int,
-                       cap: int | None = None) -> int:
+def _bounded_multisets(marked: int, unmarked: int, r: int, beta: int) -> int:
     """Multisets of size r over marked and unmarked kinds, at most beta
-    marked, and each unmarked kind at most cap times when cap is given."""
-    return sum(_multichoose(marked, j) * _multichoose(unmarked, r - j, cap)
+    marked; 0 when r or beta is negative."""
+    return sum(_multichoose(marked, j) * _multichoose(unmarked, r - j)
                for j in range(min(beta, r) + 1))
 
 
 def search_space(n: int, k: int, bmax: int) -> int:
     """Root pairs times multisets of k edge types with at most bmax marked.
 
-    Every multiset the class walk accounts for: once a stream is drained,
-    ``yielded + skipped_unbalanced + skipped_infeasible`` equals this.  The
-    exhaustive commands refuse a search when it exceeds their guard.
+    Every multiset the class walk passes over: a drained walk's leaves and
+    the unbalanced multisets add up to this.  The exhaustive commands
+    refuse a search when it exceeds their guard.
     """
     pairs = n * n
     return pairs * _bounded_multisets(pairs, pairs, k, bmax)
 
 
+def multisets_through(n: int, k: int, bmax: int, record: ClassRecord) -> int:
+    """Multisets of k edge types with at most bmax marked at the record's
+    root pair, up to and including the record in the class walk's order.
+    Entry (type j, multiplicity m) adds those that agree with the record
+    before j and then use a type it skips before j or take j over m times."""
+    def rest(i: int, r: int, beta: int) -> int:     # types[i:] alternate unmarked, marked
+        return _bounded_multisets((2 * n * n - i + 1) // 2, (2 * n * n - i) // 2, r, beta)
+
+    through, prev, r, beta = 1, 0, k, bmax
+    for u, v, f, m in record[2]:
+        j = 2 * ((u - 1) * n + v - 1) + f
+        through += rest(prev, r, beta) - rest(j, r, beta) + rest(j, r - m - 1, beta - (m + 1) * f)
+        prev, r, beta = j + 1, r - m, beta - m * f
+    return through
+
+
 def count_classes(n: int, k: int, bmax: int, roots: tuple[int, int]) -> tuple[int, int, int]:
-    """The counters (yielded, skipped_unbalanced, skipped_infeasible) of a
-    drained ``MarkedGraphEnumeration`` at one root pair, with no walk.
+    """The (feasible, unbalanced, infeasible) multisets at one root pair,
+    with no walk; a drained ``MarkedGraphEnumeration`` there yields the
+    first and skips the last.
 
     A generating function in edges and marked edges, truncated at (k, bmax).
     Loops leave the balance alone, so each vertex's two loop types are
@@ -546,8 +537,8 @@ def record_orbit_key(record: ClassRecord) -> tuple[int, ...]:
 
 def enumerate_marked_graphs(n: int, k: int, bmax: int,
                             roots: Iterable[tuple[int, int]] | None = None,
-                            cap: int | None = None) -> MarkedGraphEnumeration:
-    return MarkedGraphEnumeration(n, k, bmax, roots, cap)
+                            repeat_free: bool = False) -> MarkedGraphEnumeration:
+    return MarkedGraphEnumeration(n, k, bmax, roots, repeat_free)
 
 
 def random_feasible_graph(rng: random.Random, n: int, k: int, bmax: int,

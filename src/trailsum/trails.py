@@ -71,8 +71,8 @@ class SignedSumReport:
     the start state included.  A state whose weight cancels to 0 is
     dropped, and one created again counts again, so ``nodes`` bounds both
     the live states and the work; it is the quantity max_nodes bounds, and
-    0 when no DP ran (no edges, or no trail can exist).  ``trail_count`` is
-    computed from g (_trail_count) the first time it is read.
+    0 when no DP ran (no edges, no trail, or a repeated unmarked type).
+    ``trail_count`` is computed from g (_trail_count) when first read.
     """
     S: int
     T: int
@@ -437,8 +437,8 @@ def _layered_sum(g: MarkedDigraph, constraints, max_nodes: int) -> tuple[int, in
     Every insertion counts as a state created, a state created again after
     its deletion included, and the DP raises BudgetExceededError as soon as
     they pass max_nodes.  The trivial graphs run no DP and fit any budget:
-    an infeasible graph gives (0, 0), and the feasible empty graph (s = t)
-    (1, 0).
+    an infeasible graph, or one where an unmarked type no constraint names
+    repeats, gives (0, 0), and the feasible empty graph (s = t) (1, 0).
     """
     slot: dict[int, int] = {}     # position -> edge
     succ: dict[int, int] = {}
@@ -479,6 +479,8 @@ def _layered_sum(g: MarkedDigraph, constraints, max_nodes: int) -> tuple[int, in
                     scale *= rank if kind[1] else 0     # an unmarked repeat cancels
             row.append((e, bit | before if before else bit, before, dest, sign_mask,
                         succ.get(e, 0)))
+    if scale == 0:
+        return 0, 0
 
     nodes = 1
     if nodes > max_nodes:
@@ -519,8 +521,9 @@ def signed_sum(g: MarkedDigraph, max_nodes: int = DEFAULT_NODE_BUDGET) -> Signed
     by the parallel edges of each type.  Each state holds its signed
     weight, and a state whose weight cancels to 0 is dropped.  The result
     is identical to folding trail_signs over enumerate_trails, which stays
-    unreduced.  The report's trail_count comes from _trail_count, computed
-    when first read, so a caller that reads only S and T never counts.
+    unreduced; a repeated unmarked type gives S = 0 with no DP.  The
+    report's trail_count comes from _trail_count when first read, so a
+    caller that reads only S and T never counts.
     """
     S, nodes = _layered_sum(g, (), max_nodes)
     return SignedSumReport(S, abs(S), nodes, g)

@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from oracles import (brute_marked_graphs, matrix_to_oracle, o_standard_polynomial,
-                     repeats_unmarked_type)
+from oracles import (brute_marked_graphs, brute_multisets_through, matrix_to_oracle,
+                     o_standard_polynomial, repeats_unmarked_type)
 from trailsum import bridge, trails
 from trailsum.bridge import (ClassSearch, cross_check, graph_matrices,
                              search_classes)
@@ -278,9 +278,11 @@ class TestSearchClasses:
                     break
         found = search_classes(n, k, bmax, stop_on_witness=stop)
         orbits = len({record_orbit_key(class_record(g)) for g in walked})
+        # the multisets the stream passed that are not its leaves are unbalanced
+        passed = brute_multisets_through(witness, bmax) if stop else search_space(n, k, bmax)
         assert found == ClassSearch(
             tuple(sorted(histogram.items())), witness, witness_T, stream.yielded,
-            stream.skipped_unbalanced, stream.skipped_infeasible,
+            passed - stream.yielded - stream.skipped_infeasible, stream.skipped_infeasible,
             orbits, len(walked) - orbits, alternating)
         assert found.walked == len(walked) + alternating
 
@@ -297,7 +299,7 @@ class TestSearchClasses:
             assert record == class_record(g)
             if not repeats_unmarked_type(g):
                 free.append(record)
-        assert list(enumerate_marked_graphs(n, k, bmax, cap=1)) == free
+        assert list(enumerate_marked_graphs(n, k, bmax, repeat_free=True)) == free
         assert walk.yielded == graphs.yielded > len(free) > 0
 
     def test_builds_graphs_only_for_trail_dps_and_the_witness(self, monkeypatch):

@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from oracles import brute_marked_graphs, brute_signed_sum, repeats_unmarked_type
+from oracles import (brute_marked_graphs, brute_multisets_through, brute_signed_sum,
+                     repeats_unmarked_type)
 from trailsum import bridge, cli
 from trailsum.digraph import (class_graph, enumerate_marked_graphs, format_graph,
                               make_gn, parse_graph, random_feasible_graph, search_space)
@@ -462,10 +463,14 @@ def _one_sum_per_class(n, k, bmax, stop, T):
             witness = f"witness T={value} {g.compact()}"
             if stop:
                 break
+    # the multisets the stream passed that are not its leaves are unbalanced
+    passed = (brute_multisets_through(g, bmax) if stop and witness
+              else search_space(n, k, bmax))
+    unbalanced = passed - stream.yielded - stream.skipped_infeasible
     expected = [f"n={n} k={k} bmax={bmax}"]
     expected += [f"T={value} classes={histogram[value]}" for value in sorted(histogram)]
     expected += [witness] if witness else []
-    expected.append(f"classes={stream.yielded} skipped_unbalanced={stream.skipped_unbalanced} "
+    expected.append(f"classes={stream.yielded} skipped_unbalanced={unbalanced} "
                     f"skipped_infeasible={stream.skipped_infeasible}")
     return "\n".join(expected) + "\n"
 

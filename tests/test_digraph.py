@@ -12,8 +12,8 @@ from oracles import brute_marked_graphs, brute_orbit_ids, brute_trails, trail_fl
 from trailsum import digraph
 from trailsum.digraph import (GraphFormatError, MarkedDigraph, class_graph,
                               class_record, count_classes, enumerate_marked_graphs, extend,
-                              format_graph, make_gn, opposite, parse_graph,
-                              random_feasible_graph, record_orbit_key,
+                              format_graph, make_gn, multisets_through, opposite,
+                              parse_graph, random_feasible_graph, record_orbit_key,
                               search_space, surgery_in, surgery_out, validate)
 from trailsum.trails import signed_sum
 
@@ -269,8 +269,9 @@ class TestEnumeration:
             count += 1
             assert validate(class_graph(2, record))
         assert count == stream.yielded > 0
-        assert stream.skipped_unbalanced > 0
         assert stream.skipped_infeasible > 0
+        # the rest of the space was cut as unbalanced
+        assert stream.yielded + stream.skipped_infeasible < search_space(2, 4, 2)
 
     def test_no_duplicate_canonical_keys(self):
         seen = set()
@@ -289,33 +290,41 @@ class TestEnumeration:
         (2, 5, 5), (2, 6, 3), (3, 4, 1), (3, 5, 2), (3, 6, 2),
     ])
     def test_matches_brute_force_stream(self, n, k, bmax):
-        def counters(stream):
-            return stream.yielded, stream.skipped_unbalanced, stream.skipped_infeasible
+        # after every yield the walk's leaf counters are the brute force's,
+        # and so is the count of multisets drawn: multisets_through the
+        # record plus the whole share of each earlier root pair
+        def leaves(stream):
+            return stream.yielded, stream.skipped_infeasible
 
+        per_pair = search_space(n, k, bmax) // n ** 2
         fast = enumerate_marked_graphs(n, k, bmax)
         brute = brute_marked_graphs(n, k, bmax)
         for a, b in itertools.zip_longest(fast, brute):
             assert class_graph(n, a) == b
-            assert counters(fast) == counters(brute)
-        assert counters(fast) == counters(brute)
+            assert leaves(fast) == leaves(brute)
+            pairs_before = (b.s - 1) * n + b.t - 1
+            assert pairs_before * per_pair + multisets_through(n, k, bmax, a) \
+                == brute.yielded + brute.skipped_unbalanced + brute.skipped_infeasible
+        assert leaves(fast) == leaves(brute)
         assert fast.yielded > 0
-        assert sum(counters(fast)) == search_space(n, k, bmax)
+        assert brute.yielded + brute.skipped_unbalanced + brute.skipped_infeasible \
+            == search_space(n, k, bmax)
 
-    @pytest.mark.parametrize("n, k, bmax, cap", [
-        (1, 4, 4, 1), (2, 4, 2, 1), (2, 5, 2, 2), (2, 6, 3, 1), (3, 5, 2, 1), (3, 5, 2, 2),
-    ])
-    def test_capped_stream_matches_brute_force(self, n, k, bmax, cap):
-        # the capped walk's records and counters are the brute-force stream's
-        # once the multisets past the cap are dropped
-        def counters(stream):
-            return stream.yielded, stream.skipped_unbalanced, stream.skipped_infeasible
+    @pytest.mark.parametrize("n, k, bmax", [
+        pytest.param(n, k, bmax, id=f"{n}-{k}-{bmax}-1")     # the brute force's cap of 1
+        for n, k, bmax in [(1, 4, 4), (2, 4, 2), (2, 6, 3), (3, 5, 2)]])
+    def test_capped_stream_matches_brute_force(self, n, k, bmax):
+        # the repeat-free walk's records and leaf counters are the brute-force
+        # stream's once the multisets with a repeated unmarked type are dropped
+        def leaves(stream):
+            return stream.yielded, stream.skipped_infeasible
 
-        fast = enumerate_marked_graphs(n, k, bmax, cap=cap)
-        brute = brute_marked_graphs(n, k, bmax, cap=cap)
+        fast = enumerate_marked_graphs(n, k, bmax, repeat_free=True)
+        brute = brute_marked_graphs(n, k, bmax, cap=1)
         for a, b in itertools.zip_longest(fast, brute):
             assert class_graph(n, a) == b
-            assert counters(fast) == counters(brute)
-        assert counters(fast) == counters(brute)
+            assert leaves(fast) == leaves(brute)
+        assert leaves(fast) == leaves(brute)
         assert fast.yielded > 0
 
     def test_many_loops_drain_without_hopeless_picks(self):
@@ -324,8 +333,8 @@ class TestEnumeration:
         stream = enumerate_marked_graphs(1, 3000, 3000)
         start = time.perf_counter()
         assert sum(1 for _ in stream) == 3001
-        assert (stream.yielded, stream.skipped_unbalanced, stream.skipped_infeasible) \
-            == (3001, 0, 0)
+        assert (stream.yielded, stream.skipped_infeasible) == (3001, 0)
+        assert search_space(1, 3000, 3000) == 3001     # so none is unbalanced
         assert time.perf_counter() - start < 2
 
     @pytest.mark.parametrize("n, k, bmax", [(2, 5, 2), (3, 5, 2)])
@@ -343,7 +352,9 @@ class TestEnumeration:
             for a, b in itertools.zip_longest(fast, brute):
                 assert class_graph(n, a) == b
                 histogram[signed_sum(b).T] += 1
-            assert counters(fast) == counters(brute) == count_classes(n, k, bmax, (s, t))
+            assert counters(brute) == count_classes(n, k, bmax, (s, t))
+            assert (fast.yielded, fast.skipped_infeasible) \
+                == (brute.yielded, brute.skipped_infeasible)
             tallies[s == t].add((counters(brute), frozenset(histogram.items())))
         assert len(tallies[True]) == len(tallies[False]) == 1
         assert [size for _, size in digraph.root_orbits(n)] == [n, n * (n - 1)]
@@ -352,14 +363,18 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_marked_graphs(2, 3, 1, [(1, 3)])
 
-    def test_cap_below_one(self):
-        with pytest.raises(ValueError, match="cap >= 1"):
-            enumerate_marked_graphs(2, 3, 1, cap=0)
-
 
 def _drained(stream):
     collections.deque(stream, maxlen=0)
     return stream.yielded, stream.skipped_unbalanced, stream.skipped_infeasible
+
+
+def _drained_walk(walk):
+    """A drained walk's leaf counters, with the unbalanced multisets as the
+    rest of one root pair's share of the search space."""
+    collections.deque(walk, maxlen=0)
+    space = search_space(walk.n, walk.k, walk.bmax) // walk.n ** 2
+    return walk.yielded, space - walk.yielded - walk.skipped_infeasible, walk.skipped_infeasible
 
 
 class TestCountClasses:
@@ -373,7 +388,7 @@ class TestCountClasses:
         for roots, _ in digraph.root_orbits(n):
             walk = enumerate_marked_graphs(n, k, bmax, [roots])
             brute = brute_marked_graphs(n, k, bmax, [roots])
-            assert count_classes(n, k, bmax, roots) == _drained(walk) == _drained(brute)
+            assert count_classes(n, k, bmax, roots) == _drained_walk(walk) == _drained(brute)
 
     # past the brute force's reach: CI cells, the 3,000-loop drain, one edge on four vertices
     @pytest.mark.parametrize("n, k, bmax", [
@@ -382,7 +397,7 @@ class TestCountClasses:
     def test_matches_walk(self, n, k, bmax):
         for roots, _ in digraph.root_orbits(n):
             walk = enumerate_marked_graphs(n, k, bmax, [roots])
-            assert count_classes(n, k, bmax, roots) == _drained(walk)
+            assert count_classes(n, k, bmax, roots) == _drained_walk(walk)
 
     def test_one_root_pair_of_the_space(self):
         # the counters add up to the multisets at one root pair
