@@ -31,13 +31,18 @@ def graph_matrices(g: MarkedDigraph) -> list[GrassmannMatrix]:
     """The simplified set of g: one basis matrix per edge, in edge order.
 
     Edge i, (u, v), becomes E_(u,v) over len(g.marked) generators, times v_r
-    when it is the r-th marked edge in ascending index order.
+    when it is the r-th marked edge in ascending index order.  The matrices
+    share one zero, one 1 and one generator element per rank.
     """
-    m = len(g.marked)
-    ranks = {e: r for r, e in enumerate(g.marked_indices(), start=1)}
-    return [GrassmannMatrix.unit(g.n, m, u, v, GrassmannElement.generator(m, ranks[i]))
-            if i in ranks else GrassmannMatrix.unit(g.n, m, u, v)
-            for i, (u, v) in enumerate(g.edges, start=1)]
+    n, m = g.n, len(g.marked)
+    zero, one = GrassmannElement.zero(m), GrassmannElement.one(m)
+    gens = {e: GrassmannElement.generator(m, r) for r, e in enumerate(g.marked_indices(), 1)}
+    mats = []
+    for i, (u, v) in enumerate(g.edges, start=1):
+        rows = [[zero] * n for _ in range(n)]
+        rows[u - 1][v - 1] = gens.get(i, one)
+        mats.append(GrassmannMatrix(n, m, rows))
+    return mats
 
 
 @dataclass(frozen=True)

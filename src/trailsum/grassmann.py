@@ -236,8 +236,8 @@ class GrassmannMatrix:
                 raise TypeError(f"matrix dimension and generator count must be ints, not {x!r}")
         if n < 1:
             raise ValueError("matrix dimension must be at least 1")
-        rows = tuple(tuple(row) for row in self.rows)
-        if len(rows) != n or any(len(r) != n for r in rows):
+        rows = tuple(map(tuple, self.rows))
+        if len(rows) != n or set(map(len, rows)) != {n}:
             raise ShapeError(f"entry grid is not {n}x{n}")
         for row in rows:
             for e in row:
@@ -334,11 +334,11 @@ def mat_mul(a: GrassmannMatrix, b: GrassmannMatrix) -> GrassmannMatrix:
 
 
 def _prepare(xs) -> tuple[int, int, int, list]:
-    """Validate the arguments of s_k and index their nonzero entries by row.
+    """Validate the arguments of s_k and index their monomials by row.
 
-    Returns (n, m, k, index): ``index[r]`` lists, for every argument i with
-    a nonzero entry in row r, one (i, 1 << i, column j, (terms, negated
-    terms)) tuple per such entry.
+    Returns (n, m, k, index): ``index[r]`` lists, for every argument i and
+    every monomial c * v_P of an entry (r, j) of argument i, one
+    (i + 1, 1 << i, j, mask of P, the generator indices in P, c) tuple.
     """
     xs = list(xs)
     k = len(xs)
@@ -357,48 +357,55 @@ def _prepare(xs) -> tuple[int, int, int, list]:
         for r, row in enumerate(x.rows):
             for j, e in enumerate(row):
                 if e.terms:
-                    neg = {mk: -c for mk, c in e.terms.items()}
-                    index[r].append((i, bit, j, (e.terms, neg)))
+                    for mask, coeff in e.terms.items():
+                        index[r].append((i + 1, bit, j, mask, indices_from_mask(mask), coeff))
     return n, m, k, index
 
 
 def _alternating_row(index, k: int, s: int, nodes: int, max_nodes: int) -> tuple[dict, int]:
     """Row s (0-based) of the alternating sum, as a sparse {column: terms} dict.
 
-    ``index`` is the row index of ``_prepare``.  ``layer`` maps each set U
-    of placed arguments of one popcount to row s of the signed sum over the
-    orderings of U.  A state extends only through the arguments that have a
-    nonzero entry in one of its nonzero columns; a state whose row cancels
-    to zero is dropped, and a layer is released as soon as the next one is
-    built.  Returns the row and ``nodes`` plus the states created (the
-    empty set is not counted), and raises BudgetExceededError as soon as
-    that total passes max_nodes.
+    ``index`` is the monomial index of ``_prepare``.  ``layer`` maps each
+    pair (U, j) of a set U of placed arguments of one popcount and a column
+    to entry j of row s of the signed sum over the orderings of U.  A state,
+    one set U, is created when the first nonzero monomial product reaches
+    it and extends only through the index rows of its nonzero columns; a
+    cancelled entry is dropped, and a layer is released once the next is
+    built.  Returns the row and ``nodes`` plus the states created (the empty
+    set is not counted); raises BudgetExceededError once that passes max_nodes.
     """
-    layer = {0: {s: {0: 1}}}
+    layer = {(0, s): {0: 1}}
     for _ in range(k):
         nxt: dict = {}
-        for used, row in layer.items():
-            for col, terms in row.items():
-                for i, bit, j, signed in index[col]:
-                    if used & bit:
+        created = set()
+        for (used, col), terms in layer.items():
+            for shift, bit, j, mb, gens, cb in index[col]:
+                if used & bit:
+                    continue
+                flip = (used >> shift).bit_count()
+                grown = used | bit
+                target = nxt.get((grown, j))
+                for ma, ca in terms.items():
+                    if ma & mb:
                         continue
-                    prod = _mul_terms(terms, signed[(used >> (i + 1)).bit_count() & 1])
-                    if not prod:
-                        continue
-                    target = nxt.get(used | bit)
+                    odd = flip
+                    for g in gens:
+                        odd += (ma >> g).bit_count()
                     if target is None:
-                        nodes += 1
-                        if nodes > max_nodes:
-                            raise BudgetExceededError(nodes, max_nodes)
-                        target = nxt[used | bit] = {}
-                    old = target.get(j)
-                    target[j] = _add_terms(old, prod) if old else prod
-        layer = {}
-        for used, row in nxt.items():
-            row = {j: t for j, t in row.items() if t}
-            if row:
-                layer[used] = row
-    return layer.get((1 << k) - 1, {}), nodes
+                        if grown not in created:
+                            created.add(grown)
+                            nodes += 1
+                            if nodes > max_nodes:
+                                raise BudgetExceededError(nodes, max_nodes)
+                        target = nxt[grown, j] = {}
+                    mm = ma | mb
+                    c = target.get(mm, 0) + (-ca * cb if odd & 1 else ca * cb)
+                    if c:
+                        target[mm] = c
+                    else:
+                        del target[mm]
+        layer = {key: terms for key, terms in nxt.items() if terms}
+    return {j: terms for (_, j), terms in layer.items()}, nodes
 
 
 def standard_polynomial(xs, max_nodes: int = DEFAULT_NODE_BUDGET) -> GrassmannMatrix:
@@ -432,8 +439,11 @@ def standard_polynomial_row(xs, s: int,
 
     Runs the same dynamic program for row s alone, so the other n - 1 rows
     cost nothing and the states created for row s alone count against
-    max_nodes.  Raises ValueError when s lies outside 1..n.
+    max_nodes.  Raises TypeError when s is not an int (a bool included) and
+    ValueError when s lies outside 1..n.
     """
+    if type(s) is not int:
+        raise TypeError(f"row must be an int, not {s!r}")
     n, m, k, index = _prepare(xs)
     if not 1 <= s <= n:
         raise ValueError(f"row {s} outside 1..{n}")

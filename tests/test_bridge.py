@@ -7,15 +7,16 @@ import pytest
 
 from oracles import (brute_marked_graphs, brute_multisets_through, matrix_to_oracle,
                      o_standard_polynomial, repeats_unmarked_type)
-from trailsum import bridge, trails
+from trailsum import bridge, grassmann, trails
 from trailsum.bridge import (ClassSearch, cross_check, graph_matrices,
                              search_classes)
 from trailsum.digraph import (MarkedDigraph, class_graph, class_record,
-                              enumerate_marked_graphs, make_gn,
+                              enumerate_marked_graphs, extend, make_gn, opposite,
                               random_feasible_graph, record_orbit_key,
                               search_space)
-from trailsum.grassmann import (GrassmannElement, simplify_basis_tuple,
-                                standard_polynomial, substitute_generators)
+from trailsum.grassmann import (GrassmannElement, GrassmannMatrix, simplify_basis_tuple,
+                                standard_polynomial, standard_polynomial_row,
+                                substitute_generators)
 from trailsum.trails import BudgetExceededError, relabel, signed_sum, signed_trails
 
 
@@ -73,6 +74,33 @@ class TestConversions:
     def test_round_trip_enumerated(self):
         for g in class_graphs(enumerate_marked_graphs(2, 4, 2)):
             assert_reads_back(g)
+
+    @staticmethod
+    def _graphs():
+        gns = [make_gn(n, mbar) for n, mbar in ((2, 1), (2, 2), (3, 2), (3, 3), (4, 2))]
+        rng = random.Random(43)
+        return gns + [extend(g) for g in gns] + [opposite(g) for g in gns] + [
+            random_feasible_graph(rng, rng.randint(1, 3), rng.randint(1, 8), bmax=3)
+            for _ in range(50)]
+
+    def test_matches_one_unit_matrix_per_edge(self):
+        for g in self._graphs():
+            m = len(g.marked)
+            ranks = {e: r for r, e in enumerate(sorted(g.marked), start=1)}
+            units = [GrassmannMatrix.unit(g.n, m, u, v, GrassmannElement.generator(m, ranks[i]))
+                     if i in ranks else GrassmannMatrix.unit(g.n, m, u, v)
+                     for i, (u, v) in enumerate(g.edges, start=1)]
+            assert graph_matrices(g) == units
+
+    def test_shared_entries_survive_the_algebra_dp(self):
+        # graph_matrices shares its zero, 1 and generator elements between
+        # matrices, so a DP that wrote into an argument's terms would show here
+        for g in self._graphs():
+            mats = graph_matrices(g)
+            before = [[[dict(e.terms) for e in row] for row in x.rows] for x in mats]
+            standard_polynomial_row(mats, g.s)
+            assert [[[e.terms for e in row] for row in x.rows] for x in mats] == before
+            assert mats == graph_matrices(g)
 
 
 class TestCrossCheck:
@@ -164,6 +192,44 @@ class TestCrossCheck:
         with pytest.raises(BudgetExceededError):
             cross_check(g, max_nodes=76)
         assert cross_check(g, max_nodes=77).agrees
+
+
+class TestAlgebraStates:
+    """The states the algebra DP creates for row s of graph_matrices(g)."""
+
+    @staticmethod
+    def _states(g):
+        _, _, k, index = grassmann._prepare(graph_matrices(g))
+        return grassmann._alternating_row(index, k, g.s - 1, 0, 10 ** 9)[1]
+
+    def test_bridge_suite_counts(self):
+        # the 764 graphs of verify --suite bridge --seed 7, drawn as
+        # cli.suite_bridge draws them
+        rng = random.Random(7)
+        gs = [random_feasible_graph(rng, rng.randint(1, 3), rng.randint(2, 8), bmax=3)
+              for _ in range(100)]
+        gs += class_graphs(enumerate_marked_graphs(2, 6, bmax=3))
+        counts = [self._states(g) for g in gs]
+        assert (len(counts), sum(counts), max(counts)) == (764, 21634, 96)
+        g = gs[counts.index(96)]
+        mats = graph_matrices(g)
+        assert standard_polynomial_row(mats, g.s, max_nodes=96) == standard_polynomial_row(
+            mats, g.s)
+        with pytest.raises(BudgetExceededError,
+                           match="^budget exceeded: 96 states or steps, limit 95$"):
+            standard_polynomial_row(mats, g.s, max_nodes=95)
+
+    @pytest.mark.parametrize("n, mbar, states", [(3, 3, 1881), (4, 2, 3006)])
+    def test_gn_budget_boundary_is_exact(self, n, mbar, states):
+        g = make_gn(n, mbar)
+        mats = graph_matrices(g)
+        assert self._states(g) == states
+        row = standard_polynomial_row(mats, g.s, max_nodes=states)
+        ell = len(g.marked)
+        assert abs(row[g.t - 1].coefficient(range(1, ell + 1))) == signed_sum(g).T > 0
+        with pytest.raises(BudgetExceededError,
+                           match=f"^budget exceeded: {states} states or steps, limit {states - 1}$"):
+            standard_polynomial_row(mats, g.s, max_nodes=states - 1)
 
 
 class TestSimplifyThenCrossCheck:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import (element_to_oracle, matrix_to_oracle,
                      o_standard_polynomial, oe_mul, random_basis_matrix,
-                     random_matrix)
+                     random_element, random_matrix)
 from trailsum.grassmann import (GrassmannElement, GrassmannMatrix, ShapeError,
                                 mask_from_indices, mat_mul, simplify_basis_tuple,
                                 standard_polynomial, standard_polynomial_row,
@@ -422,6 +422,56 @@ class TestStandardPolynomialRow:
         with pytest.raises(ShapeError):
             standard_polynomial_row([GrassmannMatrix.identity(2, 0),
                                      GrassmannMatrix.identity(3, 0)], 1)
+        for s in (True, 1.0, "1"):
+            with pytest.raises(TypeError):
+                standard_polynomial_row(xs, s)
+
+    @staticmethod
+    def _cancelling():
+        # a and b have entries in both columns of row 1, and row 1 of the
+        # state {a, b} is ab - ba = [1, 0]: its second column cancels within
+        # the layer; c and d have entries of several monomials
+        z, one = GrassmannElement.zero(2), GrassmannElement.one(2)
+        v1, v2 = GrassmannElement.generator(2, 1), GrassmannElement.generator(2, 2)
+        return [GrassmannMatrix(2, 2, [[one, one], [z, z]]),
+                GrassmannMatrix(2, 2, [[one, one], [one, z]]),
+                GrassmannMatrix(2, 2, [[z, v1 + v2 * 2], [v1 - v2, z]]),
+                GrassmannMatrix(2, 2, [[v2 + one, z], [v1, z]])]
+
+    def test_entries_of_several_monomials_match_oracle(self):
+        rng = random.Random(13)
+        cases = [self._cancelling()]
+        for _ in range(40):
+            n, m, k = rng.randint(1, 3), rng.randint(0, 4), rng.randint(1, 5)
+            cases.append([random_matrix(rng, n, m, max_terms=4) for _ in range(k)])
+        for xs in cases:
+            n = xs[0].n
+            naive = o_standard_polynomial([matrix_to_oracle(x) for x in xs], n)
+            for s in range(1, n + 1):
+                row = standard_polynomial_row(xs, s)
+                assert [element_to_oracle(e) for e in row] == naive[s - 1]
+
+    def test_budget_with_a_column_cancelling_within_a_layer(self):
+        xs = self._cancelling()
+        for s, states, row in ((1, 15, ["-6*v1v2", "+2*v1v2"]), (2, 14, ["+10*v1v2", "+4*v1v2"])):
+            assert [str(e) for e in standard_polynomial_row(xs, s, max_nodes=states)] == row
+            with pytest.raises(BudgetExceededError, match=f"^budget exceeded: {states} "):
+                standard_polynomial_row(xs, s, max_nodes=states - 1)
+
+    def test_arguments_are_not_mutated(self):
+        rng = random.Random(14)
+        shared = GrassmannElement(3, {0: 2, 3: -1, 4: 1})
+        for _ in range(20):
+            n, k = rng.randint(1, 3), rng.randint(1, 5)
+            xs = [GrassmannMatrix(n, 3, [[shared if rng.random() < 0.3
+                                          else random_element(rng, 3, 4, 3)
+                                          for _ in range(n)] for _ in range(n)])
+                  for _ in range(k)]
+            before = [[[dict(e.terms) for e in row] for row in x.rows] for x in xs]
+            for s in range(1, n + 1):
+                standard_polynomial_row(xs, s)
+            assert [[[e.terms for e in row] for row in x.rows] for x in xs] == before
+        assert shared.terms == {0: 2, 3: -1, 4: 1}
 
 
 class TestSimplifyBasisTuple:
