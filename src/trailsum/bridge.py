@@ -16,13 +16,13 @@ sum of a given degree vanishes over a whole class of graphs.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
-from .digraph import (MarkedDigraph, class_graph, count_classes,
-                      enumerate_marked_graphs, multisets_through, record_orbit_key,
-                      root_orbits, search_space)
+from .digraph import (MarkedDigraph, class_graph, count_classes, enumerate_marked_graphs,
+                      multisets_through, root_orbits, search_space, walk_order)
 from .grassmann import GrassmannElement, GrassmannMatrix, standard_polynomial_row
-from .trails import DEFAULT_NODE_BUDGET, signed_sum
+from .trails import DEFAULT_NODE_BUDGET, class_sums, signed_sum
 
 DEFAULT_MAX_CLASSES = 10 ** 6      # search_classes' guard on the search space
 
@@ -81,17 +81,12 @@ class ClassSearch:
     ``histogram`` pairs each value of T, ascending, with its number of
     classes; ``witness`` is the first class of the full stream with T > 0
     (None if there is none) and ``witness_T`` its T; it is the
-    representative ``class_graph`` builds from the walk's record.
-    ``classes``, ``skipped_unbalanced`` and ``skipped_infeasible`` are the
-    counters of the class stream.  Of the ``walked`` classes (those at the
-    walked root pairs), ``alternating`` repeat an unmarked edge type and
-    have T = 0 by the alternating law: they are counted, with no record,
-    no orbit key, no graph and no trail DP.  Of the rest, ``orbits`` counts
-    the trail DPs run, each on a graph built for it, and ``reused`` the
-    values taken from the orbit memo.  The law decides T, not whether a
-    class is in the stream, so ``classes`` and the histogram still count
-    every class, these under T = 0: a search that left them out would print
-    different counts.
+    representative ``class_graph`` builds from its record.  ``classes``,
+    ``skipped_unbalanced`` and ``skipped_infeasible`` are the counters of
+    the class stream.  ``states`` and ``largest_layer`` are the counters of
+    the one trail DP (``class_sums``), and ``nonzero_records`` the classes
+    with T != 0 it found at the root pairs (1, 1) and (1, 2), before any
+    scaling.  The histogram counts every class, those with T = 0 too.
     """
     histogram: tuple[tuple[int, int], ...]
     witness: MarkedDigraph | None
@@ -99,13 +94,9 @@ class ClassSearch:
     classes: int
     skipped_unbalanced: int
     skipped_infeasible: int
-    orbits: int
-    reused: int
-    alternating: int
-
-    @property
-    def walked(self) -> int:
-        return self.orbits + self.reused + self.alternating
+    states: int
+    largest_layer: int
+    nonzero_records: int
 
 
 def search_classes(n: int, k: int, bmax: int, stop_on_witness: bool = False,
@@ -119,22 +110,21 @@ def search_classes(n: int, k: int, bmax: int, stop_on_witness: bool = False,
     has T = 0: s_k is alternating, so two equal arguments E_(u,v) make it
     vanish; on the trail side, swapping the two edges in a trail flips
     sgn(sigma) and keeps the marked order, so the trails cancel in pairs.
-    So only the other classes, the simplified sets, are walked: the class
-    records (``MarkedGraphEnumeration``: roots and per-type edge counts)
-    of the repeat_free walk, at root pairs (1, 1) and (1, 2) in canonical
-    order.  T is computed once per orbit under vertex relabelling and
-    reversal, keyed by ``record_orbit_key``; a
-    ``MarkedDigraph`` is built only for an orbit's trail DP and for the
-    witness.  ``count_classes`` gives each pair's classes and skipped
-    counts, and the T = 0 row is its classes less the walked T != 0 rows.
-    Every other root pair repeats one of these two up to relabelling
-    (``root_orbits``), so each walked pair's counts are scaled by its orbit
-    size, and the record counts the full stream.  With stop_on_witness the
-    walk ends at the first class with T > 0; that class lies at (1, 1) or
-    (1, 2), the first two pairs of the full stream, so the counts are left
-    unscaled and count the full stream's prefix up to the witness, itself
-    included: at the witness's pair the full walk is drained that far, and
-    ``multisets_through`` the witness less the walk's leaves is unbalanced.
+    The other classes, the simplified sets, are decided at once: one trail
+    DP (``class_sums``, whose states count against max_nodes) gives S for
+    every one of them with source root 1, and keeps those with S != 0.
+    ``count_classes`` gives each root pair's classes and skipped counts,
+    and the T = 0 row is its classes less the DP's records there.  Every
+    root pair repeats (1, 1) or (1, 2) up to relabelling (``root_orbits``),
+    so the counts of those two are scaled by their orbit sizes, and the
+    record counts the full stream.  The witness is the DP's record that the
+    class walk yields first (``walk_order``) at (1, 1), or failing that at
+    (1, 2), the first two pairs of the full stream.  With
+    stop_on_witness the counts are left unscaled and count the full
+    stream's prefix up to the witness, itself included: at the witness's
+    pair the full walk is drained that far, and ``multisets_through`` the
+    witness less the walk's leaves is unbalanced.  A MarkedDigraph is built
+    only for the DP and the witness.
     """
     if n < 1 or k < 1 or bmax < 0:
         raise ValueError("need n, k >= 1 and bmax >= 0")
@@ -142,47 +132,36 @@ def search_classes(n: int, k: int, bmax: int, stop_on_witness: bool = False,
     if space > max_classes:
         raise ValueError(
             f"search space of {space} classes exceeds the guard of {max_classes}")
-    values: dict[tuple[int, ...], int] = {}     # T by orbit key
-    reused = 0
-    walks = []      # (root-orbit size, T != 0 histogram, stream counters) per walked pair
+    sums = class_sums(n, k, bmax, max_nodes)
+    pairs = []      # (root-orbit size, T != 0 histogram, stream counters) per root pair
     first, witness_T = None, 0                  # the witness's record and T
     for roots, size in root_orbits(n):
-        counts: dict[int, int] = {}
-        for record in enumerate_marked_graphs(n, k, bmax, [roots], repeat_free=True):
-            key = record_orbit_key(record)
-            value = values.get(key)
-            if value is None:
-                value = values[key] = signed_sum(class_graph(n, record),
-                                                 max_nodes=max_nodes).T
-            else:
-                reused += 1
-            if value:
-                counts[value] = counts.get(value, 0) + 1
-                if first is None:
-                    first, witness_T = record, value
-                    if stop_on_witness:
+        found = sums.records[roots[1]]
+        if found and first is None:
+            first = min(found, key=walk_order)
+            witness_T = abs(found[first])
+            if stop_on_witness:
+                stream = enumerate_marked_graphs(n, k, bmax, [roots])
+                for record in stream:
+                    if record == first:
                         break
-        if first is None or not stop_on_witness:
-            walks.append((size, counts, count_classes(n, k, bmax, roots)))
-            continue
-        stream = enumerate_marked_graphs(n, k, bmax, [roots])
-        for record in stream:
-            if record == first:
+                leaves = stream.yielded + stream.skipped_infeasible
+                pairs = [(1, *pair[1:]) for pair in pairs] + [
+                    (1, Counter({witness_T: 1}),
+                     (stream.yielded, multisets_through(n, k, bmax, first) - leaves,
+                      stream.skipped_infeasible))]
                 break
-        leaves = stream.yielded + stream.skipped_infeasible
-        walks = [(1, *walk[1:]) for walk in walks] + [
-            (1, counts, (stream.yielded, multisets_through(n, k, bmax, first) - leaves,
-                         stream.skipped_infeasible))]
-        break
-    histogram: dict[int, int] = {}
-    for size, counts, tally in walks:
-        counts[0] = tally[0] - sum(counts.values())
+        pairs.append((size, Counter(abs(S) for S in found.values()),
+                      count_classes(n, k, bmax, roots)))
+    histogram: Counter = Counter()
+    for size, counts, tally in pairs:
+        counts[0] = tally[0] - counts.total()
         for value, count in counts.items():
             if count:
-                histogram[value] = histogram.get(value, 0) + size * count
-    classes, unbalanced, infeasible = (sum(size * tally[i] for size, _, tally in walks)
+                histogram[value] += size * count
+    classes, unbalanced, infeasible = (sum(size * tally[i] for size, _, tally in pairs)
                                        for i in range(3))
-    alternating = sum(tally[0] for _, _, tally in walks) - len(values) - reused
     witness = None if first is None else class_graph(n, first)
     return ClassSearch(tuple(sorted(histogram.items())), witness, witness_T,
-                       classes, unbalanced, infeasible, len(values), reused, alternating)
+                       classes, unbalanced, infeasible, sums.nodes, sums.largest_layer,
+                       sum(len(sums.records[roots[1]]) for roots, _ in root_orbits(n)))

@@ -387,8 +387,8 @@ def cmd_exhaustive(args) -> int:
         print(f"witness T={found.witness_T} {found.witness.compact()}")
     print(f"classes={found.classes} skipped_unbalanced={found.skipped_unbalanced} "
           f"skipped_infeasible={found.skipped_infeasible}")
-    print(f"orbits={found.orbits} reused={found.reused} "
-          f"alternating={found.alternating} walked={found.walked} "
+    print(f"states={found.states} largest_layer={found.largest_layer} "
+          f"nonzero_records={found.nonzero_records} "
           f"elapsed={time.perf_counter() - start:.3f}s", file=sys.stderr)
     return 0
 

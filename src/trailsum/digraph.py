@@ -9,9 +9,9 @@ The module also provides the witness family ``make_gn``, the root-absorbing
 extension, the opposite graph, the two loop-creating edge surgeries, an
 exhaustive enumerator of small marked graphs up to edge relabelling (as
 per-type count records), their counts by a generating function
-(``count_classes``), orbit keys of those classes under vertex
-relabelling and reversal, a seeded sampler of trail-feasible graphs, and a
-strict line-oriented text format used by the command line tools.
+(``count_classes``) and ranks in the walk (``multisets_through``), a
+seeded sampler of trail-feasible graphs, and a strict line-oriented text
+format used by the command line tools.
 """
 
 from __future__ import annotations
@@ -229,14 +229,10 @@ class MarkedGraphEnumeration:
     graph.  The counters ``yielded`` and ``skipped_infeasible`` count the
     walk's leaves as items are consumed; the unbalanced multisets it cuts
     are counted in closed form (``count_classes``, ``multisets_through``).
-
-    With repeat_free, unmarked types take multiplicity 1 only, and the walk
-    returns once the edges left exceed the unmarked types left plus beta:
-    it yields the full walk's records that repeat no unmarked type.
     """
 
     def __init__(self, n: int, k: int, bmax: int,
-                 roots: Iterable[tuple[int, int]] | None = None, repeat_free: bool = False):
+                 roots: Iterable[tuple[int, int]] | None = None):
         if n < 1 or k < 1 or bmax < 0:
             raise ValueError("need n, k >= 1 and bmax >= 0")
         self.n = n
@@ -246,7 +242,6 @@ class MarkedGraphEnumeration:
                       else tuple(roots))
         if not all(1 <= s <= n and 1 <= t <= n for s, t in self.roots):
             raise ValueError(f"root pairs must lie in 1..{n}")
-        self.repeat_free = repeat_free
         self.yielded = 0
         self.skipped_infeasible = 0
         self._walk = self._generate()
@@ -258,7 +253,7 @@ class MarkedGraphEnumeration:
         return next(self._walk)
 
     def _generate(self):
-        n, k, repeat_free = self.n, self.k, self.repeat_free
+        n, k = self.n, self.k
         types = [(u, v, f) for u in range(1, n + 1) for v in range(1, n + 1) for f in (0, 1)]
         width = 2 * n                   # types per source vertex
         last = len(types)
@@ -282,15 +277,13 @@ class MarkedGraphEnumeration:
             for j in range(i, last):
                 if j % width == 0 and j and d[j // width] > 0:
                     return
-                if repeat_free and r > (last - j) // 2 + beta:
-                    return      # more edges left than the types can take
                 u, v, f = types[j]
                 du, dv = d[u], d[v]
                 # pos without u and v, whose d changes with m below
                 rest_pos = pos - (du if du > 0 else 0) - (dv if dv > 0 else 0)
                 # the last type must take every edge left: a smaller m leaves
                 # edges over that no type can take
-                top = min(r, beta) if f else 1 if repeat_free else r
+                top = min(r, beta) if f else r
                 for m in range(top, r - 1 if j == last - 1 else 0, -1):
                     rest = r - m
                     new_pos = pos if u == v else (rest_pos + (du - m if du > m else 0)
@@ -403,6 +396,14 @@ def multisets_through(n: int, k: int, bmax: int, record: ClassRecord) -> int:
     return through
 
 
+def walk_order(record: ClassRecord) -> list[tuple[int, int, int, int]]:
+    """A sort key that puts the records of one root pair in the class walk's
+    order: at the first edge type where two records differ, the walk yields
+    the one with more edges of that type first, and a record that skips the
+    type after every one that uses it."""
+    return [(u, v, f, -m) for u, v, f, m in record[2]]
+
+
 def count_classes(n: int, k: int, bmax: int, roots: tuple[int, int]) -> tuple[int, int, int]:
     """The (feasible, unbalanced, infeasible) multisets at one root pair,
     with no walk; a drained ``MarkedGraphEnumeration`` there yields the
@@ -475,70 +476,10 @@ def count_classes(n: int, k: int, bmax: int, roots: tuple[int, int]) -> tuple[in
     return feasible, _bounded_multisets(n * n, n * n, k, bmax) - balance, balance - feasible
 
 
-@functools.lru_cache(maxsize=8)
-def _orbit_maps(n: int) -> tuple[operator.itemgetter, ...]:
-    """One itemgetter per element of S_n x {id, reversal} on class vectors.
-
-    A class vector holds the count of each edge type (u, v, f) at slot
-    2((u-1)n + v-1) + f, then a 1 at slot 2n^2 + (s-1)n + t-1 for the
-    roots.  Applied to a vector, each getter returns the vector of the
-    image class.
-    """
-    pairs = n * n
-    maps = []
-    for p in itertools.permutations(range(n)):
-        for reverse in (False, True):
-            source = [0] * (3 * pairs)      # the slot sent to each slot
-            for u in range(n):
-                for v in range(n):
-                    a, b = (p[v], p[u]) if reverse else (p[u], p[v])
-                    pair, image = u * n + v, a * n + b
-                    source[2 * image] = 2 * pair
-                    source[2 * image + 1] = 2 * pair + 1
-                    source[2 * pairs + image] = 2 * pairs + pair
-            maps.append(operator.itemgetter(*source))
-    return tuple(maps)
-
-
-def record_orbit_key(record: ClassRecord) -> tuple[int, ...]:
-    """Canonical form of a class record under vertex relabelling and reversal.
-
-    The group is S_n x {id, opposite}: a permutation p of the vertices
-    sends each edge (u, v) to (p(u), p(v)) and the roots to (p(s), p(t));
-    reversal sends (u, v) to (v, u) and swaps the roots; marks stay with
-    their edges.  Two records on n vertices share a key exactly when their
-    classes lie in one orbit.
-
-    T is constant on an orbit.  A relabelled graph has the same trails, as
-    edge sequences, so the same S; listing the class's edges in another
-    order changes S only by the relabel sign.  The opposite graph's trails
-    are the reversed trails, and S changes only by a sign fixed by k and
-    the number of marked edges.
-
-    Vertices that are neither roots nor on an edge can be permuted freely,
-    so the r others are first renumbered 1..r in order.  The key is the
-    least image, over the 2 r! elements of S_r x {id, opposite}, of the
-    class vector (edge-type counts and roots, see ``_orbit_maps``).  Costs
-    O(r! r^2) per call, with r <= min(n, 2k + 2).
-    """
-    s, t, types = record
-    touched = {s, t}
-    for u, v, _, _ in types:
-        touched.add(u)
-        touched.add(v)
-    index = {x: i for i, x in enumerate(sorted(touched))}
-    r = len(index)
-    vec = [0] * (3 * r * r)
-    for u, v, f, m in types:
-        vec[2 * (index[u] * r + index[v]) + f] = m
-    vec[2 * r * r + index[s] * r + index[t]] = 1
-    return min([image(vec) for image in _orbit_maps(r)])
-
-
 def enumerate_marked_graphs(n: int, k: int, bmax: int,
-                            roots: Iterable[tuple[int, int]] | None = None,
-                            repeat_free: bool = False) -> MarkedGraphEnumeration:
-    return MarkedGraphEnumeration(n, k, bmax, roots, repeat_free)
+                            roots: Iterable[tuple[int, int]] | None = None
+                            ) -> MarkedGraphEnumeration:
+    return MarkedGraphEnumeration(n, k, bmax, roots)
 
 
 def random_feasible_graph(rng: random.Random, n: int, k: int, bmax: int,

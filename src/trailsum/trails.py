@@ -20,12 +20,13 @@ route.
 The sums do not list trails.  The sign increment of appending edge e after
 the set U of used edges depends on U alone, not on the order inside it, so
 contributions factor through states (U, head); the walk and the DP read it
-from one edge table (_out_edges).  signed_sum and filtered_signed_sum are
-one forward DP (_layered_sum) with one layer per |U|, in the manner of Held
-and Karp ("A dynamic programming approach to sequencing problems", 1962):
-each state carries its signed weight alone, a state whose weight cancels to
-0 is dropped at once (the DP is linear, so it adds nothing to any
-completion), and a layer is dropped once the next one is built.  A
+from one edge table (_out_edges).  signed_sum, filtered_signed_sum and
+class_sums (every class of a search at once) are one forward DP (_forward)
+with one layer per |U|, in the manner of Held and Karp ("A dynamic
+programming approach to sequencing problems", 1962): each state carries its
+signed weight alone, a state whose weight cancels to 0 is dropped at once
+(the DP is linear, so it adds nothing to any completion), and a layer is
+dropped once the next one is built.  A
 constraint is a check on |U| (a position), a forced next edge in the state
 (a consecutive run) or a check on U (the order of two runs).  The parallel
 edges of each type (same endpoints, same mark flag) that no constraint
@@ -45,7 +46,8 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .digraph import MarkedDigraph, _spans, extend, surgery_in, surgery_out, validate
+from .digraph import (ClassRecord, MarkedDigraph, _spans, class_graph, extend, surgery_in,
+                      surgery_out, validate)
 
 DEFAULT_NODE_BUDGET = 10 ** 8
 _TAIL_EDGES = 5                # see SignedTrailWalk
@@ -423,22 +425,15 @@ def _layered_sum(g: MarkedDigraph, constraints, max_nodes: int) -> tuple[int, in
     """(S, states created) over the trails of g that satisfy every
     constraint (see filtered_signed_sum); signed_sum passes none.
 
-    A layer maps (head, forced) to {used edge mask U: signed weight}, where
-    ``forced`` is the edge that must come next (0: none), and is dropped
-    once the next is built.  An addition that brings a weight to 0 deletes
-    its state on the spot: every completion of it adds weight times a sign,
-    so S does not change.  The parallel edges of each type that no
-    constraint names are taken in index order, so U is in effect a vector
-    of per-type use counts.  Swapping two of them maps satisfying trails to
-    satisfying trails and flips sgn(sigma), and the marked-order sign too
-    when they are marked: S is the ordered sum times m! per marked type of
-    multiplicity m, and 0 when an unmarked type repeats.
-
-    Every insertion counts as a state created, a state created again after
-    its deletion included, and the DP raises BudgetExceededError as soon as
-    they pass max_nodes.  The trivial graphs run no DP and fit any budget:
-    an infeasible graph, or one where an unmarked type no constraint names
-    repeats, gives (0, 0), and the feasible empty graph (s = t) (1, 0).
+    The parallel edges of each type that no constraint names are taken in
+    index order (_rows), so U is in effect a vector of per-type use counts.
+    Swapping two of them maps satisfying trails to satisfying trails and
+    flips sgn(sigma), and the marked-order sign too when they are marked: S
+    is the finished state's weight (_forward) times m! per marked type of
+    multiplicity m, and 0 when an unmarked type repeats.  The trivial graphs
+    run no DP and fit any budget: an infeasible graph, or one where an
+    unmarked type no constraint names repeats, gives (0, 0), and the
+    feasible empty graph (s = t) (1, 0).
     """
     slot: dict[int, int] = {}     # position -> edge
     succ: dict[int, int] = {}
@@ -461,11 +456,23 @@ def _layered_sum(g: MarkedDigraph, constraints, max_nodes: int) -> tuple[int, in
         return 0, 0
     if g.k == 0:
         return 1, 0
+    rows, scale = _rows(g, named, need, succ)
+    if scale == 0:
+        return 0, 0
+    layer, nodes, _ = _forward(rows, g.s, g.k, 0, slot, max_nodes)
+    return layer.get((g.t, 0, 0), {}).get((1 << g.k) - 1, 0) * scale, nodes
 
-    # Rows (e, bit of e | need, need, head of e, sign mask, next forced): a
-    # state with used set U takes the row when U & (bit | need) == need.
+
+def _rows(g: MarkedDigraph, named, need, succ, count_marks: bool = False):
+    """(rows, scale): _forward's rows per tail, and the m! factors of the
+    repeated types, 0 when an unmarked type repeats.  A row is (e, bit of e
+    | before, before, head of e, sign mask, next forced, marks), taken when
+    U & (bit | before) == before; before is the previous edge of e's type
+    unless a constraint names e, need[e] if one does.  marks is 1 for a
+    marked edge when count_marks is set, and 0 otherwise.
+    """
     rows = {}
-    scale = 1                       # the m! factors of the repeated types
+    scale = 1
     for tail, out in _out_edges(g).items():
         last = {}                   # type -> (bit of its latest edge, rank of the next)
         row = rows[tail] = []
@@ -478,21 +485,36 @@ def _layered_sum(g: MarkedDigraph, constraints, max_nodes: int) -> tuple[int, in
                 if rank > 1:
                     scale *= rank if kind[1] else 0     # an unmarked repeat cancels
             row.append((e, bit | before if before else bit, before, dest, sign_mask,
-                        succ.get(e, 0)))
-    if scale == 0:
-        return 0, 0
+                        succ.get(e, 0), int(count_marks and e in g.marked)))
+    return rows, scale
 
+
+def _forward(rows, s: int, layers: int, max_marks: int, slot, max_nodes: int):
+    """The one forward DP from (s, no edge), for the given number of
+    layers: (last layer, states created, most states in one layer).
+
+    A layer maps (head, forced, marks) to {used edge mask U: signed weight}:
+    forced is the edge that must come next (0: none), marks sums the rows'
+    marks up to max_marks, and slot admits only its edge at a position.  A
+    state whose weight cancels to 0 is deleted at once (every completion
+    adds weight times a sign).  Every insertion counts as a state created,
+    again after a deletion, and more than max_nodes raise
+    BudgetExceededError.
+    """
     nodes = 1
     if nodes > max_nodes:
         raise BudgetExceededError(nodes, max_nodes)
-    layer = {(g.s, 0): {0: 1}}
-    for pos in range(1, g.k + 1):
-        nxt: dict[tuple[int, int], dict[int, int]] = {}
-        for (head, forced), states in layer.items():
-            for e, mask, before, dest, sign_mask, nforced in rows.get(head, ()):
-                if forced and forced != e or slot.get(pos, e) != e:
+    layer = {(s, 0, 0): {0: 1}}
+    largest = 1
+    for pos in range(1, layers + 1):
+        nxt: dict[tuple[int, int, int], dict[int, int]] = {}
+        for (head, forced, marks), states in layer.items():
+            if not states:              # every state cancelled
+                continue
+            for e, mask, before, dest, sign_mask, nforced, mark in rows.get(head, ()):
+                if forced and forced != e or slot.get(pos, e) != e or marks + mark > max_marks:
                     continue
-                target = nxt.setdefault((dest, nforced), {})
+                target = nxt.setdefault((dest, nforced, marks + mark), {})
                 for used, w in states.items():
                     if used & mask != before:
                         continue
@@ -510,7 +532,8 @@ def _layered_sum(g: MarkedDigraph, constraints, max_nodes: int) -> tuple[int, in
                     else:                   # cancelled: drop it
                         del target[nused]
         layer = nxt
-    return layer.get((g.t, 0), {}).get((1 << g.k) - 1, 0) * scale, nodes
+        largest = max(largest, sum(map(len, layer.values())))
+    return layer, nodes, largest
 
 
 def signed_sum(g: MarkedDigraph, max_nodes: int = DEFAULT_NODE_BUDGET) -> SignedSumReport:
@@ -527,6 +550,60 @@ def signed_sum(g: MarkedDigraph, max_nodes: int = DEFAULT_NODE_BUDGET) -> Signed
     """
     S, nodes = _layered_sum(g, (), max_nodes)
     return SignedSumReport(S, abs(S), nodes, g)
+
+
+# -- every class at once ---------------------------------------------------------
+
+@dataclass(frozen=True)
+class ClassSums:
+    """Result of class_sums: per head t, {class record at (1, t): S} over
+    the classes with S != 0; the states created, which max_nodes bounds,
+    and the most states one layer held (both 0 when no DP ran)."""
+    records: dict[int, dict[ClassRecord, int]]
+    nodes: int
+    largest_layer: int
+
+
+def class_sums(n: int, k: int, bmax: int,
+               max_nodes: int = DEFAULT_NODE_BUDGET) -> ClassSums:
+    """S of every repeat-free class (no unmarked edge type twice; the
+    others have S = 0) of n-vertex, k-edge graphs with at most bmax marks
+    and source root 1, from one DP (_forward, k layers, bmax marks).
+
+    It runs over the universal graph: the edge types in the class walk's
+    order (u, v, marked), each unmarked one once and each marked one
+    min(bmax, k) times.  An edge's sign flip counts the used edges above it
+    (_out_edges), and parallel edges go in index order, so those are the
+    used edges of higher types, here as in a class's representative
+    (class_graph).  So a state (use counts, head) has one weight in every
+    class DP that reaches it, and one at layer k with head t finishes one
+    class at (1, t), whose S is the weight times m! per marked type of
+    multiplicity m.
+    """
+    copies = min(bmax, k)
+    universe = [(u, v, f, copies if f else 1)
+                for u in range(1, n + 1) for v in range(1, n + 1) for f in (0, 1)]
+    g = class_graph(n, (1, 1, tuple(universe)))
+    records: dict[int, dict[ClassRecord, int]] = {t: {} for t in range(1, n + 1)}
+    if g.k < k:                     # every class repeats an unmarked type
+        return ClassSums(records, 0, 0)
+    rows, _ = _rows(g, (), [0] * (g.k + 1), {}, count_marks=True)
+    layer, nodes, largest = _forward(rows, 1, k, bmax, {}, max_nodes)
+    kind_of = []    # per edge: its type's edge bits, and per count its record entry and m!
+    for u, v, f, m in universe:
+        entries = [((u, v, f, j), math.factorial(j) if f else 1) for j in range(m + 1)]
+        kind_of.extend([(((1 << m) - 1) << len(kind_of), entries)] * m)
+    for (t, _, _), states in layer.items():
+        for used, w in states.items():
+            picked = []
+            while used:             # the lowest type left, then the types above it
+                span, entries = kind_of[(used & -used).bit_length() - 1]
+                entry, scale = entries[(used & span).bit_count()]
+                picked.append(entry)
+                w *= scale
+                used &= ~span
+            records[t][1, t, tuple(picked)] = w
+    return ClassSums(records, nodes, largest)
 
 
 # -- the trail count ------------------------------------------------------------

@@ -315,31 +315,6 @@ def brute_multisets_through(g, bmax):
             + stream.yielded + stream.skipped_unbalanced + stream.skipped_infeasible)
 
 
-def brute_orbit_ids(graphs):
-    """Orbit number of each graph's class under vertex relabelling and reversal.
-
-    A class is its sorted (source, target, marked) triples with the roots.
-    Each new class opens an orbit, and every vertex permutation, with and
-    without reversing the edges and swapping the roots, is applied to it
-    directly; all images join that orbit.
-    """
-    orbit_of = {}
-    ids = []
-    orbits = 0
-    for g in graphs:
-        triples = tuple(sorted((u, v, i in g.marked) for i, (u, v) in enumerate(g.edges, start=1)))
-        form = (triples, g.s, g.t)
-        if form not in orbit_of:
-            for perm in itertools.permutations(range(1, g.n + 1)):
-                p = dict(zip(range(1, g.n + 1), perm))
-                image = (tuple(sorted((p[u], p[v], f) for u, v, f in triples)), p[g.s], p[g.t])
-                reverse = (tuple(sorted((p[v], p[u], f) for u, v, f in triples)), p[g.t], p[g.s])
-                orbit_of[image] = orbit_of[reverse] = orbits
-            orbits += 1
-        ids.append(orbit_of[form])
-    return ids
-
-
 def repeats_unmarked_type(g):
     """Do two unmarked edges of g share their endpoints (u, v)?
 

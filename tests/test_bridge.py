@@ -12,12 +12,11 @@ from trailsum.bridge import (ClassSearch, cross_check, graph_matrices,
                              search_classes)
 from trailsum.digraph import (MarkedDigraph, class_graph, class_record,
                               enumerate_marked_graphs, extend, make_gn, opposite,
-                              random_feasible_graph, record_orbit_key,
-                              search_space)
+                              random_feasible_graph, search_space)
 from trailsum.grassmann import (GrassmannElement, GrassmannMatrix, simplify_basis_tuple,
                                 standard_polynomial, standard_polynomial_row,
                                 substitute_generators)
-from trailsum.trails import BudgetExceededError, relabel, signed_sum, signed_trails
+from trailsum.trails import BudgetExceededError, class_sums, relabel, signed_sum, signed_trails
 
 
 def graph(n, edges, s, t, marked=()):
@@ -329,44 +328,42 @@ class TestSearchClasses:
     def test_matches_full_stream_fold(self, n, k, bmax, stop):
         # T once per class over the full stream of all n^2 root pairs.
         stream = enumerate_marked_graphs(n, k, bmax)
-        histogram, witness, witness_T, walked, alternating = {}, None, 0, [], 0
+        histogram, witness, witness_T = {}, None, 0
         for g in class_graphs(stream):
             value = signed_sum(g).T
             histogram[value] = histogram.get(value, 0) + 1
-            if (g.s, g.t) in ((1, 1), (1, 2)):
-                if repeats_unmarked_type(g):
-                    alternating += 1
-                else:
-                    walked.append(g)
             if value and witness is None:
                 witness, witness_T = g, value
                 if stop:
                     break
+        # the DP runs in full either way and counts its records at (1, 1) and (1, 2)
+        paired = enumerate_marked_graphs(n, k, bmax, [(1, 1), (1, 2)])
+        nonzero = sum(1 for g in class_graphs(paired) if signed_sum(g).T)
+        sums = class_sums(n, k, bmax)
         found = search_classes(n, k, bmax, stop_on_witness=stop)
-        orbits = len({record_orbit_key(class_record(g)) for g in walked})
         # the multisets the stream passed that are not its leaves are unbalanced
         passed = brute_multisets_through(witness, bmax) if stop else search_space(n, k, bmax)
         assert found == ClassSearch(
             tuple(sorted(histogram.items())), witness, witness_T, stream.yielded,
             passed - stream.yielded - stream.skipped_infeasible, stream.skipped_infeasible,
-            orbits, len(walked) - orbits, alternating)
-        assert found.walked == len(walked) + alternating
+            sums.nodes, sums.largest_layer, nonzero)
 
     @pytest.mark.parametrize("n, k, bmax", [(2, 6, 3), (3, 5, 2), (2, 7, 3)])
     def test_records_decide_as_their_graphs(self, n, k, bmax):
-        # search_classes walks the count records with unmarked multiplicities
-        # capped at 1; each full-walk record must be the class of the
-        # brute-force stream's graph in its place, and the capped walk must
-        # give exactly those whose graph repeats no unmarked edge type, in order.
+        # Each full-walk record must be the class of the brute-force stream's
+        # graph in its place, and every record of the one trail DP must be
+        # one whose graph repeats no unmarked edge type, at its root pair.
         walk = enumerate_marked_graphs(n, k, bmax)
         graphs = brute_marked_graphs(n, k, bmax)
-        free = []
+        free = set()
         for record, g in itertools.zip_longest(walk, graphs):
             assert record == class_record(g)
             if not repeats_unmarked_type(g):
-                free.append(record)
-        assert list(enumerate_marked_graphs(n, k, bmax, repeat_free=True)) == free
-        assert walk.yielded == graphs.yielded > len(free) > 0
+                free.add(record)
+        decided = [record for found in class_sums(n, k, bmax).records.values()
+                   for record in found]
+        assert set(decided) <= free
+        assert walk.yielded == graphs.yielded > len(free) > len(decided)
 
     def test_builds_graphs_only_for_trail_dps_and_the_witness(self, monkeypatch):
         built = [0]
@@ -378,8 +375,8 @@ class TestSearchClasses:
 
         monkeypatch.setattr(MarkedDigraph, "__post_init__", counted)
         found = search_classes(3, 6, 2)
-        assert (found.orbits, found.walked) == (389, 2684)
-        assert 0 < built[0] <= found.orbits + 1
+        assert (found.states, found.nonzero_records) == (2406, 388)
+        assert built[0] == 2        # the DP's universal graph and the witness
 
     def test_search_and_cross_check_never_count_trails(self, monkeypatch):
         usual = search_classes(3, 6, 2), cross_check(make_gn(3, 2))
@@ -390,13 +387,15 @@ class TestSearchClasses:
         monkeypatch.setattr(trails, "_trail_count", refuse)
         found, rep = search_classes(3, 6, 2), cross_check(make_gn(3, 2))
         assert (found, rep) == usual
-        assert (found.orbits, found.walked, rep.S, rep.agrees) == (389, 2684, 64, True)
+        assert (found.states, found.nonzero_records, rep.S, rep.agrees) == (2406, 388, 64, True)
 
     def test_count_path_runs_past_255_edges(self):
-        # At k = 256 two classes reach the orbit key and the trail DP: 256
-        # marked loops, and 255 marked loops with one unmarked.
+        # At k = 256 the DP creates two states per layer, j marked loops with
+        # or without the unmarked one; 256 marked loops are the one record
+        # with T != 0, and 255 marked loops with the unmarked one cancel.
         found = search_classes(1, 256, 256)
-        assert (found.classes, found.orbits, found.alternating) == (257, 2, 255)
+        assert (found.classes, found.states, found.largest_layer,
+                found.nonzero_records) == (257, 513, 2, 1)
         assert found.histogram == ((0, 256), (math.factorial(256), 1))
 
     @pytest.mark.parametrize("n, k, bmax, repeated", [

@@ -5,7 +5,6 @@ import re
 import subprocess
 import sys
 import time
-import types
 from pathlib import Path
 
 import pytest
@@ -15,7 +14,7 @@ from oracles import (brute_marked_graphs, brute_multisets_through, brute_signed_
 from trailsum import bridge, cli
 from trailsum.digraph import (class_graph, enumerate_marked_graphs, format_graph,
                               make_gn, parse_graph, random_feasible_graph, search_space)
-from trailsum.trails import BudgetExceededError, signed_sum, signed_trails
+from trailsum.trails import BudgetExceededError, ClassSums, signed_sum, signed_trails
 
 
 @pytest.fixture
@@ -378,9 +377,9 @@ class TestExhaustiveCommand:
         assert f"T={math.factorial(320)} classes=1" in out.splitlines()
 
     def test_largest_one_vertex_class_is_quick(self, capsys):
-        # the one class at k=255 is 255 unmarked loops: the search decides it
-        # by the alternating law with no trail DP, and the DP itself takes
-        # the loops in index order, 256 states, instead of one per subset
+        # the one class at k=255 is 255 unmarked loops, which repeat a type:
+        # the DP's universal graph holds one unmarked loop, fewer edges than
+        # k, so no class is repeat-free and no DP runs
         argv = ["exhaustive", "--n", "1", "--k", "255", "--bmax", "0"]
         start = time.perf_counter()
         code, out, _ = run(capsys, argv)
@@ -391,8 +390,7 @@ class TestExhaustiveCommand:
         assert run(capsys, argv + ["--budget", "1"])[0] == 0
 
     def test_budget_reaches_the_trail_dp(self, capsys):
-        # the walked classes at (2,5,2) include repeat-free ones, whose trail
-        # DP runs under the budget
+        # the one trail DP of (2,5,2) runs under the budget
         code, _, err = run(capsys, ["exhaustive", "--n", "2", "--k", "5", "--bmax", "2",
                                     "--budget", "1"])
         assert code == 4
@@ -440,16 +438,16 @@ class TestExhaustiveCommand:
         assert out == _one_sum_per_class(n, k, bmax, stop, lambda g: signed_sum(g).T)
 
     def test_orbit_line_on_stderr(self, capsys):
+        # the one trail DP's counters: states created, the largest layer, and
+        # the classes with T != 0 at root pairs (1, 1) and (1, 2)
         code, out, err = run(capsys, ["exhaustive", "--n", "3", "--k", "6", "--bmax", "2"])
         assert code == 0
-        match = re.fullmatch(r"orbits=(\d+) reused=(\d+) alternating=(\d+) walked=(\d+) "
+        match = re.fullmatch(r"states=(\d+) largest_layer=(\d+) nonzero_records=(\d+) "
                              r"elapsed=\d+\.\d{3}s\n", err)
         assert match is not None
-        orbits, reused, alternating, walked = map(int, match.groups())
-        assert (orbits, reused, alternating, walked) == (389, 555, 1740, 2684)
-        assert orbits + reused + alternating == walked
+        assert tuple(map(int, match.groups())) == (2406, 616, 388)
         assert out.splitlines()[-1].startswith("classes=12252 ")
-        assert "orbits" not in out
+        assert "states" not in out
 
 
 def _one_sum_per_class(n, k, bmax, stop, T):
@@ -479,7 +477,7 @@ def _loops_between_distinct_roots(g):
     """A stand-in for T: constant on orbits, nonzero only when s != t.
 
     Like a real T it is 0 on a class that repeats an unmarked edge type,
-    which search_classes decides without calling signed_sum.
+    which the trail DP (class_sums) never holds.
     """
     if g.s == g.t or repeats_unmarked_type(g):
         return 0
@@ -491,9 +489,16 @@ class TestDistinctRootsWitness:
 
     @pytest.fixture(autouse=True)
     def fake_sum(self, monkeypatch):
-        def fake(g, max_nodes=None):
-            return types.SimpleNamespace(T=_loops_between_distinct_roots(g))
-        monkeypatch.setattr(bridge, "signed_sum", fake)
+        def fake(n, k, bmax, max_nodes=None):
+            # the DP's output with the stand-in T as S, at every root pair (1, t)
+            records = {}
+            for t in range(1, n + 1):
+                stream = enumerate_marked_graphs(n, k, bmax, [(1, t)])
+                values = ((record, _loops_between_distinct_roots(class_graph(n, record)))
+                          for record in stream)
+                records[t] = {record: value for record, value in values if value}
+            return ClassSums(records, 0, 0)
+        monkeypatch.setattr(bridge, "class_sums", fake)
 
     @pytest.mark.parametrize("n, k, bmax", [(2, 5, 2), (3, 5, 2)])
     @pytest.mark.parametrize("stop", [False, True])

@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import brute_marked_graphs, brute_orbit_ids, brute_trails, trail_flags
+from oracles import brute_marked_graphs, brute_trails, repeats_unmarked_type, trail_flags
 from trailsum import digraph
 from trailsum.digraph import (GraphFormatError, MarkedDigraph, class_graph,
-                              class_record, count_classes, enumerate_marked_graphs, extend,
+                              count_classes, enumerate_marked_graphs, extend,
                               format_graph, make_gn, multisets_through, opposite,
-                              parse_graph, random_feasible_graph, record_orbit_key,
-                              search_space, surgery_in, surgery_out, validate)
+                              parse_graph, random_feasible_graph, search_space,
+                              surgery_in, surgery_out, validate, walk_order)
 from trailsum.trails import signed_sum
 
 
@@ -25,10 +25,6 @@ def graph(n, edges, s, t, marked=()):
 def class_graphs(n, k, bmax):
     """The class stream's representatives, as graphs."""
     return [class_graph(n, record) for record in enumerate_marked_graphs(n, k, bmax)]
-
-
-def key_of(g):
-    return record_orbit_key(class_record(g))
 
 
 class TestMarkedDigraph:
@@ -292,15 +288,18 @@ class TestEnumeration:
     def test_matches_brute_force_stream(self, n, k, bmax):
         # after every yield the walk's leaf counters are the brute force's,
         # and so is the count of multisets drawn: multisets_through the
-        # record plus the whole share of each earlier root pair
+        # record plus the whole share of each earlier root pair; walk_order
+        # sorts each root pair's records as the walk yields them
         def leaves(stream):
             return stream.yielded, stream.skipped_infeasible
 
         per_pair = search_space(n, k, bmax) // n ** 2
         fast = enumerate_marked_graphs(n, k, bmax)
         brute = brute_marked_graphs(n, k, bmax)
+        records = collections.defaultdict(list)
         for a, b in itertools.zip_longest(fast, brute):
             assert class_graph(n, a) == b
+            records[b.s, b.t].append(a)
             assert leaves(fast) == leaves(brute)
             pairs_before = (b.s - 1) * n + b.t - 1
             assert pairs_before * per_pair + multisets_through(n, k, bmax, a) \
@@ -309,23 +308,19 @@ class TestEnumeration:
         assert fast.yielded > 0
         assert brute.yielded + brute.skipped_unbalanced + brute.skipped_infeasible \
             == search_space(n, k, bmax)
+        for walked in records.values():
+            assert sorted(walked, key=walk_order) == walked
 
     @pytest.mark.parametrize("n, k, bmax", [
         pytest.param(n, k, bmax, id=f"{n}-{k}-{bmax}-1")     # the brute force's cap of 1
         for n, k, bmax in [(1, 4, 4), (2, 4, 2), (2, 6, 3), (3, 5, 2)]])
     def test_capped_stream_matches_brute_force(self, n, k, bmax):
-        # the repeat-free walk's records and leaf counters are the brute-force
-        # stream's once the multisets with a repeated unmarked type are dropped
-        def leaves(stream):
-            return stream.yielded, stream.skipped_infeasible
-
-        fast = enumerate_marked_graphs(n, k, bmax, repeat_free=True)
+        # the walk's records whose graphs repeat no unmarked type, the classes
+        # the trail DP decides, are the brute-force stream's with a cap of 1
+        fast = [g for g in class_graphs(n, k, bmax) if not repeats_unmarked_type(g)]
         brute = brute_marked_graphs(n, k, bmax, cap=1)
-        for a, b in itertools.zip_longest(fast, brute):
-            assert class_graph(n, a) == b
-            assert leaves(fast) == leaves(brute)
-        assert leaves(fast) == leaves(brute)
-        assert fast.yielded > 0
+        assert fast == list(brute)
+        assert len(fast) == brute.yielded > 0
 
     def test_many_loops_drain_without_hopeless_picks(self):
         # (a unmarked, 3000 - a marked) loops for each a: the last type takes
@@ -436,40 +431,16 @@ def _relabelled(rng, g):
     return MarkedDigraph(g.n, edges, p[g.s - 1], p[g.t - 1], marked)
 
 
-class TestOrbitKey:
-    def test_invariant_under_relabelling_and_opposite(self):
+class TestRootOrbits:
+    def test_T_invariant_under_relabelling_and_opposite(self):
+        # search_classes scales the root pairs (1, 1) and (1, 2) by their
+        # orbit sizes under vertex relabelling, which keeps T
         rng = random.Random(316)
         for _ in range(150):
             g = random_feasible_graph(rng, rng.randint(1, 4), rng.randint(1, 7), bmax=3)
-            key, T = key_of(g), signed_sum(g).T
+            T = signed_sum(g).T
             for h in (_relabelled(rng, g), opposite(g), opposite(_relabelled(rng, g))):
-                assert key_of(h) == key, (g, h)
                 assert signed_sum(h).T == T, (g, h)
-
-    def test_group_acts_on_touched_vertices_only(self, monkeypatch):
-        maps = digraph._orbit_maps
-
-        def small_maps(r):
-            assert r == 2, f"a group on {r} vertices"
-            return maps(r)
-
-        monkeypatch.setattr(digraph, "_orbit_maps", small_maps)
-        g = graph(9, [(7, 3), (3, 7)], 7, 7, marked=[2])
-        assert key_of(g) == key_of(graph(9, [(1, 2), (2, 1)], 2, 2, marked=[1]))
-        assert key_of(g) != key_of(graph(9, [(1, 2), (2, 1)], 2, 2))
-
-    def test_keys_tell_loop_counts_past_255_apart(self):
-        keys = {key_of(graph(1, [(1, 1)] * k, 1, 1)) for k in (1, 255, 256, 257, 512)}
-        assert len(keys) == 5
-
-    @pytest.mark.parametrize("n, k, bmax", [(2, 6, 3), (3, 5, 2)])
-    def test_keys_are_exactly_the_orbits(self, n, k, bmax):
-        records = list(enumerate_marked_graphs(n, k, bmax))
-        classes = [class_graph(n, record) for record in records]
-        keys = [record_orbit_key(record) for record in records]
-        ids = brute_orbit_ids(classes)
-        assert len(set(keys)) == len(set(ids)) == len(set(zip(keys, ids)))
-        assert len(set(ids)) < len(classes)
 
 
 class TestRandomFeasible:

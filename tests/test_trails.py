@@ -6,12 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (brute_filtered_sum, brute_signed_sum, brute_trails,
-                     inversion_sign, trail_flags, walk_steps)
+from oracles import (brute_filtered_sum, brute_marked_graphs, brute_signed_sum,
+                     brute_trails, inversion_sign, repeats_unmarked_type, trail_flags,
+                     walk_steps)
 from trailsum.digraph import (MarkedDigraph, class_graph, enumerate_marked_graphs,
                               extend, make_gn, opposite, random_feasible_graph)
 from trailsum.trails import (_TAIL_EDGES, AtPosition, BudgetExceededError, Precedes,
-                             Subtrail, _trail_count, enumerate_trails,
+                             Subtrail, _trail_count, class_sums, enumerate_trails,
                              filtered_signed_sum, invert_permutation, is_trail,
                              marked_order_sign, relabel, sgn_perm, sigma_M,
                              signed_sum, signed_trails, swan_identity,
@@ -681,6 +682,58 @@ class TestParallelQuotient:
             assert filtered_signed_sum(g, cs, max_nodes=states) == S
             with pytest.raises(BudgetExceededError):
                 filtered_signed_sum(g, cs, max_nodes=states - 1)
+
+
+class TestClassSums:
+    """class_sums: S of every repeat-free class at root pairs (1, t) from one DP."""
+
+    @pytest.mark.parametrize("n, k, bmax", [(2, 5, 2), (2, 7, 3), (3, 7, 2), (4, 6, 2)])
+    def test_matches_one_sum_per_class(self, n, k, bmax):
+        # every repeat-free record at (1, 1), (1, 2) and, for n >= 3, (1, 3):
+        # the DP's S is the class's own trail DP's, sign included
+        sums = class_sums(n, k, bmax)
+        checked = 0
+        for t in range(1, min(n, 3) + 1):
+            expected = {}
+            for record in enumerate_marked_graphs(n, k, bmax, [(1, t)]):
+                g = class_graph(n, record)
+                if not repeats_unmarked_type(g):
+                    checked += 1
+                    S = signed_sum(g).S
+                    if S:
+                        expected[record] = S
+            assert sums.records[t] == expected
+        assert checked > 0
+
+    @pytest.mark.parametrize("n, k, bmax", [(1, 4, 4), (2, 4, 2), (2, 5, 2)])
+    def test_matches_brute_force(self, n, k, bmax):
+        # against the permutation oracle on the brute-force stream capped at
+        # one edge per unmarked type
+        sums = class_sums(n, k, bmax)
+        for t in range(1, n + 1):
+            expected = {}
+            for g in brute_marked_graphs(n, k, bmax, [(1, t)], cap=1):
+                S, _ = brute_signed_sum(g)
+                if S:
+                    expected[g] = S
+            assert {class_graph(n, record): S
+                    for record, S in sums.records[t].items()} == expected
+
+    def test_budget_boundary_is_exact(self):
+        sums = class_sums(3, 6, 2, max_nodes=2406)
+        assert (sums.nodes, sums.largest_layer) == (2406, 616)
+        assert sums == class_sums(3, 6, 2)
+        with pytest.raises(BudgetExceededError,
+                           match="^budget exceeded: 2406 states or steps, limit 2405$"):
+            class_sums(3, 6, 2, max_nodes=2405)
+
+    @pytest.mark.parametrize("n, k, bmax", [(1, 2, 0), (2, 9, 0)])
+    def test_too_few_edge_types_run_no_dp(self, n, k, bmax):
+        # with more edges than unmarked types and marks together, every class
+        # repeats an unmarked type
+        sums = class_sums(n, k, bmax, max_nodes=0)
+        assert (sums.nodes, sums.largest_layer) == (0, 0)
+        assert not any(sums.records.values())
 
 
 class TestFilteredSums:
