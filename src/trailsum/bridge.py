@@ -1,13 +1,16 @@
-"""The correspondence between marked digraphs and tuples of basis matrices.
+"""The correspondence between marked digraphs and tuples of basis elements.
 
-``graph_matrices`` is the correspondence: edge (u, v) becomes the matrix unit
+``graph_basis`` is the correspondence: edge (u, v) becomes the basis element
 E_(u,v), and a marked edge additionally carries one anticommuting generator,
-numbered by the edge's ascending rank within the marked set.  A simplified
-set, a tuple of basis elements E_(a,b) or v_i E_(a,b) with distinct
-generators v_1..v_l, is exactly the matrices of a marked digraph.  The (s, t)
-entry of the alternating sum over the tuple then equals, up to sign, T(G)
-times the ordered product of all generators.  ``cross_check`` verifies this
-equality on concrete graphs by computing both sides independently.
+numbered by the edge's ascending rank within the marked set; it is written
+once, as one (u, v, mask) triple per edge, and ``graph_matrices`` builds the
+matrix unit of each triple.  A simplified set, a tuple of basis elements
+E_(a,b) or v_i E_(a,b) with distinct generators v_1..v_l, is exactly the
+basis of a marked digraph.  The (s, t) entry of the alternating sum over the
+tuple then equals, up to sign, T(G) times the ordered product of all
+generators.  ``cross_check`` verifies this equality on concrete graphs by
+computing both sides independently, the algebra side from the triples with
+no matrix built.
 ``search_classes`` is the one exhaustive search over graph classes: the
 ``exhaustive`` command and the ``upper-n2`` and ``amitsur-levitzki`` suites
 read its record, and with stop_on_witness it decides whether the alternating
@@ -21,28 +24,28 @@ from dataclasses import dataclass
 
 from .digraph import (MarkedDigraph, class_graph, count_classes, enumerate_marked_graphs,
                       multisets_through, root_orbits, search_space, walk_order)
-from .grassmann import GrassmannElement, GrassmannMatrix, standard_polynomial_row
+from .grassmann import GrassmannElement, GrassmannMatrix, standard_polynomial_basis_row
 from .trails import DEFAULT_NODE_BUDGET, class_sums, signed_sum
 
 DEFAULT_MAX_CLASSES = 10 ** 6      # search_classes' guard on the search space
 
 
-def graph_matrices(g: MarkedDigraph) -> list[GrassmannMatrix]:
-    """The simplified set of g: one basis matrix per edge, in edge order.
+def graph_basis(g: MarkedDigraph) -> list[tuple[int, int, int]]:
+    """The simplified set of g as basis triples (u, v, mask), in edge order.
 
-    Edge i, (u, v), becomes E_(u,v) over len(g.marked) generators, times v_r
-    when it is the r-th marked edge in ascending index order.  The matrices
-    share one zero, one 1 and one generator element per rank.
+    Edge i, (u, v), becomes the basis element E_(u,v) over len(g.marked)
+    generators, times v_r (mask 1 << (r - 1)) when it is the r-th marked
+    edge in ascending index order, and mask 0 otherwise.
     """
+    rank = {e: r for r, e in enumerate(g.marked_indices())}
+    return [(u, v, 1 << rank[i] if i in rank else 0) for i, (u, v) in enumerate(g.edges, start=1)]
+
+
+def graph_matrices(g: MarkedDigraph) -> list[GrassmannMatrix]:
+    """The simplified set of g as matrices: the matrix unit of each graph_basis triple."""
     n, m = g.n, len(g.marked)
-    zero, one = GrassmannElement.zero(m), GrassmannElement.one(m)
-    gens = {e: GrassmannElement.generator(m, r) for r, e in enumerate(g.marked_indices(), 1)}
-    mats = []
-    for i, (u, v) in enumerate(g.edges, start=1):
-        rows = [[zero] * n for _ in range(n)]
-        rows[u - 1][v - 1] = gens.get(i, one)
-        mats.append(GrassmannMatrix(n, m, rows))
-    return mats
+    return [GrassmannMatrix.unit(n, m, u, v, GrassmannElement(m, {mask: 1}))
+            for u, v, mask in graph_basis(g)]
 
 
 @dataclass(frozen=True)
@@ -58,12 +61,13 @@ def cross_check(g: MarkedDigraph, max_nodes: int = DEFAULT_NODE_BUDGET) -> Cross
     """Compare the algebra side against the trail side on one graph.
 
     The algebra side is the (s, t) entry of the alternating sum over the
-    matrices of graph_matrices(g), computed from row s alone; the
+    basis elements of graph_basis(g), computed from row s alone; the
     trail side is T(g).  They agree when the entry equals sign * T *
     v_1...v_l for a sign in {+1, -1}, or when both vanish (observed_sign
     0).  max_nodes bounds the states of each side's DP.
     """
-    entry = standard_polynomial_row(graph_matrices(g), g.s, max_nodes=max_nodes)[g.t - 1]
+    row = standard_polynomial_basis_row(g.n, len(g.marked), graph_basis(g), g.s, max_nodes)
+    entry = row[g.t - 1]
     rep = signed_sum(g, max_nodes=max_nodes)
     sign = 0
     if rep.T and not entry.is_zero():

@@ -18,8 +18,14 @@ arguments placed so far, holding one row of the signed sum over all
 orderings of U.  Appending argument i flips the sign when |{j in U : j > i}|
 is odd, a count that depends on U alone, so orderings sharing a set merge.
 One row costs O(2^k * k) sparse row-times-matrix updates, and only two
-popcount layers of states are live at once.  The states created count
-against the same max_nodes budget as the trail-side DP.
+popcount layers of states are live at once, each one flat map from
+(U, column, monomial mask) to a coefficient.  The states created count
+against the same max_nodes budget as the trail-side DP.  The DP reads its
+arguments as basis terms, one (argument, row, column, mask, coefficient)
+per monomial of a nonzero entry: standard_polynomial and
+standard_polynomial_row expand matrices into them, and
+standard_polynomial_basis_row takes basis elements v_P E_(a,b), such as a
+simplified set, as (a, b, mask of P) triples with no matrix built.
 """
 
 from __future__ import annotations
@@ -333,16 +339,15 @@ def mat_mul(a: GrassmannMatrix, b: GrassmannMatrix) -> GrassmannMatrix:
     return GrassmannMatrix(n, m, rows)
 
 
-def _prepare(xs) -> tuple[int, int, int, list]:
-    """Validate the arguments of s_k and index their monomials by row.
+def _basis_terms(xs) -> tuple[int, int, int, list]:
+    """Validate the arguments of s_k and expand them into basis terms.
 
-    Returns (n, m, k, index): ``index[r]`` lists, for every argument i and
-    every monomial c * v_P of an entry (r, j) of argument i, one
-    (i + 1, 1 << i, j, mask of P, the generator indices in P, c) tuple.
+    Returns (n, m, k, terms): ``terms`` lists, for every argument i and every
+    monomial c * v_P of an entry (r, j) of argument i, one 0-based
+    (i, r, j, mask of P, c) tuple, in argument order.
     """
     xs = list(xs)
-    k = len(xs)
-    if k == 0:
+    if not xs:
         raise ValueError("standard polynomial needs at least one argument")
     for x in xs:
         if not isinstance(x, GrassmannMatrix):
@@ -351,61 +356,68 @@ def _prepare(xs) -> tuple[int, int, int, list]:
     for x in xs:
         if x.n != n or x.m != m:
             raise ShapeError("arguments do not share one matrix algebra")
-    index: list = [[] for _ in range(n)]
+    terms = []
     for i, x in enumerate(xs):
-        bit = 1 << i
         for r, row in enumerate(x.rows):
             for j, e in enumerate(row):
-                if e.terms:
-                    for mask, coeff in e.terms.items():
-                        index[r].append((i + 1, bit, j, mask, indices_from_mask(mask), coeff))
-    return n, m, k, index
+                for mask, coeff in e.terms.items():
+                    terms.append((i, r, j, mask, coeff))
+    return n, m, len(xs), terms
+
+
+def _row_index(n: int, terms) -> list:
+    """Index basis terms by row for ``_alternating_row``.
+
+    ``index[r]`` lists, for every term (i, r, j, mask, c), one
+    (i + 1, 1 << i, j, mask, the generator indices in mask, c) tuple.
+    """
+    index: list = [[] for _ in range(n)]
+    for i, r, j, mask, coeff in terms:
+        index[r].append((i + 1, 1 << i, j, mask, indices_from_mask(mask), coeff))
+    return index
 
 
 def _alternating_row(index, k: int, s: int, nodes: int, max_nodes: int) -> tuple[dict, int]:
     """Row s (0-based) of the alternating sum, as a sparse {column: terms} dict.
 
-    ``index`` is the monomial index of ``_prepare``.  ``layer`` maps each
-    pair (U, j) of a set U of placed arguments of one popcount and a column
-    to entry j of row s of the signed sum over the orderings of U.  A state,
-    one set U, is created when the first nonzero monomial product reaches
-    it and extends only through the index rows of its nonzero columns; a
-    cancelled entry is dropped, and a layer is released once the next is
-    built.  Returns the row and ``nodes`` plus the states created (the empty
-    set is not counted); raises BudgetExceededError once that passes max_nodes.
+    ``index`` is the row index of ``_row_index``.  ``layer`` maps each
+    triple (U, j, mask) of a set U of placed arguments of one popcount, a
+    column and a monomial to its coefficient in entry j of row s of the
+    signed sum over the orderings of U.  A state, one set U, is created
+    when the first nonzero monomial product reaches it; each term extends
+    only through the index row of its column, a cancelled term is dropped,
+    and a layer is released once the next is built.  Returns the row and
+    ``nodes`` plus the states created (the empty set is not counted);
+    raises BudgetExceededError once that passes max_nodes.
     """
-    layer = {(0, s): {0: 1}}
+    layer = {(0, s, 0): 1}
     for _ in range(k):
         nxt: dict = {}
         created = set()
-        for (used, col), terms in layer.items():
+        for (used, col, ma), ca in layer.items():
             for shift, bit, j, mb, gens, cb in index[col]:
-                if used & bit:
+                if used & bit or ma & mb:
                     continue
-                flip = (used >> shift).bit_count()
                 grown = used | bit
-                target = nxt.get((grown, j))
-                for ma, ca in terms.items():
-                    if ma & mb:
-                        continue
-                    odd = flip
-                    for g in gens:
-                        odd += (ma >> g).bit_count()
-                    if target is None:
-                        if grown not in created:
-                            created.add(grown)
-                            nodes += 1
-                            if nodes > max_nodes:
-                                raise BudgetExceededError(nodes, max_nodes)
-                        target = nxt[grown, j] = {}
-                    mm = ma | mb
-                    c = target.get(mm, 0) + (-ca * cb if odd & 1 else ca * cb)
-                    if c:
-                        target[mm] = c
-                    else:
-                        del target[mm]
-        layer = {key: terms for key, terms in nxt.items() if terms}
-    return {j: terms for (_, j), terms in layer.items()}, nodes
+                if grown not in created:
+                    created.add(grown)
+                    nodes += 1
+                    if nodes > max_nodes:
+                        raise BudgetExceededError(nodes, max_nodes)
+                odd = (used >> shift).bit_count()
+                for g in gens:
+                    odd += (ma >> g).bit_count()
+                key = (grown, j, ma | mb)
+                c = nxt.get(key, 0) + (-ca * cb if odd & 1 else ca * cb)
+                if c:
+                    nxt[key] = c
+                else:
+                    del nxt[key]
+        layer = nxt
+    row: dict = {}
+    for (_, j, mask), c in layer.items():
+        row.setdefault(j, {})[mask] = c
+    return row, nodes
 
 
 def standard_polynomial(xs, max_nodes: int = DEFAULT_NODE_BUDGET) -> GrassmannMatrix:
@@ -424,7 +436,8 @@ def standard_polynomial(xs, max_nodes: int = DEFAULT_NODE_BUDGET) -> GrassmannMa
     BudgetExceededError once the states created over all rows pass
     max_nodes.
     """
-    n, m, k, index = _prepare(xs)
+    n, m, k, terms = _basis_terms(xs)
+    index = _row_index(n, terms)
     rows = []
     nodes = 0
     for s in range(n):
@@ -444,10 +457,46 @@ def standard_polynomial_row(xs, s: int,
     """
     if type(s) is not int:
         raise TypeError(f"row must be an int, not {s!r}")
-    n, m, k, index = _prepare(xs)
+    n, m, k, terms = _basis_terms(xs)
     if not 1 <= s <= n:
         raise ValueError(f"row {s} outside 1..{n}")
-    row, _ = _alternating_row(index, k, s - 1, 0, max_nodes)
+    row, _ = _alternating_row(_row_index(n, terms), k, s - 1, 0, max_nodes)
+    return tuple(GrassmannElement(m, row.get(j)) for j in range(n))
+
+
+def standard_polynomial_basis_row(
+        n: int, m: int, basis, s: int,
+        max_nodes: int = DEFAULT_NODE_BUDGET) -> tuple[GrassmannElement, ...]:
+    """Row s (1-based) of s_k over basis elements, as a tuple of n elements.
+
+    ``basis`` lists the k arguments as triples (alpha, beta, mask), each
+    the basis element v_P * E_(alpha,beta) of M_n E^m with P the generators
+    of mask, so no matrix is built.  The row is that of
+    standard_polynomial_row over the matching matrix units, from the same
+    dynamic program and with the same states created; k = 0 is allowed,
+    and s_0, the empty ordering, is the identity.  Raises TypeError when
+    n, m, s or a position or mask is not an int (a bool included), and
+    ValueError when n < 1, m < 0, s or a position lies outside 1..n or a
+    mask outside the m generators.
+    """
+    for x in (n, m, s):
+        if type(x) is not int:
+            raise TypeError(f"dimension, generator count and row must be ints, not {x!r}")
+    if n < 1 or m < 0:
+        raise ValueError("need a matrix dimension of at least 1 and a nonnegative generator count")
+    if not 1 <= s <= n:
+        raise ValueError(f"row {s} outside 1..{n}")
+    terms = []
+    for i, (alpha, beta, mask) in enumerate(basis):
+        for x in (alpha, beta, mask):
+            if type(x) is not int:
+                raise TypeError(f"basis positions and masks must be ints, not {x!r}")
+        if not (1 <= alpha <= n and 1 <= beta <= n):
+            raise ValueError(f"basis position ({alpha},{beta}) outside 1..{n}")
+        if mask < 0 or mask.bit_length() > m:
+            raise ValueError(f"monomial mask {mask} outside algebra on {m} generators")
+        terms.append((i, alpha - 1, beta - 1, mask, 1))
+    row, _ = _alternating_row(_row_index(n, terms), len(terms), s - 1, 0, max_nodes)
     return tuple(GrassmannElement(m, row.get(j)) for j in range(n))
 
 

@@ -8,14 +8,14 @@ import pytest
 from oracles import (brute_marked_graphs, brute_multisets_through, matrix_to_oracle,
                      o_standard_polynomial, repeats_unmarked_type)
 from trailsum import bridge, grassmann, trails
-from trailsum.bridge import (ClassSearch, cross_check, graph_matrices,
+from trailsum.bridge import (ClassSearch, cross_check, graph_basis, graph_matrices,
                              search_classes)
 from trailsum.digraph import (MarkedDigraph, class_graph, class_record,
                               enumerate_marked_graphs, extend, make_gn, opposite,
                               random_feasible_graph, search_space)
 from trailsum.grassmann import (GrassmannElement, GrassmannMatrix, simplify_basis_tuple,
-                                standard_polynomial, standard_polynomial_row,
-                                substitute_generators)
+                                standard_polynomial, standard_polynomial_basis_row,
+                                standard_polynomial_row, substitute_generators)
 from trailsum.trails import BudgetExceededError, class_sums, relabel, signed_sum, signed_trails
 
 
@@ -57,6 +57,7 @@ class TestConversions:
     def test_gn2_simplified_form(self):
         g = make_gn(2, 1)
         assert read_back(g) == ((1, 2, 1), (2, 1, 2), (1, 1, 0), (1, 2, 0), (2, 2, 0))
+        assert graph_basis(g) == [(1, 2, 1), (2, 1, 2), (1, 1, 0), (1, 2, 0), (2, 2, 0)]
         assert graph_matrices(g)[0].m == 2
 
     def test_unmarked_graph_has_no_generators(self):
@@ -92,8 +93,8 @@ class TestConversions:
             assert graph_matrices(g) == units
 
     def test_shared_entries_survive_the_algebra_dp(self):
-        # graph_matrices shares its zero, 1 and generator elements between
-        # matrices, so a DP that wrote into an argument's terms would show here
+        # each matrix shares one zero element across its entries, so a DP
+        # that wrote into an argument's terms would show here
         for g in self._graphs():
             mats = graph_matrices(g)
             before = [[[dict(e.terms) for e in row] for row in x.rows] for x in mats]
@@ -114,6 +115,15 @@ class TestCrossCheck:
         rep = cross_check(g)
         assert rep.agrees and rep.T == 0 and rep.observed_sign == 0
         assert rep.lhs_entry.is_zero()
+
+    @pytest.mark.parametrize("t, T, entry", [(1, 1, 1), (2, 0, 0)])
+    def test_edgeless_graph(self, t, T, entry):
+        # s_0 is the empty ordering, the identity: entry (s, t) is 1 when
+        # s = t and 0 otherwise, as T is
+        rep = cross_check(graph(2, [], 1, t))
+        assert (rep.S, rep.T, rep.agrees, rep.lhs_entry) == (
+            T, T, True, GrassmannElement.scalar(0, entry))
+        assert rep.observed_sign == T
 
     def test_gn2_magnitude(self):
         rep = cross_check(make_gn(2, 1))
@@ -194,12 +204,27 @@ class TestCrossCheck:
 
 
 class TestAlgebraStates:
-    """The states the algebra DP creates for row s of graph_matrices(g)."""
+    """The states the algebra DP creates for row s of graph_matrices(g), and
+    the basis route of cross_check creating the same ones."""
 
     @staticmethod
     def _states(g):
-        _, _, k, index = grassmann._prepare(graph_matrices(g))
+        _, _, k, terms = grassmann._basis_terms(graph_matrices(g))
+        index = grassmann._row_index(g.n, terms)
         return grassmann._alternating_row(index, k, g.s - 1, 0, 10 ** 9)[1]
+
+    @staticmethod
+    def _assert_basis_route_matches(g, states):
+        # row s from graph_basis(g) is row s from graph_matrices(g), and it
+        # fits a budget of exactly the matrix route's states
+        def basis_row(budget):
+            return standard_polynomial_basis_row(g.n, len(g.marked), graph_basis(g), g.s, budget)
+        assert basis_row(states) == standard_polynomial_row(graph_matrices(g), g.s)
+        if states:
+            with pytest.raises(BudgetExceededError,
+                               match=f"^budget exceeded: {states} states or steps, "
+                                     f"limit {states - 1}$"):
+                basis_row(states - 1)
 
     def test_bridge_suite_counts(self):
         # the 764 graphs of verify --suite bridge --seed 7, drawn as
@@ -210,6 +235,8 @@ class TestAlgebraStates:
         gs += class_graphs(enumerate_marked_graphs(2, 6, bmax=3))
         counts = [self._states(g) for g in gs]
         assert (len(counts), sum(counts), max(counts)) == (764, 21634, 96)
+        for g, states in zip(gs, counts):
+            self._assert_basis_route_matches(g, states)
         g = gs[counts.index(96)]
         mats = graph_matrices(g)
         assert standard_polynomial_row(mats, g.s, max_nodes=96) == standard_polynomial_row(
@@ -223,6 +250,7 @@ class TestAlgebraStates:
         g = make_gn(n, mbar)
         mats = graph_matrices(g)
         assert self._states(g) == states
+        self._assert_basis_route_matches(g, states)
         row = standard_polynomial_row(mats, g.s, max_nodes=states)
         ell = len(g.marked)
         assert abs(row[g.t - 1].coefficient(range(1, ell + 1))) == signed_sum(g).T > 0

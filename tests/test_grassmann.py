@@ -10,8 +10,8 @@ from oracles import (element_to_oracle, matrix_to_oracle,
                      random_element, random_matrix)
 from trailsum.grassmann import (GrassmannElement, GrassmannMatrix, ShapeError,
                                 mask_from_indices, mat_mul, simplify_basis_tuple,
-                                standard_polynomial, standard_polynomial_row,
-                                substitute_generators)
+                                standard_polynomial, standard_polynomial_basis_row,
+                                standard_polynomial_row, substitute_generators)
 from trailsum.trails import BudgetExceededError
 
 
@@ -472,6 +472,58 @@ class TestStandardPolynomialRow:
                 standard_polynomial_row(xs, s)
             assert [[[e.terms for e in row] for row in x.rows] for x in xs] == before
         assert shared.terms == {0: 2, 3: -1, 4: 1}
+
+
+class TestStandardPolynomialBasisRow:
+    """Row s of s_k over basis triples (alpha, beta, mask), no matrix built."""
+
+    def test_matches_matrix_row_and_oracle(self):
+        rng = random.Random(15)
+        nonzero = 0
+        for _ in range(60):
+            n, m, k = rng.randint(1, 3), rng.randint(0, 4), rng.randint(1, 6)
+            basis = [(rng.randint(1, n), rng.randint(1, n), rng.randrange(1 << m))
+                     for _ in range(k)]
+            xs = [GrassmannMatrix.unit(n, m, a, b, GrassmannElement(m, {mask: 1}))
+                  for a, b, mask in basis]
+            naive = o_standard_polynomial([matrix_to_oracle(x) for x in xs], n)
+            for s in range(1, n + 1):
+                row = standard_polynomial_basis_row(n, m, basis, s)
+                assert row == standard_polynomial_row(xs, s)
+                assert [element_to_oracle(e) for e in row] == naive[s - 1]
+                nonzero += any(row)
+        assert nonzero > 0
+
+    def test_no_arguments_give_the_identity_row(self):
+        for n, m in ((1, 0), (3, 2)):
+            for s in range(1, n + 1):
+                row = standard_polynomial_basis_row(n, m, [], s, max_nodes=0)
+                assert row == GrassmannMatrix.identity(n, m).rows[s - 1]
+
+    def test_argument_errors(self):
+        basis = [(1, 2, 1), (2, 1, 0)]
+        for s in (True, 1.0, "1", None):
+            with pytest.raises(TypeError):
+                standard_polynomial_basis_row(2, 1, basis, s)
+        for n, m in ((True, 1), (2.0, 1), (2, False), (2, None)):
+            with pytest.raises(TypeError):
+                standard_polynomial_basis_row(n, m, basis, 1)
+        for bad in ((True, 2, 0), (1, 2.0, 0), (1, 2, True), (1, 2, None)):
+            with pytest.raises(TypeError):
+                standard_polynomial_basis_row(2, 1, [bad], 1)
+        for s in (0, 3, -1):
+            with pytest.raises(ValueError, match=f"^row {s} outside 1..2$"):
+                standard_polynomial_basis_row(2, 1, basis, s)
+        for n, m in ((0, 1), (2, -1)):
+            with pytest.raises(ValueError):
+                standard_polynomial_basis_row(n, m, [], 1)
+        for bad in ((0, 1, 0), (1, 3, 0), (-1, 1, 0), (3, 3, 0)):
+            with pytest.raises(ValueError, match="^basis position .* outside 1..2$"):
+                standard_polynomial_basis_row(2, 1, [bad], 1)
+        for mask in (2, -1, 4):
+            # on row 2, so row 1 never reaches it: the check is on the input
+            with pytest.raises(ValueError, match="outside algebra on 1 generators$"):
+                standard_polynomial_basis_row(2, 1, [(2, 2, mask)], 1)
 
 
 class TestSimplifyBasisTuple:

@@ -26,6 +26,10 @@ def test_library_example():
     assert "# 8 trails" in code and "((1, 2, 3, 4, 5), 1, 1)" in code
     assert len(trails) == 8 and trails[0] == ((1, 2, 3, 4, 5), 1, 1)
     assert "v1 E_12, v2 E_21, E_11, ..." in code
+    assert "(1, 2, 1), (2, 1, 2), ..." in code
+    assert names["basis"][:2] == [(1, 2, 1), (2, 1, 2)]
+    assert "# row 1 of s_5 over it: (0, +4*v1v2)" in code
+    assert [str(e) for e in names["row"]] == ["0", "+4*v1v2"]
     v1, v2 = GrassmannElement.generator(2, 1), GrassmannElement.generator(2, 2)
     assert names["mats"][:3] == [GrassmannMatrix.unit(2, 2, 1, 2, v1),
                                  GrassmannMatrix.unit(2, 2, 2, 1, v2),
