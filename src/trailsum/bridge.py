@@ -13,8 +13,8 @@ computing both sides independently, the algebra side from the triples with
 no matrix built.
 ``search_classes`` is the one exhaustive search over graph classes: the
 ``exhaustive`` command and the ``upper-n2`` and ``amitsur-levitzki`` suites
-read its record, and with stop_on_witness it decides whether the alternating
-sum of a given degree vanishes over a whole class of graphs.
+read its record, and the alternating sum of degree k vanishes on M_n E^m
+exactly when its search at (n, k, m) finds no witness.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .digraph import (MarkedDigraph, class_graph, count_classes, enumerate_marked_graphs,
-                      multisets_through, root_orbits, search_space, walk_order)
+from .digraph import (MarkedDigraph, class_graph, count_classes, root_orbits, search_space,
+                      walk_order)
 from .grassmann import GrassmannElement, GrassmannMatrix, standard_polynomial_basis_row
 from .trails import DEFAULT_NODE_BUDGET, class_sums, signed_sum
 
@@ -86,11 +86,12 @@ class ClassSearch:
     classes; ``witness`` is the first class of the full stream with T > 0
     (None if there is none) and ``witness_T`` its T; it is the
     representative ``class_graph`` builds from its record.  ``classes``,
-    ``skipped_unbalanced`` and ``skipped_infeasible`` are the counters of
-    the class stream.  ``states`` and ``largest_layer`` are the counters of
-    the one trail DP (``class_sums``), and ``nonzero_records`` the classes
-    with T != 0 it found at the root pairs (1, 1) and (1, 2), before any
-    scaling.  The histogram counts every class, those with T = 0 too.
+    ``skipped_unbalanced`` and ``skipped_infeasible`` count the full class
+    stream, in closed form (``count_classes``) with no class walked.
+    ``states`` and ``largest_layer`` are the counters of the one trail DP
+    (``class_sums``), and ``nonzero_records`` the classes with T != 0 it
+    found at the root pairs (1, 1) and (1, 2), before any scaling.  The
+    histogram counts every class, those with T = 0 too.
     """
     histogram: tuple[tuple[int, int], ...]
     witness: MarkedDigraph | None
@@ -103,8 +104,7 @@ class ClassSearch:
     nonzero_records: int
 
 
-def search_classes(n: int, k: int, bmax: int, stop_on_witness: bool = False,
-                   max_nodes: int = DEFAULT_NODE_BUDGET,
+def search_classes(n: int, k: int, bmax: int, *, max_nodes: int = DEFAULT_NODE_BUDGET,
                    max_classes: int = DEFAULT_MAX_CLASSES) -> ClassSearch:
     """T over every class of n-vertex, k-edge graphs with at most bmax marks.
 
@@ -123,12 +123,8 @@ def search_classes(n: int, k: int, bmax: int, stop_on_witness: bool = False,
     so the counts of those two are scaled by their orbit sizes, and the
     record counts the full stream.  The witness is the DP's record that the
     class walk yields first (``walk_order``) at (1, 1), or failing that at
-    (1, 2), the first two pairs of the full stream.  With
-    stop_on_witness the counts are left unscaled and count the full
-    stream's prefix up to the witness, itself included: at the witness's
-    pair the full walk is drained that far, and ``multisets_through`` the
-    witness less the walk's leaves is unbalanced.  A MarkedDigraph is built
-    only for the DP and the witness.
+    (1, 2), the first two pairs of the full stream; no class is walked.  A
+    MarkedDigraph is built only for the DP and the witness.
     """
     if n < 1 or k < 1 or bmax < 0:
         raise ValueError("need n, k >= 1 and bmax >= 0")
@@ -137,35 +133,21 @@ def search_classes(n: int, k: int, bmax: int, stop_on_witness: bool = False,
         raise ValueError(
             f"search space of {space} classes exceeds the guard of {max_classes}")
     sums = class_sums(n, k, bmax, max_nodes)
-    pairs = []      # (root-orbit size, T != 0 histogram, stream counters) per root pair
+    histogram: Counter = Counter()
+    counters = (0, 0, 0)        # classes, skipped unbalanced, skipped infeasible
     first, witness_T = None, 0                  # the witness's record and T
+    nonzero = 0                                 # the DP's records at (1, 1) and (1, 2)
     for roots, size in root_orbits(n):
         found = sums.records[roots[1]]
         if found and first is None:
             first = min(found, key=walk_order)
             witness_T = abs(found[first])
-            if stop_on_witness:
-                stream = enumerate_marked_graphs(n, k, bmax, [roots])
-                for record in stream:
-                    if record == first:
-                        break
-                leaves = stream.yielded + stream.skipped_infeasible
-                pairs = [(1, *pair[1:]) for pair in pairs] + [
-                    (1, Counter({witness_T: 1}),
-                     (stream.yielded, multisets_through(n, k, bmax, first) - leaves,
-                      stream.skipped_infeasible))]
-                break
-        pairs.append((size, Counter(abs(S) for S in found.values()),
-                      count_classes(n, k, bmax, roots)))
-    histogram: Counter = Counter()
-    for size, counts, tally in pairs:
-        counts[0] = tally[0] - counts.total()
-        for value, count in counts.items():
-            if count:
-                histogram[value] += size * count
-    classes, unbalanced, infeasible = (sum(size * tally[i] for size, _, tally in pairs)
-                                       for i in range(3))
+        tally = count_classes(n, k, bmax, roots)
+        counts = Counter(abs(S) for S in found.values())
+        counts[0] = tally[0] - len(found)
+        histogram.update({value: size * count for value, count in counts.items() if count})
+        counters = tuple(total + size * count for total, count in zip(counters, tally))
+        nonzero += len(found)
     witness = None if first is None else class_graph(n, first)
-    return ClassSearch(tuple(sorted(histogram.items())), witness, witness_T,
-                       classes, unbalanced, infeasible, sums.nodes, sums.largest_layer,
-                       sum(len(sums.records[roots[1]]) for roots, _ in root_orbits(n)))
+    return ClassSearch(tuple(sorted(histogram.items())), witness, witness_T, *counters,
+                       sums.nodes, sums.largest_layer, nonzero)

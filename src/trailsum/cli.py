@@ -376,8 +376,8 @@ def cmd_exhaustive(args) -> int:
         raise _UsageError("need --n >= 1, --k >= 1, --bmax >= 0 and --max-classes >= 0")
     start = time.perf_counter()
     try:
-        found = bridge.search_classes(args.n, args.k, args.bmax, args.stop_on_witness,
-                                      args.budget, args.max_classes)
+        found = bridge.search_classes(args.n, args.k, args.bmax, max_nodes=args.budget,
+                                      max_classes=args.max_classes)
     except ValueError as exc:
         raise _UsageError(f"{exc}; raise --max-classes to proceed") from None
     print(f"n={args.n} k={args.k} bmax={args.bmax}")
@@ -426,11 +426,10 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("exhaustive",
-                       help="walk every marked-graph class and histogram T")
+                       help="histogram T over every marked-graph class")
     p.add_argument("--n", type=integer, required=True)
     p.add_argument("--k", type=integer, required=True)
     p.add_argument("--bmax", type=integer, required=True)
-    p.add_argument("--stop-on-witness", action="store_true")
     p.add_argument("--budget", type=integer, default=trails.DEFAULT_NODE_BUDGET)
     p.add_argument("--max-classes", type=integer, default=bridge.DEFAULT_MAX_CLASSES)
     p.set_defaults(func=cmd_exhaustive)

@@ -9,9 +9,8 @@ The module also provides the witness family ``make_gn``, the root-absorbing
 extension, the opposite graph, the two loop-creating edge surgeries, an
 exhaustive enumerator of small marked graphs up to edge relabelling (as
 per-type count records), their counts by a generating function
-(``count_classes``) and ranks in the walk (``multisets_through``), a
-seeded sampler of trail-feasible graphs, and a strict line-oriented text
-format used by the command line tools.
+(``count_classes``), a seeded sampler of trail-feasible graphs, and a strict
+line-oriented text format used by the command line tools.
 """
 
 from __future__ import annotations
@@ -228,7 +227,9 @@ class MarkedGraphEnumeration:
     one single pass; ``class_graph`` turns a record into its representative
     graph.  The counters ``yielded`` and ``skipped_infeasible`` count the
     walk's leaves as items are consumed; the unbalanced multisets it cuts
-    are counted in closed form (``count_classes``, ``multisets_through``).
+    are counted in closed form (``count_classes``).  The exhaustive search
+    (``bridge.search_classes``) walks no class: it takes its counts from
+    ``count_classes`` and its T values from one trail DP.
     """
 
     def __init__(self, n: int, k: int, bmax: int,
@@ -378,22 +379,6 @@ def search_space(n: int, k: int, bmax: int) -> int:
     """
     pairs = n * n
     return pairs * _bounded_multisets(pairs, pairs, k, bmax)
-
-
-def multisets_through(n: int, k: int, bmax: int, record: ClassRecord) -> int:
-    """Multisets of k edge types with at most bmax marked at the record's
-    root pair, up to and including the record in the class walk's order.
-    Entry (type j, multiplicity m) adds those that agree with the record
-    before j and then use a type it skips before j or take j over m times."""
-    def rest(i: int, r: int, beta: int) -> int:     # types[i:] alternate unmarked, marked
-        return _bounded_multisets((2 * n * n - i + 1) // 2, (2 * n * n - i) // 2, r, beta)
-
-    through, prev, r, beta = 1, 0, k, bmax
-    for u, v, f, m in record[2]:
-        j = 2 * ((u - 1) * n + v - 1) + f
-        through += rest(prev, r, beta) - rest(j, r, beta) + rest(j, r - m - 1, beta - (m + 1) * f)
-        prev, r, beta = j + 1, r - m, beta - m * f
-    return through
 
 
 def walk_order(record: ClassRecord) -> list[tuple[int, int, int, int]]:

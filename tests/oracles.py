@@ -302,19 +302,6 @@ def brute_marked_graphs(n, k, bmax, roots=None, cap=None):
     return _BruteMarkedGraphs(n, k, bmax, roots, cap)
 
 
-def brute_multisets_through(g, bmax):
-    """The multisets the full class stream (all n^2 root pairs, in order)
-    has passed once it yields g: each root pair's share of the search space
-    before g's pair, and the brute-force stream's count at g's pair up to g."""
-    from trailsum.digraph import search_space
-    stream = brute_marked_graphs(g.n, g.k, bmax, [(g.s, g.t)])
-    if g not in stream:
-        raise ValueError("g is not a class representative of the stream")
-    pairs_before = (g.s - 1) * g.n + g.t - 1
-    return (pairs_before * search_space(g.n, g.k, bmax) // g.n ** 2
-            + stream.yielded + stream.skipped_unbalanced + stream.skipped_infeasible)
-
-
 def repeats_unmarked_type(g):
     """Do two unmarked edges of g share their endpoints (u, v)?
 

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from oracles import (brute_marked_graphs, brute_multisets_through, matrix_to_oracle,
+from oracles import (brute_marked_graphs, matrix_to_oracle,
                      o_standard_polynomial, repeats_unmarked_type)
 from trailsum import bridge, grassmann, trails
 from trailsum.bridge import (ClassSearch, cross_check, graph_basis, graph_matrices,
@@ -295,47 +295,48 @@ class TestSimplifyThenCrossCheck:
 
 class TestIdentityVerdict:
     """s_k is an identity on M_n E^m when no class with at most m marks has
-    T != 0: search_classes(n, k, m, stop_on_witness=True).witness is None."""
+    T != 0: search_classes(n, k, m).witness is None."""
 
     def test_degree_five_fails_on_two_generators(self):
-        found = search_classes(2, 5, 2, stop_on_witness=True)
+        found = search_classes(2, 5, 2)
         assert found.witness is not None
         assert signed_sum(found.witness).T > 0
         assert found.witness.k == 5 and len(found.witness.marked) <= 2
 
     def test_degree_six_holds_on_three_generators(self):
-        found = search_classes(2, 6, 3, stop_on_witness=True)
+        found = search_classes(2, 6, 3)
         assert found.witness is None
         assert found.classes > 0
 
     def test_amitsur_levitzki_degree(self):
-        assert search_classes(2, 4, 0, stop_on_witness=True).witness is None
+        assert search_classes(2, 4, 0).witness is None
 
     def test_even_verdict_extends_to_next_degree(self):
         # vanishing at an even degree propagates one degree up
-        assert search_classes(2, 6, 3, stop_on_witness=True).witness is None
-        assert search_classes(2, 7, 3, stop_on_witness=True).witness is None
+        assert search_classes(2, 6, 3).witness is None
+        assert search_classes(2, 7, 3).witness is None
 
     def test_exhaustive_guard(self):
         with pytest.raises(ValueError):
-            search_classes(4, 12, 3, stop_on_witness=True)
+            search_classes(4, 12, 3)
 
     def test_guard_counts_the_mark_bound(self):
         space = search_space(2, 5, 2)
-        found = search_classes(2, 5, 2, stop_on_witness=True, max_classes=space)
+        found = search_classes(2, 5, 2, max_classes=space)
         assert found.witness is not None
         with pytest.raises(ValueError):
-            search_classes(2, 5, 2, stop_on_witness=True, max_classes=space - 1)
+            search_classes(2, 5, 2, max_classes=space - 1)
 
     @pytest.mark.parametrize("n, m, k", [(2, 2, 5), (3, 2, 5), (2, 3, 6)])
     def test_exhaustive_matches_one_sum_per_class(self, n, m, k):
+        # the witness is the first walked class with T != 0, and the
+        # classes are those of the whole stream
         checked, witness = 0, None
         for g in class_graphs(enumerate_marked_graphs(n, k, m)):
             checked += 1
-            if signed_sum(g).T != 0:
+            if witness is None and signed_sum(g).T != 0:
                 witness = g
-                break
-        found = search_classes(n, k, m, stop_on_witness=True)
+        found = search_classes(n, k, m)
         assert (found.witness, found.classes) == (witness, checked)
 
 
@@ -347,13 +348,13 @@ class TestSearchClasses:
         with pytest.raises(ValueError, match="need n, k >= 1 and bmax >= 0"):
             search_classes(n, k, bmax)
 
-    @pytest.mark.parametrize("n, k, bmax, stop", [
-        pytest.param(n, k, bmax, stop, id=f"{n}-{k}-{bmax}" + ("-stop" if stop else ""))
-        for n, k, bmax, stop in [
-            (2, 6, 3, False), (2, 7, 3, False), (2, 4, 0, False),
-            (3, 5, 2, False), (3, 5, 2, True),
-        ]])
-    def test_matches_full_stream_fold(self, n, k, bmax, stop):
+    def test_budgets_are_keyword_only(self):
+        # a fourth positional argument would otherwise be read as max_nodes
+        with pytest.raises(TypeError):
+            search_classes(2, 5, 2, True)
+
+    @pytest.mark.parametrize("n, k, bmax", [(2, 6, 3), (2, 7, 3), (2, 4, 0), (3, 5, 2)])
+    def test_matches_full_stream_fold(self, n, k, bmax):
         # T once per class over the full stream of all n^2 root pairs.
         stream = enumerate_marked_graphs(n, k, bmax)
         histogram, witness, witness_T = {}, None, 0
@@ -362,18 +363,16 @@ class TestSearchClasses:
             histogram[value] = histogram.get(value, 0) + 1
             if value and witness is None:
                 witness, witness_T = g, value
-                if stop:
-                    break
-        # the DP runs in full either way and counts its records at (1, 1) and (1, 2)
+        # the DP counts its records at (1, 1) and (1, 2)
         paired = enumerate_marked_graphs(n, k, bmax, [(1, 1), (1, 2)])
         nonzero = sum(1 for g in class_graphs(paired) if signed_sum(g).T)
         sums = class_sums(n, k, bmax)
-        found = search_classes(n, k, bmax, stop_on_witness=stop)
-        # the multisets the stream passed that are not its leaves are unbalanced
-        passed = brute_multisets_through(witness, bmax) if stop else search_space(n, k, bmax)
+        found = search_classes(n, k, bmax)
+        # the multisets of the search space that are not the stream's leaves are unbalanced
+        unbalanced = search_space(n, k, bmax) - stream.yielded - stream.skipped_infeasible
         assert found == ClassSearch(
             tuple(sorted(histogram.items())), witness, witness_T, stream.yielded,
-            passed - stream.yielded - stream.skipped_infeasible, stream.skipped_infeasible,
+            unbalanced, stream.skipped_infeasible,
             sums.nodes, sums.largest_layer, nonzero)
 
     @pytest.mark.parametrize("n, k, bmax", [(2, 6, 3), (3, 5, 2), (2, 7, 3)])

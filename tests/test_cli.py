@@ -9,8 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import (brute_marked_graphs, brute_multisets_through, brute_signed_sum,
-                     repeats_unmarked_type)
+from oracles import brute_marked_graphs, brute_signed_sum, repeats_unmarked_type
 from trailsum import bridge, cli
 from trailsum.digraph import (class_graph, enumerate_marked_graphs, format_graph,
                               make_gn, parse_graph, random_feasible_graph, search_space)
@@ -334,8 +333,7 @@ class TestExhaustiveCommand:
         assert any(line.startswith("witness T=2") for line in lines)
 
     def test_lower_bound_witness_exists(self, capsys):
-        code, out, _ = run(capsys, ["exhaustive", "--n", "2", "--k", "5",
-                                    "--bmax", "2", "--stop-on-witness"])
+        code, out, _ = run(capsys, ["exhaustive", "--n", "2", "--k", "5", "--bmax", "2"])
         assert code == 0
         assert "witness T=" in out
         stream = brute_marked_graphs(2, 5, 2)
@@ -343,6 +341,8 @@ class TestExhaustiveCommand:
             S, _ = brute_signed_sum(g)
             if S != 0:
                 break
+        for _ in stream:    # the counters are those of the whole stream
+            pass
         lines = out.splitlines()
         assert f"witness T={abs(S)} {g.compact()}" in lines
         assert lines[-1] == (f"classes={stream.yielded} "
@@ -424,18 +424,19 @@ class TestExhaustiveCommand:
         assert (code, out) == (1, "")
         assert "guard of 0" in err
 
-    @pytest.mark.parametrize("n, k, bmax, stop", [
-        pytest.param(n, k, bmax, stop, id=f"{n}-{k}-{bmax}" + ("-stop" if stop else ""))
-        for n, k, bmax, stop in [
-            (2, 5, 2, False), (2, 5, 2, True), (2, 6, 3, False), (3, 5, 2, False),
-            (3, 5, 2, True), (1, 3, 2, False), (1, 3, 2, True), (3, 6, 2, False),
-        ]])
-    def test_stdout_matches_one_sum_per_class(self, capsys, n, k, bmax, stop):
+    @pytest.mark.parametrize("n, k, bmax", [(2, 5, 2), (2, 6, 3), (3, 5, 2), (1, 3, 2), (3, 6, 2)])
+    def test_stdout_matches_one_sum_per_class(self, capsys, n, k, bmax):
         argv = ["exhaustive", "--n", str(n), "--k", str(k), "--bmax", str(bmax)]
-        argv += ["--stop-on-witness"] if stop else []
         code, out, _ = run(capsys, argv)
         assert code == 0
-        assert out == _one_sum_per_class(n, k, bmax, stop, lambda g: signed_sum(g).T)
+        assert out == _one_sum_per_class(n, k, bmax, lambda g: signed_sum(g).T)
+
+    def test_stop_on_witness_is_unrecognized(self, capsys):
+        # the search decides every class in one DP, so there is no early stop
+        code, out, err = run(capsys, ["exhaustive", "--n", "2", "--k", "5", "--bmax", "2",
+                                      "--stop-on-witness"])
+        assert (code, out) == (1, "")
+        assert err == "usage error: unrecognized arguments: --stop-on-witness\n"
 
     def test_orbit_line_on_stderr(self, capsys):
         # the one trail DP's counters: states created, the largest layer, and
@@ -450,7 +451,7 @@ class TestExhaustiveCommand:
         assert "states" not in out
 
 
-def _one_sum_per_class(n, k, bmax, stop, T):
+def _one_sum_per_class(n, k, bmax, T):
     """The exhaustive report folded over the full class stream, T once per class."""
     stream = enumerate_marked_graphs(n, k, bmax)
     histogram, witness = {}, None
@@ -459,12 +460,8 @@ def _one_sum_per_class(n, k, bmax, stop, T):
         histogram[value] = histogram.get(value, 0) + 1
         if value and witness is None:
             witness = f"witness T={value} {g.compact()}"
-            if stop:
-                break
-    # the multisets the stream passed that are not its leaves are unbalanced
-    passed = (brute_multisets_through(g, bmax) if stop and witness
-              else search_space(n, k, bmax))
-    unbalanced = passed - stream.yielded - stream.skipped_infeasible
+    # the multisets of the search space that are not the stream's leaves are unbalanced
+    unbalanced = search_space(n, k, bmax) - stream.yielded - stream.skipped_infeasible
     expected = [f"n={n} k={k} bmax={bmax}"]
     expected += [f"T={value} classes={histogram[value]}" for value in sorted(histogram)]
     expected += [witness] if witness else []
@@ -501,13 +498,11 @@ class TestDistinctRootsWitness:
         monkeypatch.setattr(bridge, "class_sums", fake)
 
     @pytest.mark.parametrize("n, k, bmax", [(2, 5, 2), (3, 5, 2)])
-    @pytest.mark.parametrize("stop", [False, True])
-    def test_exhaustive_stdout(self, capsys, n, k, bmax, stop):
+    def test_exhaustive_stdout(self, capsys, n, k, bmax):
         argv = ["exhaustive", "--n", str(n), "--k", str(k), "--bmax", str(bmax)]
-        argv += ["--stop-on-witness"] if stop else []
         code, out, _ = run(capsys, argv)
         assert code == 0
-        expected = _one_sum_per_class(n, k, bmax, stop, _loops_between_distinct_roots)
+        expected = _one_sum_per_class(n, k, bmax, _loops_between_distinct_roots)
         assert "witness T=" in expected and " s=1 t=2 " in expected
         assert out == expected
 
@@ -516,11 +511,10 @@ class TestDistinctRootsWitness:
         checked, witness = 0, None
         for g in (class_graph(n, record) for record in enumerate_marked_graphs(n, k, m)):
             checked += 1
-            if _loops_between_distinct_roots(g):
+            if witness is None and _loops_between_distinct_roots(g):
                 witness = g
-                break
         assert witness is not None and (witness.s, witness.t) == (1, 2)
-        found = bridge.search_classes(n, k, m, stop_on_witness=True)
+        found = bridge.search_classes(n, k, m)
         assert (found.witness, found.classes) == (witness, checked)
 
 
