@@ -83,11 +83,11 @@ class ClassSearch:
     """The record of search_classes.
 
     ``histogram`` pairs each value of T, ascending, with its number of
-    classes; ``witness`` is the first class of the full stream with T > 0
+    classes; ``witness`` is the first class of the full list with T > 0
     (None if there is none) and ``witness_T`` its T; it is the
     representative ``class_graph`` builds from its record.  ``classes``,
     ``skipped_unbalanced`` and ``skipped_infeasible`` count the full class
-    stream, in closed form (``count_classes``) with no class walked.
+    list, in closed form (``count_classes``) with no class listed.
     ``states`` and ``largest_layer`` are the counters of the one trail DP
     (``class_sums``), and ``nonzero_records`` the classes with T != 0 it
     found at the root pairs (1, 1) and (1, 2), before any scaling.  The
@@ -121,10 +121,10 @@ def search_classes(n: int, k: int, bmax: int, *, max_nodes: int = DEFAULT_NODE_B
     and the T = 0 row is its classes less the DP's records there.  Every
     root pair repeats (1, 1) or (1, 2) up to relabelling (``root_orbits``),
     so the counts of those two are scaled by their orbit sizes, and the
-    record counts the full stream.  The witness is the DP's record that the
-    class walk yields first (``walk_order``) at (1, 1), or failing that at
-    (1, 2), the first two pairs of the full stream; no class is walked.  A
-    MarkedDigraph is built only for the DP and the witness.
+    record counts the full list.  The witness is the DP's record that
+    ``enumerate_marked_graphs`` lists first (``walk_order``) at (1, 1), or
+    failing that at (1, 2), the first two pairs of the full list; no class
+    is listed.  A MarkedDigraph is built only for the DP and the witness.
     """
     if n < 1 or k < 1 or bmax < 0:
         raise ValueError("need n, k >= 1 and bmax >= 0")

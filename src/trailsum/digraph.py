@@ -6,9 +6,9 @@ and parallel edges are allowed.  ``marked`` holds the 1-based indices of the
 distinguished edges.
 
 The module also provides the witness family ``make_gn``, the root-absorbing
-extension, the opposite graph, the two loop-creating edge surgeries, an
-exhaustive enumerator of small marked graphs up to edge relabelling (as
-per-type count records), their counts by a generating function
+extension, the opposite graph, the two loop-creating edge surgeries, a
+one-pass list of the feasible classes of small marked graphs up to edge
+relabelling (as per-type count records), their counts by a generating function
 (``count_classes``), a seeded sampler of trail-feasible graphs, and a strict
 line-oriented text format used by the command line tools.
 """
@@ -21,7 +21,6 @@ import math
 import operator
 import random
 from collections import Counter
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 
@@ -202,123 +201,11 @@ def surgery_out(g: MarkedDigraph, a: int, d: int) -> MarkedDigraph:
 ClassRecord = tuple[int, int, tuple[tuple[int, int, int, int], ...]]
 
 
-class MarkedGraphEnumeration:
-    """One representative per class of marked graphs, filtered for feasibility.
-
-    Two graphs are in one class when they share the multiset of (source,
-    target, marked) triples and the roots; the signed trail sum's absolute
-    value only depends on the class.  Representatives list their edges in
-    sorted triple order.  Classes failing the trail-existence condition are
-    skipped and counted (their trail set is empty), so every yielded class
-    is balanced with at least one Eulerian trail.
-
-    The walk covers the given root pairs in the given order, by default all
-    n^2 pairs in lexicographic order.  For each root pair the multisets are
-    walked depth first over the 2n^2 edge types in (source, target, marked)
-    order, each type's multiplicity tried from high to low: the order of
-    ``itertools.combinations_with_replacement``.  The walk carries the
-    balance d(v) = indeg + [v = s] - outdeg - [v = t] and cuts a subtree
-    when it holds no balanced multiset: some vertex whose outgoing types
-    are all behind has d(v) > 0, or the sum of the positive d(v) exceeds
-    the edges left.  At a balanced leaf it decides feasibility by the rule
-    ``validate`` applies: one flood from s over the picked types.
-
-    Iterating the enumeration yields class records (``class_record``) in
-    one single pass; ``class_graph`` turns a record into its representative
-    graph.  The counters ``yielded`` and ``skipped_infeasible`` count the
-    walk's leaves as items are consumed; the unbalanced multisets it cuts
-    are counted in closed form (``count_classes``).  The exhaustive search
-    (``bridge.search_classes``) walks no class: it takes its counts from
-    ``count_classes`` and its T values from one trail DP.
-    """
-
-    def __init__(self, n: int, k: int, bmax: int,
-                 roots: Iterable[tuple[int, int]] | None = None):
-        if n < 1 or k < 1 or bmax < 0:
-            raise ValueError("need n, k >= 1 and bmax >= 0")
-        self.n = n
-        self.k = k
-        self.bmax = bmax
-        self.roots = (tuple(itertools.product(range(1, n + 1), repeat=2)) if roots is None
-                      else tuple(roots))
-        if not all(1 <= s <= n and 1 <= t <= n for s, t in self.roots):
-            raise ValueError(f"root pairs must lie in 1..{n}")
-        self.yielded = 0
-        self.skipped_infeasible = 0
-        self._walk = self._generate()
-
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> ClassRecord:
-        return next(self._walk)
-
-    def _generate(self):
-        n, k = self.n, self.k
-        types = [(u, v, f) for u in range(1, n + 1) for v in range(1, n + 1) for f in (0, 1)]
-        width = 2 * n                   # types per source vertex
-        last = len(types)
-        d = [0] * (n + 1)
-        picked: list[tuple[int, int, int, int]] = []
-
-        def feasible() -> bool:
-            # A balanced leaf has an Eulerian trail from s to t exactly when
-            # a flood from s reaches every vertex on a picked type.
-            near = [0] * (n + 1)
-            for u, v, _, _ in picked:
-                near[u] |= 1 << v
-                near[v] |= 1 << u
-            return _spans(near, s)
-
-        def walk(i: int, r: int, beta: int, pos: int):
-            # Invariant: the multiset so far can still be balanced and pos is
-            # the sum of the positive d(v).  Pick the next type j >= i to use
-            # and its multiplicity m >= 1.  Once the walk is past a vertex's
-            # last outgoing type that vertex is closed: its d(v) can only grow.
-            for j in range(i, last):
-                if j % width == 0 and j and d[j // width] > 0:
-                    return
-                u, v, f = types[j]
-                du, dv = d[u], d[v]
-                # pos without u and v, whose d changes with m below
-                rest_pos = pos - (du if du > 0 else 0) - (dv if dv > 0 else 0)
-                # the last type must take every edge left: a smaller m leaves
-                # edges over that no type can take
-                top = min(r, beta) if f else r
-                for m in range(top, r - 1 if j == last - 1 else 0, -1):
-                    rest = r - m
-                    new_pos = pos if u == v else (rest_pos + (du - m if du > m else 0)
-                                                  + (dv + m if dv + m > 0 else 0))
-                    # dead: more positive balance than edges left, or closed v with d(v) > 0
-                    if new_pos > rest or (v < u and dv + m > 0):
-                        continue
-                    d[u] -= m
-                    d[v] += m
-                    picked.append((u, v, f, m))
-                    if rest:
-                        yield from walk(j + 1, rest, beta - m * f, new_pos)
-                    elif feasible():    # a live pick of the last edges is balanced
-                        self.yielded += 1
-                        yield s, t, tuple(picked)
-                    else:
-                        self.skipped_infeasible += 1
-                    picked.pop()
-                    d[u] += m
-                    d[v] -= m
-
-        for s, t in self.roots:
-            d[s] += 1
-            d[t] -= 1
-            yield from walk(0, k, self.bmax, int(s != t))
-            d[s] -= 1
-            d[t] += 1
-
-
 def class_record(g: MarkedDigraph) -> ClassRecord:
     """The class of g as (s, t, types): the roots, then one (u, v, marked,
     multiplicity) entry per edge type of g in ascending type order.
 
-    These are the records a ``MarkedGraphEnumeration`` walks, with marked
+    These are the records ``enumerate_marked_graphs`` lists, with marked
     0 or 1; ``class_graph`` turns one back into a representative.
     """
     counts: dict[tuple[int, int, int], int] = {}
@@ -332,7 +219,7 @@ def class_graph(n: int, record: ClassRecord) -> MarkedDigraph:
     """The representative on n vertices of a class record (``class_record``).
 
     Each type's edges follow in record order, and the marked flag marks all
-    of them; a walked record gives edges in sorted triple order.
+    of them; a listed record gives edges in sorted triple order.
     """
     s, t, types = record
     edges: list[tuple[int, int]] = []
@@ -352,8 +239,8 @@ def root_orbits(n: int) -> tuple[tuple[tuple[int, int], int], ...]:
     those at (s, t)), keeping k, the number of marked edges, balance,
     feasibility and T.  So the n pairs with s = t all have the counts of
     (1, 1), and the n(n - 1) pairs with s != t those of (1, 2).  Both come
-    first in the full stream, and the first class there with T > 0 lies at
-    (1, 1), or failing that at (1, 2).
+    first in the full list (``enumerate_marked_graphs``), and the first
+    class there with T > 0 lies at (1, 1), or failing that at (1, 2).
     """
     return (((1, 1), n), ((1, 2), n * (n - 1)))[:min(n, 2)]
 
@@ -373,26 +260,25 @@ def _bounded_multisets(marked: int, unmarked: int, r: int, beta: int) -> int:
 def search_space(n: int, k: int, bmax: int) -> int:
     """Root pairs times multisets of k edge types with at most bmax marked.
 
-    Every multiset the class walk passes over: a drained walk's leaves and
-    the unbalanced multisets add up to this.  The exhaustive commands
-    refuse a search when it exceeds their guard.
+    Every pair of roots and multiset, each feasible, unbalanced or
+    infeasible (``count_classes``).  The exhaustive commands refuse a search
+    when it exceeds their guard.
     """
     pairs = n * n
     return pairs * _bounded_multisets(pairs, pairs, k, bmax)
 
 
 def walk_order(record: ClassRecord) -> list[tuple[int, int, int, int]]:
-    """A sort key that puts the records of one root pair in the class walk's
-    order: at the first edge type where two records differ, the walk yields
-    the one with more edges of that type first, and a record that skips the
-    type after every one that uses it."""
+    """A sort key that puts the records of one root pair in the order
+    ``enumerate_marked_graphs`` lists them: at the first edge type where two
+    records differ, the one with more edges of that type comes first, and a
+    record that skips the type after every one that uses it."""
     return [(u, v, f, -m) for u, v, f, m in record[2]]
 
 
 def count_classes(n: int, k: int, bmax: int, roots: tuple[int, int]) -> tuple[int, int, int]:
     """The (feasible, unbalanced, infeasible) multisets at one root pair,
-    with no walk; a drained ``MarkedGraphEnumeration`` there yields the
-    first and skips the last.
+    with none listed; ``enumerate_marked_graphs`` lists the feasible ones.
 
     A generating function in edges and marked edges, truncated at (k, bmax).
     Loops leave the balance alone, so each vertex's two loop types are
@@ -461,10 +347,68 @@ def count_classes(n: int, k: int, bmax: int, roots: tuple[int, int]) -> tuple[in
     return feasible, _bounded_multisets(n * n, n * n, k, bmax) - balance, balance - feasible
 
 
-def enumerate_marked_graphs(n: int, k: int, bmax: int,
-                            roots: Iterable[tuple[int, int]] | None = None
-                            ) -> MarkedGraphEnumeration:
-    return MarkedGraphEnumeration(n, k, bmax, roots)
+def enumerate_marked_graphs(n: int, k: int, bmax: int) -> list[ClassRecord]:
+    """One record (``class_record``) per feasible class of marked graphs.
+
+    Two graphs are in one class when they share the roots and the multiset
+    of (source, target, marked) triples; the signed trail sum's absolute
+    value only depends on the class.  A class is feasible when it has an
+    Eulerian trail from s to t (``validate``).
+
+    One pass walks the multisets of k edge types with at most bmax marked,
+    types in (source, target, marked) order and each type's multiplicity
+    from high to low (the order of ``itertools.combinations_with_replacement``),
+    the last type taking every edge left.  At each leaf the balance d(v) =
+    in - out names the root pairs: every (s, s) when d = 0, the one (s, t)
+    with d = e_t - e_s, and none otherwise; a pair is kept when one flood
+    from s spans the picked types.  The records come grouped by root pair in
+    lexicographic order and, within a pair, in ``walk_order``.
+    """
+    if n < 1 or k < 1 or bmax < 0:
+        raise ValueError("need n, k >= 1 and bmax >= 0")
+    types = [(u, v, f) for u in range(1, n + 1) for v in range(1, n + 1) for f in (0, 1)]
+    last = len(types) - 1
+    d = [0] * (n + 1)                   # in - out
+    picked: list[tuple[int, int, int, int]] = []
+    found: dict[tuple[int, int], list[ClassRecord]] = {}
+
+    def leaf():
+        ends = [v for v in range(1, n + 1) if d[v]]
+        if not ends:
+            pairs = [(s, s) for s in range(1, n + 1)]
+        elif len(ends) == 2 and abs(d[ends[0]]) == 1:      # d sums to 0
+            a, b = ends
+            pairs = [(a, b) if d[a] < 0 else (b, a)]
+        else:
+            return
+        near = [0] * (n + 1)
+        for u, v, _, _ in picked:
+            near[u] |= 1 << v
+            near[v] |= 1 << u
+        record = tuple(picked)
+        for s, t in pairs:
+            if _spans(near, s):
+                found.setdefault((s, t), []).append((s, t, record))
+
+    def walk(i: int, r: int, beta: int):
+        # pick the next type j >= i and its multiplicity m, r edges left
+        for j in range(i, last + 1):
+            u, v, f = types[j]
+            top = min(r, beta) if f else r
+            for m in range(top, r - 1 if j == last else 0, -1):
+                d[u] -= m
+                d[v] += m
+                picked.append((u, v, f, m))
+                if m < r:
+                    walk(j + 1, r - m, beta - m * f)
+                else:
+                    leaf()
+                picked.pop()
+                d[u] += m
+                d[v] -= m
+
+    walk(0, k, bmax)
+    return [record for pair in sorted(found) for record in found[pair]]
 
 
 def random_feasible_graph(rng: random.Random, n: int, k: int, bmax: int,

@@ -46,8 +46,8 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .digraph import (ClassRecord, MarkedDigraph, _spans, class_graph, extend, surgery_in,
-                      surgery_out, validate)
+from .digraph import (ClassRecord, MarkedDigraph, _spans, class_graph, extend, root_orbits,
+                      surgery_in, surgery_out, validate)
 
 DEFAULT_NODE_BUDGET = 10 ** 8
 _TAIL_EDGES = 5                # see SignedTrailWalk
@@ -241,7 +241,7 @@ class SignedTrailWalk:
 
     An extension step is pruned when the edges left admit no trail from
     the new head to t, decided by the one flood (digraph._spans) that also
-    decides trail existence for ``validate`` and the class walk.  The edges
+    decides trail existence for ``validate`` and the class list.  The edges
     left have out - in = [v = head] - [v = t], which sums to 0 over each
     weak component, so t lies in head's component and a trail exists
     exactly when a flood from head over their neighbour masks reaches every
@@ -556,9 +556,10 @@ def signed_sum(g: MarkedDigraph, max_nodes: int = DEFAULT_NODE_BUDGET) -> Signed
 
 @dataclass(frozen=True)
 class ClassSums:
-    """Result of class_sums: per head t, {class record at (1, t): S} over
-    the classes with S != 0; the states created, which max_nodes bounds,
-    and the most states one layer held (both 0 when no DP ran)."""
+    """Result of class_sums: per head t of ``root_orbits`` (1, and 2 when
+    n >= 2), {class record at (1, t): S} over the classes with S != 0; the
+    states created, which max_nodes bounds, and the most states one layer
+    held (both 0 when no DP ran)."""
     records: dict[int, dict[ClassRecord, int]]
     nodes: int
     largest_layer: int
@@ -570,21 +571,22 @@ def class_sums(n: int, k: int, bmax: int,
     others have S = 0) of n-vertex, k-edge graphs with at most bmax marks
     and source root 1, from one DP (_forward, k layers, bmax marks).
 
-    It runs over the universal graph: the edge types in the class walk's
-    order (u, v, marked), each unmarked one once and each marked one
+    It runs over the universal graph: the edge types in the order of the
+    class records (u, v, marked), each unmarked one once and each marked one
     min(bmax, k) times.  An edge's sign flip counts the used edges above it
     (_out_edges), and parallel edges go in index order, so those are the
     used edges of higher types, here as in a class's representative
     (class_graph).  So a state (use counts, head) has one weight in every
     class DP that reaches it, and one at layer k with head t finishes one
     class at (1, t), whose S is the weight times m! per marked type of
-    multiplicity m.
+    multiplicity m.  Only the heads the search reads, those of
+    ``root_orbits``, are decoded into records.
     """
     copies = min(bmax, k)
     universe = [(u, v, f, copies if f else 1)
                 for u in range(1, n + 1) for v in range(1, n + 1) for f in (0, 1)]
     g = class_graph(n, (1, 1, tuple(universe)))
-    records: dict[int, dict[ClassRecord, int]] = {t: {} for t in range(1, n + 1)}
+    records: dict[int, dict[ClassRecord, int]] = {t: {} for (_, t), _ in root_orbits(n)}
     if g.k < k:                     # every class repeats an unmarked type
         return ClassSums(records, 0, 0)
     rows, _ = _rows(g, (), [0] * (g.k + 1), {}, count_marks=True)
@@ -594,6 +596,8 @@ def class_sums(n: int, k: int, bmax: int,
         entries = [((u, v, f, j), math.factorial(j) if f else 1) for j in range(m + 1)]
         kind_of.extend([(((1 << m) - 1) << len(kind_of), entries)] * m)
     for (t, _, _), states in layer.items():
+        if t not in records:
+            continue
         for used, w in states.items():
             picked = []
             while used:             # the lowest type left, then the types above it

@@ -298,7 +298,7 @@ class _BruteMarkedGraphs:
 
 
 def brute_marked_graphs(n, k, bmax, roots=None, cap=None):
-    """Reference class stream with the counters of MarkedGraphEnumeration."""
+    """Reference class stream with the counters that count_classes gives in closed form."""
     return _BruteMarkedGraphs(n, k, bmax, roots, cap)
 
 

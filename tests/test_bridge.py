@@ -10,7 +10,7 @@ from oracles import (brute_marked_graphs, matrix_to_oracle,
 from trailsum import bridge, grassmann, trails
 from trailsum.bridge import (ClassSearch, cross_check, graph_basis, graph_matrices,
                              search_classes)
-from trailsum.digraph import (MarkedDigraph, class_graph, class_record,
+from trailsum.digraph import (MarkedDigraph, class_graph, class_record, count_classes,
                               enumerate_marked_graphs, extend, make_gn, opposite,
                               random_feasible_graph, search_space)
 from trailsum.grassmann import (GrassmannElement, GrassmannMatrix, simplify_basis_tuple,
@@ -23,9 +23,9 @@ def graph(n, edges, s, t, marked=()):
     return MarkedDigraph(n, tuple(edges), s, t, frozenset(marked))
 
 
-def class_graphs(stream):
-    """The representatives of a class stream's records, as they are drawn."""
-    return (class_graph(stream.n, record) for record in stream)
+def class_graphs(n, records):
+    """The representatives on n vertices of a class list's records, in order."""
+    return (class_graph(n, record) for record in records)
 
 
 def _element_shape(mat):
@@ -72,7 +72,7 @@ class TestConversions:
                                                     rng.randint(1, 6), bmax=3))
 
     def test_round_trip_enumerated(self):
-        for g in class_graphs(enumerate_marked_graphs(2, 4, 2)):
+        for g in class_graphs(2, enumerate_marked_graphs(2, 4, 2)):
             assert_reads_back(g)
 
     @staticmethod
@@ -232,7 +232,7 @@ class TestAlgebraStates:
         rng = random.Random(7)
         gs = [random_feasible_graph(rng, rng.randint(1, 3), rng.randint(2, 8), bmax=3)
               for _ in range(100)]
-        gs += class_graphs(enumerate_marked_graphs(2, 6, bmax=3))
+        gs += class_graphs(2, enumerate_marked_graphs(2, 6, bmax=3))
         counts = [self._states(g) for g in gs]
         assert (len(counts), sum(counts), max(counts)) == (764, 21634, 96)
         for g, states in zip(gs, counts):
@@ -329,10 +329,10 @@ class TestIdentityVerdict:
 
     @pytest.mark.parametrize("n, m, k", [(2, 2, 5), (3, 2, 5), (2, 3, 6)])
     def test_exhaustive_matches_one_sum_per_class(self, n, m, k):
-        # the witness is the first walked class with T != 0, and the
-        # classes are those of the whole stream
+        # the witness is the first listed class with T != 0, and the
+        # classes are those of the whole list
         checked, witness = 0, None
-        for g in class_graphs(enumerate_marked_graphs(n, k, m)):
+        for g in class_graphs(n, enumerate_marked_graphs(n, k, m)):
             checked += 1
             if witness is None and signed_sum(g).T != 0:
                 witness = g
@@ -355,42 +355,44 @@ class TestSearchClasses:
 
     @pytest.mark.parametrize("n, k, bmax", [(2, 6, 3), (2, 7, 3), (2, 4, 0), (3, 5, 2)])
     def test_matches_full_stream_fold(self, n, k, bmax):
-        # T once per class over the full stream of all n^2 root pairs.
-        stream = enumerate_marked_graphs(n, k, bmax)
+        # T once per class over the full list of all n^2 root pairs.
+        records = enumerate_marked_graphs(n, k, bmax)
         histogram, witness, witness_T = {}, None, 0
-        for g in class_graphs(stream):
+        for g in class_graphs(n, records):
             value = signed_sum(g).T
             histogram[value] = histogram.get(value, 0) + 1
             if value and witness is None:
                 witness, witness_T = g, value
         # the DP counts its records at (1, 1) and (1, 2)
-        paired = enumerate_marked_graphs(n, k, bmax, [(1, 1), (1, 2)])
-        nonzero = sum(1 for g in class_graphs(paired) if signed_sum(g).T)
+        paired = [record for record in records if record[:2] in ((1, 1), (1, 2))]
+        nonzero = sum(1 for g in class_graphs(n, paired) if signed_sum(g).T)
         sums = class_sums(n, k, bmax)
         found = search_classes(n, k, bmax)
-        # the multisets of the search space that are not the stream's leaves are unbalanced
-        unbalanced = search_space(n, k, bmax) - stream.yielded - stream.skipped_infeasible
+        # the balanced multisets of the search space that are not listed are
+        # infeasible, counted at every root pair with no orbit scaling
+        infeasible = sum(count_classes(n, k, bmax, roots)[2]
+                         for roots in itertools.product(range(1, n + 1), repeat=2))
+        unbalanced = search_space(n, k, bmax) - len(records) - infeasible
         assert found == ClassSearch(
-            tuple(sorted(histogram.items())), witness, witness_T, stream.yielded,
-            unbalanced, stream.skipped_infeasible,
-            sums.nodes, sums.largest_layer, nonzero)
+            tuple(sorted(histogram.items())), witness, witness_T, len(records),
+            unbalanced, infeasible, sums.nodes, sums.largest_layer, nonzero)
 
     @pytest.mark.parametrize("n, k, bmax", [(2, 6, 3), (3, 5, 2), (2, 7, 3)])
     def test_records_decide_as_their_graphs(self, n, k, bmax):
-        # Each full-walk record must be the class of the brute-force stream's
+        # Each listed record must be the class of the brute-force stream's
         # graph in its place, and every record of the one trail DP must be
         # one whose graph repeats no unmarked edge type, at its root pair.
-        walk = enumerate_marked_graphs(n, k, bmax)
+        listed = enumerate_marked_graphs(n, k, bmax)
         graphs = brute_marked_graphs(n, k, bmax)
         free = set()
-        for record, g in itertools.zip_longest(walk, graphs):
+        for record, g in itertools.zip_longest(listed, graphs):
             assert record == class_record(g)
             if not repeats_unmarked_type(g):
                 free.add(record)
         decided = [record for found in class_sums(n, k, bmax).records.values()
                    for record in found]
         assert set(decided) <= free
-        assert walk.yielded == graphs.yielded > len(free) > len(decided)
+        assert len(listed) == graphs.yielded > len(free) > len(decided)
 
     def test_builds_graphs_only_for_trail_dps_and_the_witness(self, monkeypatch):
         built = [0]
@@ -433,7 +435,7 @@ class TestSearchClasses:
         # stand behind it): every class that repeats an unmarked edge type
         # has S = 0.
         seen = 0
-        for g in class_graphs(enumerate_marked_graphs(n, k, bmax)):
+        for g in class_graphs(n, enumerate_marked_graphs(n, k, bmax)):
             if repeats_unmarked_type(g):
                 seen += 1
                 assert sum(sgn * msign for _, sgn, msign in signed_trails(g)) == 0

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import random
@@ -10,9 +11,10 @@ from pathlib import Path
 import pytest
 
 from oracles import brute_marked_graphs, brute_signed_sum, repeats_unmarked_type
-from trailsum import bridge, cli
-from trailsum.digraph import (class_graph, enumerate_marked_graphs, format_graph,
-                              make_gn, parse_graph, random_feasible_graph, search_space)
+from trailsum import bridge, cli, digraph
+from trailsum.digraph import (class_graph, count_classes, enumerate_marked_graphs,
+                              format_graph, make_gn, parse_graph, random_feasible_graph,
+                              search_space)
 from trailsum.trails import BudgetExceededError, ClassSums, signed_sum, signed_trails
 
 
@@ -452,21 +454,24 @@ class TestExhaustiveCommand:
 
 
 def _one_sum_per_class(n, k, bmax, T):
-    """The exhaustive report folded over the full class stream, T once per class."""
-    stream = enumerate_marked_graphs(n, k, bmax)
+    """The exhaustive report folded over the full class list, T once per class."""
+    records = enumerate_marked_graphs(n, k, bmax)
     histogram, witness = {}, None
-    for g in (class_graph(n, record) for record in stream):
+    for g in (class_graph(n, record) for record in records):
         value = T(g)
         histogram[value] = histogram.get(value, 0) + 1
         if value and witness is None:
             witness = f"witness T={value} {g.compact()}"
-    # the multisets of the search space that are not the stream's leaves are unbalanced
-    unbalanced = search_space(n, k, bmax) - stream.yielded - stream.skipped_infeasible
+    # the balanced multisets of the search space that are not listed are
+    # infeasible, counted at every root pair with no orbit scaling
+    infeasible = sum(count_classes(n, k, bmax, roots)[2]
+                     for roots in itertools.product(range(1, n + 1), repeat=2))
+    unbalanced = search_space(n, k, bmax) - len(records) - infeasible
     expected = [f"n={n} k={k} bmax={bmax}"]
     expected += [f"T={value} classes={histogram[value]}" for value in sorted(histogram)]
     expected += [witness] if witness else []
-    expected.append(f"classes={stream.yielded} skipped_unbalanced={unbalanced} "
-                    f"skipped_infeasible={stream.skipped_infeasible}")
+    expected.append(f"classes={len(records)} skipped_unbalanced={unbalanced} "
+                    f"skipped_infeasible={infeasible}")
     return "\n".join(expected) + "\n"
 
 
@@ -487,12 +492,13 @@ class TestDistinctRootsWitness:
     @pytest.fixture(autouse=True)
     def fake_sum(self, monkeypatch):
         def fake(n, k, bmax, max_nodes=None):
-            # the DP's output with the stand-in T as S, at every root pair (1, t)
+            # the DP's output with the stand-in T as S, at the root pairs (1, t)
+            # of root_orbits
+            listed = enumerate_marked_graphs(n, k, bmax)
             records = {}
-            for t in range(1, n + 1):
-                stream = enumerate_marked_graphs(n, k, bmax, [(1, t)])
+            for (_, t), _ in digraph.root_orbits(n):
                 values = ((record, _loops_between_distinct_roots(class_graph(n, record)))
-                          for record in stream)
+                          for record in listed if record[:2] == (1, t))
                 records[t] = {record: value for record, value in values if value}
             return ClassSums(records, 0, 0)
         monkeypatch.setattr(bridge, "class_sums", fake)

@@ -23,7 +23,7 @@ def graph(n, edges, s, t, marked=()):
 
 
 def class_graphs(n, k, bmax):
-    """The class stream's representatives, as graphs."""
+    """The class list's representatives, as graphs."""
     return [class_graph(n, record) for record in enumerate_marked_graphs(n, k, bmax)]
 
 
@@ -259,15 +259,15 @@ class TestEnumeration:
         assert sorted(len(g.marked) for g in classes) == [0, 1, 2]
 
     def test_all_yielded_graphs_feasible(self):
-        stream = enumerate_marked_graphs(2, 4, 2)
-        count = 0
-        for record in stream:
-            count += 1
+        records = enumerate_marked_graphs(2, 4, 2)
+        for record in records:
             assert validate(class_graph(2, record))
-        assert count == stream.yielded > 0
-        assert stream.skipped_infeasible > 0
-        # the rest of the space was cut as unbalanced
-        assert stream.yielded + stream.skipped_infeasible < search_space(2, 4, 2)
+        tallies = [count_classes(2, 4, 2, roots) for roots in itertools.product((1, 2), repeat=2)]
+        feasible, _, infeasible = map(sum, zip(*tallies))
+        assert len(records) == feasible > 0
+        assert infeasible > 0
+        # the rest of the space is unbalanced
+        assert feasible + infeasible < search_space(2, 4, 2)
 
     def test_no_duplicate_canonical_keys(self):
         seen = set()
@@ -283,34 +283,28 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("n, k, bmax", [
         (1, 1, 0), (1, 2, 2), (2, 3, 1), (2, 4, 0), (2, 4, 2),
-        (2, 5, 5), (2, 6, 3), (3, 4, 1), (3, 5, 2), (3, 6, 2),
+        (2, 5, 5), (2, 6, 3), (3, 4, 1), (3, 5, 2), (3, 6, 2), (4, 1, 0),
     ])
     def test_matches_brute_force_stream(self, n, k, bmax):
-        # after every yield the walk's leaf counters are the brute force's;
-        # the brute force draws every multiset of the search space; walk_order
-        # sorts each root pair's records as the walk yields them
-        def leaves(stream):
-            return stream.yielded, stream.skipped_infeasible
-
+        # the brute force draws every multiset of the search space, root pair
+        # by root pair; walk_order sorts each root pair's records as listed
         fast = enumerate_marked_graphs(n, k, bmax)
         brute = brute_marked_graphs(n, k, bmax)
-        records = collections.defaultdict(list)
-        for a, b in itertools.zip_longest(fast, brute):
-            assert class_graph(n, a) == b
-            records[b.s, b.t].append(a)
-            assert leaves(fast) == leaves(brute)
-        assert leaves(fast) == leaves(brute)
-        assert fast.yielded > 0
+        assert [class_graph(n, record) for record in fast] == list(brute)
+        assert len(fast) == brute.yielded > 0
         assert brute.yielded + brute.skipped_unbalanced + brute.skipped_infeasible \
             == search_space(n, k, bmax)
-        for walked in records.values():
-            assert sorted(walked, key=walk_order) == walked
+        records = collections.defaultdict(list)
+        for record in fast:
+            records[record[:2]].append(record)
+        for listed in records.values():
+            assert sorted(listed, key=walk_order) == listed
 
     @pytest.mark.parametrize("n, k, bmax", [
         pytest.param(n, k, bmax, id=f"{n}-{k}-{bmax}-1")     # the brute force's cap of 1
         for n, k, bmax in [(1, 4, 4), (2, 4, 2), (2, 6, 3), (3, 5, 2)]])
     def test_capped_stream_matches_brute_force(self, n, k, bmax):
-        # the walk's records whose graphs repeat no unmarked type, the classes
+        # the listed records whose graphs repeat no unmarked type, the classes
         # the trail DP decides, are the brute-force stream's with a cap of 1
         fast = [g for g in class_graphs(n, k, bmax) if not repeats_unmarked_type(g)]
         brute = brute_marked_graphs(n, k, bmax, cap=1)
@@ -319,39 +313,34 @@ class TestEnumeration:
 
     def test_many_loops_drain_without_hopeless_picks(self):
         # (a unmarked, 3000 - a marked) loops for each a: the last type takes
-        # every edge left, so the walk makes 3001 picks of it, not 3001 * 3000 / 2
-        stream = enumerate_marked_graphs(1, 3000, 3000)
+        # every edge left, so the list makes 3001 picks of it, not 3001 * 3000 / 2
         start = time.perf_counter()
-        assert sum(1 for _ in stream) == 3001
-        assert (stream.yielded, stream.skipped_infeasible) == (3001, 0)
-        assert search_space(1, 3000, 3000) == 3001     # so none is unbalanced
+        assert len(enumerate_marked_graphs(1, 3000, 3000)) == 3001
         assert time.perf_counter() - start < 2
+        assert count_classes(1, 3000, 3000, (1, 1)) == (3001, 0, 0)
+        assert search_space(1, 3000, 3000) == 3001     # so none is unbalanced
 
     @pytest.mark.parametrize("n, k, bmax", [(2, 5, 2), (3, 5, 2)])
     def test_root_pairs_of_one_kind_look_alike(self, n, k, bmax):
-        # The exhaustive searches walk (1, 1) and (1, 2) only and scale by
+        # The exhaustive searches decide (1, 1) and (1, 2) only and scale by
         # the size of the root orbit; this is the invariance that rests on.
         def counters(stream):
             return stream.yielded, stream.skipped_unbalanced, stream.skipped_infeasible
 
+        listed = enumerate_marked_graphs(n, k, bmax)
         tallies = {True: set(), False: set()}
         for s, t in itertools.product(range(1, n + 1), repeat=2):
-            fast = enumerate_marked_graphs(n, k, bmax, [(s, t)])
+            fast = [record for record in listed if record[:2] == (s, t)]
             brute = brute_marked_graphs(n, k, bmax, [(s, t)])
             histogram = collections.Counter()
             for a, b in itertools.zip_longest(fast, brute):
                 assert class_graph(n, a) == b
                 histogram[signed_sum(b).T] += 1
             assert counters(brute) == count_classes(n, k, bmax, (s, t))
-            assert (fast.yielded, fast.skipped_infeasible) \
-                == (brute.yielded, brute.skipped_infeasible)
+            assert len(fast) == brute.yielded
             tallies[s == t].add((counters(brute), frozenset(histogram.items())))
         assert len(tallies[True]) == len(tallies[False]) == 1
         assert [size for _, size in digraph.root_orbits(n)] == [n, n * (n - 1)]
-
-    def test_root_pairs_out_of_range(self):
-        with pytest.raises(ValueError):
-            enumerate_marked_graphs(2, 3, 1, [(1, 3)])
 
 
 def _drained(stream):
@@ -359,35 +348,38 @@ def _drained(stream):
     return stream.yielded, stream.skipped_unbalanced, stream.skipped_infeasible
 
 
-def _drained_walk(walk):
-    """A drained walk's leaf counters, with the unbalanced multisets as the
-    rest of one root pair's share of the search space."""
-    collections.deque(walk, maxlen=0)
-    space = search_space(walk.n, walk.k, walk.bmax) // walk.n ** 2
-    return walk.yielded, space - walk.yielded - walk.skipped_infeasible, walk.skipped_infeasible
+def _listed_at(records, roots):
+    """The records of a class list at one root pair."""
+    return sum(record[:2] == roots for record in records)
 
 
 class TestCountClasses:
-    # every size the class walk and the class search run at in the tests
+    # every size the class list and the class search run at in the tests
     @pytest.mark.parametrize("n, k, bmax", [
         (1, 1, 0), (1, 2, 0), (1, 2, 2), (1, 3, 2), (1, 256, 256), (2, 3, 1), (2, 4, 0),
         (2, 4, 1), (2, 4, 2), (2, 5, 2), (2, 5, 5), (2, 6, 3), (2, 7, 3), (3, 4, 0),
-        (3, 4, 1), (3, 5, 2), (3, 6, 2),
+        (3, 4, 1), (3, 5, 2), (3, 6, 2), (4, 1, 0),
     ])
     def test_matches_walk_and_brute_force(self, n, k, bmax):
+        records = enumerate_marked_graphs(n, k, bmax)
         for roots, _ in digraph.root_orbits(n):
-            walk = enumerate_marked_graphs(n, k, bmax, [roots])
             brute = brute_marked_graphs(n, k, bmax, [roots])
-            assert count_classes(n, k, bmax, roots) == _drained_walk(walk) == _drained(brute)
+            tally = count_classes(n, k, bmax, roots)
+            assert tally == _drained(brute)
+            assert tally[0] == _listed_at(records, roots)
 
-    # past the brute force's reach: CI cells, the 3,000-loop drain, one edge on four vertices
+    # past the brute force's reach: CI cells and the 3,000-loop list.  The list
+    # holds the feasible classes alone; the exhaustive digests in CI pin the
+    # unbalanced and infeasible counts of the CI cells.
     @pytest.mark.parametrize("n, k, bmax", [
-        (1, 3000, 3000), (2, 8, 5), (2, 11, 8), (3, 7, 2), (3, 8, 3), (4, 6, 2), (4, 1, 0),
+        (1, 3000, 3000), (2, 8, 5), (2, 11, 8), (3, 7, 2), (3, 8, 3), (4, 6, 2),
     ])
     def test_matches_walk(self, n, k, bmax):
+        records = enumerate_marked_graphs(n, k, bmax)
         for roots, _ in digraph.root_orbits(n):
-            walk = enumerate_marked_graphs(n, k, bmax, [roots])
-            assert count_classes(n, k, bmax, roots) == _drained_walk(walk)
+            tally = count_classes(n, k, bmax, roots)
+            assert tally[0] == _listed_at(records, roots)
+            assert sum(tally) == search_space(n, k, bmax) // n ** 2
 
     def test_one_root_pair_of_the_space(self):
         # the counters add up to the multisets at one root pair
