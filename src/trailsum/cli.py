@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from . import bridge, digraph, trails
 from .digraph import GraphFormatError, MarkedDigraph, enumerate_marked_graphs, integer, make_gn
 from .trails import (AtPosition, BudgetExceededError, Precedes, Subtrail, check_constraint,
-                     enumerate_trails, filtered_signed_sum, signed_sum, signed_trails)
+                     filtered_signed_sum, signed_sum, signed_trails)
 
 
 class _UsageError(Exception):
@@ -211,10 +211,9 @@ def suite_signs(seed: int, budget: int) -> VerificationReport:
     failures = 0
     for _ in range(50):
         g = digraph.random_feasible_graph(rng, rng.randint(1, 3), rng.randint(3, 6), bmax=3)
-        for count, trail in enumerate(enumerate_trails(g, max_nodes=budget)):
+        for count, (trail, sg, sm) in enumerate(signed_trails(g, budget)):
             if count >= 25:
                 break
-            sg, sm = trails.trail_signs(g, trail)
             for q1, q2 in _swap_candidates(g, trail):
                 applicable += 1
                 swapped, ps, psm = trails.swap_parallel_subtrails(g, trail, q1, q2)
@@ -229,8 +228,8 @@ def suite_signs(seed: int, budget: int) -> VerificationReport:
     failures = 0
     for _ in range(50):
         g = digraph.random_feasible_graph(rng, rng.randint(1, 3), rng.randint(2, 6), bmax=3)
-        all_trails = list(enumerate_trails(g, max_nodes=budget))
-        base = rng.choice(all_trails)
+        all_trails = list(signed_trails(g, budget))
+        base = rng.choice(all_trails)[0]
         kind = rng.choice(("subtrail", "precedes", "at"))
         if kind == "subtrail":
             i = rng.randrange(len(base))
@@ -244,9 +243,8 @@ def suite_signs(seed: int, budget: int) -> VerificationReport:
             c = AtPosition(rng.choice(base), rng.randint(1, len(base)))
         part = filtered_signed_sum(g, [c], max_nodes=budget)
         rest = 0
-        for trail in all_trails:
+        for trail, sg, sm in all_trails:
             if not c.satisfied(trail):
-                sg, sm = trails.trail_signs(g, trail)
                 rest += sg * sm
         if part + rest != signed_sum(g, max_nodes=budget).S:
             failures += 1

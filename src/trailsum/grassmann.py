@@ -21,11 +21,13 @@ One row costs O(2^k * k) sparse row-times-matrix updates, and only two
 popcount layers of states are live at once, each one flat map from
 (U, column, monomial mask) to a coefficient.  The states created count
 against the same max_nodes budget as the trail-side DP.  The DP reads its
-arguments as basis terms, one (argument, row, column, mask, coefficient)
-per monomial of a nonzero entry: standard_polynomial and
-standard_polynomial_row expand matrices into them, and
-standard_polynomial_basis_row takes basis elements v_P E_(a,b), such as a
-simplified set, as (a, b, mask of P) triples with no matrix built.
+arguments as basis terms, one (row, column, mask, coefficient) per monomial
+of a nonzero entry of each argument, indexed by row (_index).  There are two
+routes into it.  standard_polynomial takes whole matrices, which one reader
+(_arguments) checks and expands; simplify_basis_tuple reads its tuple
+through the same reader.  standard_polynomial_basis_row takes basis
+elements v_P E_(a,b), such as a simplified set, as (a, b, mask of P)
+triples, one term each, and computes one row with no matrix built.
 """
 
 from __future__ import annotations
@@ -339,48 +341,50 @@ def mat_mul(a: GrassmannMatrix, b: GrassmannMatrix) -> GrassmannMatrix:
     return GrassmannMatrix(n, m, rows)
 
 
-def _basis_terms(xs) -> tuple[int, int, int, list]:
-    """Validate the arguments of s_k and expand them into basis terms.
+def _arguments(xs) -> tuple[int, int, list]:
+    """Check the arguments of s_k and expand each into its basis terms.
 
-    Returns (n, m, k, terms): ``terms`` lists, for every argument i and every
-    monomial c * v_P of an entry (r, j) of argument i, one 0-based
-    (i, r, j, mask of P, c) tuple, in argument order.
+    Returns (n, m, arguments): ``arguments[i]`` lists, for every monomial
+    c * v_P of an entry (r, j) of argument i, one 0-based (r, j, mask of
+    P, c) tuple.  Raises ValueError on no argument, TypeError on one that
+    is not a GrassmannMatrix and ShapeError when they do not share one
+    matrix algebra.
     """
     xs = list(xs)
     if not xs:
-        raise ValueError("standard polynomial needs at least one argument")
+        raise ValueError("need at least one argument")
+    arguments = []
     for x in xs:
         if not isinstance(x, GrassmannMatrix):
             raise TypeError("arguments must be GrassmannMatrix")
-    n, m = xs[0].n, xs[0].m
-    for x in xs:
-        if x.n != n or x.m != m:
+        if (x.n, x.m) != (xs[0].n, xs[0].m):
             raise ShapeError("arguments do not share one matrix algebra")
-    terms = []
-    for i, x in enumerate(xs):
-        for r, row in enumerate(x.rows):
-            for j, e in enumerate(row):
-                for mask, coeff in e.terms.items():
-                    terms.append((i, r, j, mask, coeff))
-    return n, m, len(xs), terms
+        arguments.append([(r, j, mask, coeff) for r, row in enumerate(x.rows)
+                          for j, e in enumerate(row) for mask, coeff in e.terms.items()])
+    return xs[0].n, xs[0].m, arguments
 
 
-def _row_index(n: int, terms) -> list:
-    """Index basis terms by row for ``_alternating_row``.
+def _index(n: int, arguments) -> tuple[list, int]:
+    """Index the basis terms of the arguments by row for ``_alternating_row``.
 
-    ``index[r]`` lists, for every term (i, r, j, mask, c), one
-    (i + 1, 1 << i, j, mask, the generator indices in mask, c) tuple.
+    ``arguments`` yields, per argument i (0-based), its (r, j, mask, c)
+    terms.  Returns (index, k): ``index[r]`` lists, for every term, one
+    (i + 1, 1 << i, j, mask, the generator indices in mask, c) tuple, and
+    k counts the arguments.
     """
     index: list = [[] for _ in range(n)]
-    for i, r, j, mask, coeff in terms:
-        index[r].append((i + 1, 1 << i, j, mask, indices_from_mask(mask), coeff))
-    return index
+    k = 0
+    for terms in arguments:
+        k += 1
+        for r, j, mask, coeff in terms:
+            index[r].append((k, 1 << (k - 1), j, mask, indices_from_mask(mask), coeff))
+    return index, k
 
 
 def _alternating_row(index, k: int, s: int, nodes: int, max_nodes: int) -> tuple[dict, int]:
     """Row s (0-based) of the alternating sum, as a sparse {column: terms} dict.
 
-    ``index`` is the row index of ``_row_index``.  ``layer`` maps each
+    ``index`` is the row index of ``_index``.  ``layer`` maps each
     triple (U, j, mask) of a set U of placed arguments of one popcount, a
     column and a monomial to its coefficient in entry j of row s of the
     signed sum over the orderings of U.  A state, one set U, is created
@@ -436,32 +440,14 @@ def standard_polynomial(xs, max_nodes: int = DEFAULT_NODE_BUDGET) -> GrassmannMa
     BudgetExceededError once the states created over all rows pass
     max_nodes.
     """
-    n, m, k, terms = _basis_terms(xs)
-    index = _row_index(n, terms)
+    n, m, arguments = _arguments(xs)
+    index, k = _index(n, arguments)
     rows = []
     nodes = 0
     for s in range(n):
         row, nodes = _alternating_row(index, k, s, nodes, max_nodes)
         rows.append([GrassmannElement(m, row.get(j)) for j in range(n)])
     return GrassmannMatrix(n, m, rows)
-
-
-def standard_polynomial_row(xs, s: int,
-                            max_nodes: int = DEFAULT_NODE_BUDGET) -> tuple[GrassmannElement, ...]:
-    """Row s (1-based) of standard_polynomial(xs), as a tuple of n elements.
-
-    Runs the same dynamic program for row s alone, so the other n - 1 rows
-    cost nothing and the states created for row s alone count against
-    max_nodes.  Raises TypeError when s is not an int (a bool included) and
-    ValueError when s lies outside 1..n.
-    """
-    if type(s) is not int:
-        raise TypeError(f"row must be an int, not {s!r}")
-    n, m, k, terms = _basis_terms(xs)
-    if not 1 <= s <= n:
-        raise ValueError(f"row {s} outside 1..{n}")
-    row, _ = _alternating_row(_row_index(n, terms), k, s - 1, 0, max_nodes)
-    return tuple(GrassmannElement(m, row.get(j)) for j in range(n))
 
 
 def standard_polynomial_basis_row(
@@ -471,9 +457,9 @@ def standard_polynomial_basis_row(
 
     ``basis`` lists the k arguments as triples (alpha, beta, mask), each
     the basis element v_P * E_(alpha,beta) of M_n E^m with P the generators
-    of mask, so no matrix is built.  The row is that of
-    standard_polynomial_row over the matching matrix units, from the same
-    dynamic program and with the same states created; k = 0 is allowed,
+    of mask, so no matrix is built.  The row is row s of
+    standard_polynomial over the matching matrix units, from the same
+    dynamic program and with the states of row s alone; k = 0 is allowed,
     and s_0, the empty ordering, is the identity.  Raises TypeError when
     n, m, s or a position or mask is not an int (a bool included), and
     ValueError when n < 1, m < 0, s or a position lies outside 1..n or a
@@ -486,17 +472,20 @@ def standard_polynomial_basis_row(
         raise ValueError("need a matrix dimension of at least 1 and a nonnegative generator count")
     if not 1 <= s <= n:
         raise ValueError(f"row {s} outside 1..{n}")
-    terms = []
-    for i, (alpha, beta, mask) in enumerate(basis):
-        for x in (alpha, beta, mask):
-            if type(x) is not int:
-                raise TypeError(f"basis positions and masks must be ints, not {x!r}")
-        if not (1 <= alpha <= n and 1 <= beta <= n):
-            raise ValueError(f"basis position ({alpha},{beta}) outside 1..{n}")
-        if mask < 0 or mask.bit_length() > m:
-            raise ValueError(f"monomial mask {mask} outside algebra on {m} generators")
-        terms.append((i, alpha - 1, beta - 1, mask, 1))
-    row, _ = _alternating_row(_row_index(n, terms), len(terms), s - 1, 0, max_nodes)
+
+    def arguments():
+        for alpha, beta, mask in basis:
+            for x in (alpha, beta, mask):
+                if type(x) is not int:
+                    raise TypeError(f"basis positions and masks must be ints, not {x!r}")
+            if not (1 <= alpha <= n and 1 <= beta <= n):
+                raise ValueError(f"basis position ({alpha},{beta}) outside 1..{n}")
+            if mask < 0 or mask.bit_length() > m:
+                raise ValueError(f"monomial mask {mask} outside algebra on {m} generators")
+            yield ((alpha - 1, beta - 1, mask, 1),)
+
+    index, k = _index(n, arguments())
+    row, _ = _alternating_row(index, k, s - 1, 0, max_nodes)
     return tuple(GrassmannElement(m, row.get(j)) for j in range(n))
 
 
@@ -520,26 +509,6 @@ class SimplifiedBasisTuple:
     generator_map: dict[int, int] = field(default_factory=dict)
 
 
-def _as_basis_form(x: GrassmannMatrix) -> tuple[int, int, int, int]:
-    """Decompose c * monomial * E_(alpha,beta) with c = +-1; raises otherwise."""
-    found = None
-    for i, row in enumerate(x.rows):
-        for j, e in enumerate(row):
-            if e.is_zero():
-                continue
-            if found is not None:
-                raise ValueError("input not in standard-basis form: several nonzero entries")
-            if len(e.terms) != 1:
-                raise ValueError("input not in standard-basis form: entry is not one monomial")
-            (mask, coeff), = e.terms.items()
-            if coeff not in (1, -1):
-                raise ValueError("input not in standard-basis form: coefficient is not +-1")
-            found = (i + 1, j + 1, mask, coeff)
-    if found is None:
-        raise ValueError("input not in standard-basis form: zero matrix")
-    return found
-
-
 def simplify_basis_tuple(xs) -> SimplifiedBasisTuple:
     """Normalize a tuple of standard-basis matrices for alternating evaluation.
 
@@ -548,27 +517,23 @@ def simplify_basis_tuple(xs) -> SimplifiedBasisTuple:
     odd-degree monomials, are central and factor out into one monomial
     prefix; the remaining elements carry at most one generator each, which
     are then renumbered ascending to 1..l.  Tests check it against standard_polynomial.
+    The tuple is read as standard_polynomial reads it, so its ValueError,
+    TypeError and ShapeError come before any verdict; an input that is
+    not +-v_P * E_(alpha,beta) raises ValueError.
     """
-    xs = list(xs)
-    if not xs:
-        raise ValueError("empty tuple")
-    m = xs[0].m
-    n = xs[0].n
-    parsed = []
+    n, m, arguments = _arguments(xs)
     seen = 0
-    for x in xs:
-        if x.n != n or x.m != m:
-            raise ShapeError("inputs do not share one matrix algebra")
-        alpha, beta, mask, coeff = _as_basis_form(x)
-        if mask & seen:
-            return SimplifiedBasisTuple(True, 1, GrassmannElement.one(m), ())
-        seen |= mask
-        parsed.append((alpha, beta, mask, coeff))
-
     sign = 1
     prefix_mask = 0
     kept: list[tuple[int, int, int]] = []  # (alpha, beta, original generator or 0)
-    for alpha, beta, mask, coeff in parsed:
+    for terms in arguments:
+        if len(terms) != 1 or terms[0][3] not in (1, -1):
+            raise ValueError("input not in standard-basis form: "
+                             "not one entry of one monomial with coefficient +-1")
+        (r, j, mask, coeff), = terms
+        if mask & seen:
+            return SimplifiedBasisTuple(True, 1, GrassmannElement.one(m), ())
+        seen |= mask
         sign *= coeff
         if mask.bit_count() % 2 == 0:
             out_mask = mask
@@ -581,7 +546,7 @@ def simplify_basis_tuple(xs) -> SimplifiedBasisTuple:
             combined, sg = mul_masks(prefix_mask, out_mask)
             prefix_mask = combined
             sign *= sg
-        kept.append((alpha, beta, gen))
+        kept.append((r + 1, j + 1, gen))
 
     originals = sorted(g for _, _, g in kept if g)
     relabel = {g: r + 1 for r, g in enumerate(originals)}
@@ -607,6 +572,9 @@ def substitute_generators(x: GrassmannElement, mapping: dict[int, int],
             raise ValueError("generator mapping must be strictly increasing")
     out = {}
     for mask, coeff in x.terms.items():
-        new_mask = mask_from_indices([mapping[i] for i in indices_from_mask(mask)], m_new)
-        out[new_mask] = coeff
+        olds = indices_from_mask(mask)
+        for i in olds:
+            if i not in mapping:
+                raise ValueError(f"generator mapping has no image for generator {i}")
+        out[mask_from_indices([mapping[i] for i in olds], m_new)] = coeff
     return GrassmannElement(m_new, out)

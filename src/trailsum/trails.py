@@ -12,10 +12,10 @@ anticommutation bookkeeping of the marked edges).  The central quantities are
 computed exactly with arbitrary-precision integers.
 
 Listing is one depth-first walk (signed_trails, described at
-SignedTrailWalk) that yields trails in lexicographic order of the sigma
-sequence; enumerate_trails is the same walk without the signs.  trail_signs
-recomputes both signs of one trail from scratch and stays the independent
-route.
+SignedTrailWalk) that yields each trail with its two signs, in
+lexicographic order of the sigma sequence; it is the only listing entry.
+trail_signs recomputes both signs of one trail from scratch and stays the
+independent route.
 
 The sums do not list trails.  The sign increment of appending edge e after
 the set U of used edges depends on U alone, not on the order inside it, so
@@ -55,8 +55,7 @@ _TAIL_EDGES = 5                # see SignedTrailWalk
 
 class BudgetExceededError(RuntimeError):
     """The states created by a DP (either side), or the extension steps of
-    the trail walk (signed_trails, enumerate_trails), passed the max_nodes
-    budget."""
+    the trail walk (signed_trails), passed the max_nodes budget."""
 
     def __init__(self, nodes: int, limit: int):
         super().__init__(f"budget exceeded: {nodes} states or steps, limit {limit}")
@@ -408,17 +407,6 @@ def signed_trails(g: MarkedDigraph, max_nodes: int = DEFAULT_NODE_BUDGET,
     return SignedTrailWalk(g, max_nodes, pieces)
 
 
-def enumerate_trails(g: MarkedDigraph, max_nodes: int = DEFAULT_NODE_BUDGET):
-    """Yield every Eulerian trail of g exactly once, in lexicographic order.
-
-    The trails of signed_trails without their signs: the same walk, the
-    same memoized prune, and BudgetExceededError once more than max_nodes
-    extension steps have been attempted.  Infeasible graphs yield nothing.
-    """
-    for trail, _, _ in signed_trails(g, max_nodes):
-        yield trail
-
-
 # -- the layered subset DP ------------------------------------------------------
 
 def _layered_sum(g: MarkedDigraph, constraints, max_nodes: int) -> tuple[int, int]:
@@ -543,7 +531,7 @@ def signed_sum(g: MarkedDigraph, max_nodes: int = DEFAULT_NODE_BUDGET) -> Signed
     head), one layer per |U|, where U is the set of used edges, quotiented
     by the parallel edges of each type.  Each state holds its signed
     weight, and a state whose weight cancels to 0 is dropped.  The result
-    is identical to folding trail_signs over enumerate_trails, which stays
+    is identical to folding the signs of signed_trails, which stays
     unreduced; a repeated unmarked type gives S = 0 with no DP.  The
     report's trail_count comes from _trail_count when first read, so a
     caller that reads only S and T never counts.

@@ -15,7 +15,7 @@ from trailsum.digraph import (MarkedDigraph, class_graph, class_record, count_cl
                               random_feasible_graph, search_space)
 from trailsum.grassmann import (GrassmannElement, GrassmannMatrix, simplify_basis_tuple,
                                 standard_polynomial, standard_polynomial_basis_row,
-                                standard_polynomial_row, substitute_generators)
+                                substitute_generators)
 from trailsum.trails import BudgetExceededError, class_sums, relabel, signed_sum, signed_trails
 
 
@@ -98,7 +98,7 @@ class TestConversions:
         for g in self._graphs():
             mats = graph_matrices(g)
             before = [[[dict(e.terms) for e in row] for row in x.rows] for x in mats]
-            standard_polynomial_row(mats, g.s)
+            standard_polynomial(mats)
             assert [[[e.terms for e in row] for row in x.rows] for x in mats] == before
             assert mats == graph_matrices(g)
 
@@ -209,26 +209,29 @@ class TestAlgebraStates:
 
     @staticmethod
     def _states(g):
-        _, _, k, terms = grassmann._basis_terms(graph_matrices(g))
-        index = grassmann._row_index(g.n, terms)
+        index, k = grassmann._index(g.n, grassmann._arguments(graph_matrices(g))[2])
         return grassmann._alternating_row(index, k, g.s - 1, 0, 10 ** 9)[1]
 
     @staticmethod
-    def _assert_basis_route_matches(g, states):
-        # row s from graph_basis(g) is row s from graph_matrices(g), and it
-        # fits a budget of exactly the matrix route's states
+    def _basis_route_row(g, states):
+        """Row s from graph_basis(g), checked against row s of
+        graph_matrices(g): it fits a budget of exactly the matrix route's
+        states, and states - 1 stops it."""
         def basis_row(budget):
             return standard_polynomial_basis_row(g.n, len(g.marked), graph_basis(g), g.s, budget)
-        assert basis_row(states) == standard_polynomial_row(graph_matrices(g), g.s)
+        row = basis_row(states)
+        assert row == standard_polynomial(graph_matrices(g)).rows[g.s - 1]
         if states:
             with pytest.raises(BudgetExceededError,
                                match=f"^budget exceeded: {states} states or steps, "
                                      f"limit {states - 1}$"):
                 basis_row(states - 1)
+        return row
 
     def test_bridge_suite_counts(self):
         # the 764 graphs of verify --suite bridge --seed 7, drawn as
-        # cli.suite_bridge draws them
+        # cli.suite_bridge draws them; the largest, 96 states, sets the
+        # suite's budget boundary
         rng = random.Random(7)
         gs = [random_feasible_graph(rng, rng.randint(1, 3), rng.randint(2, 8), bmax=3)
               for _ in range(100)]
@@ -236,27 +239,15 @@ class TestAlgebraStates:
         counts = [self._states(g) for g in gs]
         assert (len(counts), sum(counts), max(counts)) == (764, 21634, 96)
         for g, states in zip(gs, counts):
-            self._assert_basis_route_matches(g, states)
-        g = gs[counts.index(96)]
-        mats = graph_matrices(g)
-        assert standard_polynomial_row(mats, g.s, max_nodes=96) == standard_polynomial_row(
-            mats, g.s)
-        with pytest.raises(BudgetExceededError,
-                           match="^budget exceeded: 96 states or steps, limit 95$"):
-            standard_polynomial_row(mats, g.s, max_nodes=95)
+            self._basis_route_row(g, states)
 
     @pytest.mark.parametrize("n, mbar, states", [(3, 3, 1881), (4, 2, 3006)])
     def test_gn_budget_boundary_is_exact(self, n, mbar, states):
         g = make_gn(n, mbar)
-        mats = graph_matrices(g)
         assert self._states(g) == states
-        self._assert_basis_route_matches(g, states)
-        row = standard_polynomial_row(mats, g.s, max_nodes=states)
+        row = self._basis_route_row(g, states)
         ell = len(g.marked)
         assert abs(row[g.t - 1].coefficient(range(1, ell + 1))) == signed_sum(g).T > 0
-        with pytest.raises(BudgetExceededError,
-                           match=f"^budget exceeded: {states} states or steps, limit {states - 1}$"):
-            standard_polynomial_row(mats, g.s, max_nodes=states - 1)
 
 
 class TestSimplifyThenCrossCheck:

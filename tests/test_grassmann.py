@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from oracles import (element_to_oracle, matrix_to_oracle,
                      o_standard_polynomial, oe_mul, random_basis_matrix,
                      random_element, random_matrix)
+from trailsum import grassmann
 from trailsum.grassmann import (GrassmannElement, GrassmannMatrix, ShapeError,
                                 mask_from_indices, mat_mul, simplify_basis_tuple,
                                 standard_polynomial, standard_polynomial_basis_row,
-                                standard_polynomial_row, substitute_generators)
+                                substitute_generators)
 from trailsum.trails import BudgetExceededError
 
 
@@ -377,6 +378,9 @@ class TestStandardPolynomial:
 
 
 class TestStandardPolynomialRow:
+    """The row DP behind standard_polynomial: every row from the oracle, the
+    budget spent row by row, and the arguments left as they were."""
+
     @staticmethod
     def _tuples():
         rng = random.Random(12)
@@ -391,40 +395,35 @@ class TestStandardPolynomialRow:
         nonzero = 0
         for n, xs in self._tuples():
             full = standard_polynomial(xs)
-            naive = o_standard_polynomial([matrix_to_oracle(x) for x in xs], n)
-            for s in range(1, n + 1):
-                row = standard_polynomial_row(xs, s)
-                assert row == full.rows[s - 1]
-                assert [element_to_oracle(e) for e in row] == naive[s - 1]
-                nonzero += any(row)
+            assert matrix_to_oracle(full) == o_standard_polynomial(
+                [matrix_to_oracle(x) for x in xs], n)
+            nonzero += not full.is_zero()
         assert nonzero > 0
 
     def test_budget_counts_one_row(self):
         # every row of four 3x3 identities creates 4 singletons and 6 pairs;
         # a row spends 10 states, the full matrix one budget over 3 rows
         xs = [GrassmannMatrix.identity(3, 0)] * 4
-        assert not any(standard_polynomial_row(xs, 3, max_nodes=10))
-        with pytest.raises(BudgetExceededError):
-            standard_polynomial_row(xs, 3, max_nodes=9)
+        index, k = grassmann._index(3, grassmann._arguments(xs)[2])
+        for s in range(3):
+            assert grassmann._alternating_row(index, k, s, 0, 10)[1] == 10
         assert standard_polynomial(xs, max_nodes=30).is_zero()
         with pytest.raises(BudgetExceededError):
             standard_polynomial(xs, max_nodes=29)
 
     def test_argument_errors(self):
-        xs = [GrassmannMatrix.identity(2, 0)] * 2
-        for s in (0, 3, -1):
-            with pytest.raises(ValueError):
-                standard_polynomial_row(xs, s)
-        with pytest.raises(ValueError):
-            standard_polynomial_row([], 1)
-        with pytest.raises(TypeError):
-            standard_polynomial_row([1, 2], 1)
-        with pytest.raises(ShapeError):
-            standard_polynomial_row([GrassmannMatrix.identity(2, 0),
-                                     GrassmannMatrix.identity(3, 0)], 1)
-        for s in (True, 1.0, "1"):
+        # the reader checks every argument, wherever it stands in the tuple
+        ident = GrassmannMatrix.identity(2, 0)
+        for xs in ([ident, 1], [1, ident], [ident, ident, "x"]):
             with pytest.raises(TypeError):
-                standard_polynomial_row(xs, s)
+                standard_polynomial(xs)
+        for xs in ([ident, GrassmannMatrix.identity(2, 1)],
+                   [ident, ident, GrassmannMatrix.identity(1, 0)]):
+            with pytest.raises(ShapeError):
+                standard_polynomial(xs)
+        with pytest.raises(ValueError):
+            standard_polynomial(iter([]))
+        assert standard_polynomial(iter([ident, ident])).is_zero()
 
     @staticmethod
     def _cancelling():
@@ -447,16 +446,16 @@ class TestStandardPolynomialRow:
         for xs in cases:
             n = xs[0].n
             naive = o_standard_polynomial([matrix_to_oracle(x) for x in xs], n)
-            for s in range(1, n + 1):
-                row = standard_polynomial_row(xs, s)
-                assert [element_to_oracle(e) for e in row] == naive[s - 1]
+            assert matrix_to_oracle(standard_polynomial(xs)) == naive
 
     def test_budget_with_a_column_cancelling_within_a_layer(self):
+        # row 1 creates 15 states and row 2 14
         xs = self._cancelling()
-        for s, states, row in ((1, 15, ["-6*v1v2", "+2*v1v2"]), (2, 14, ["+10*v1v2", "+4*v1v2"])):
-            assert [str(e) for e in standard_polynomial_row(xs, s, max_nodes=states)] == row
-            with pytest.raises(BudgetExceededError, match=f"^budget exceeded: {states} "):
-                standard_polynomial_row(xs, s, max_nodes=states - 1)
+        got = standard_polynomial(xs, max_nodes=29)
+        assert [[str(e) for e in row] for row in got.rows] == [
+            ["-6*v1v2", "+2*v1v2"], ["+10*v1v2", "+4*v1v2"]]
+        with pytest.raises(BudgetExceededError, match="^budget exceeded: 29 "):
+            standard_polynomial(xs, max_nodes=28)
 
     def test_arguments_are_not_mutated(self):
         rng = random.Random(14)
@@ -468,8 +467,7 @@ class TestStandardPolynomialRow:
                                           for _ in range(n)] for _ in range(n)])
                   for _ in range(k)]
             before = [[[dict(e.terms) for e in row] for row in x.rows] for x in xs]
-            for s in range(1, n + 1):
-                standard_polynomial_row(xs, s)
+            standard_polynomial(xs)
             assert [[[e.terms for e in row] for row in x.rows] for x in xs] == before
         assert shared.terms == {0: 2, 3: -1, 4: 1}
 
@@ -486,10 +484,11 @@ class TestStandardPolynomialBasisRow:
                      for _ in range(k)]
             xs = [GrassmannMatrix.unit(n, m, a, b, GrassmannElement(m, {mask: 1}))
                   for a, b, mask in basis]
+            full = standard_polynomial(xs)
             naive = o_standard_polynomial([matrix_to_oracle(x) for x in xs], n)
             for s in range(1, n + 1):
                 row = standard_polynomial_basis_row(n, m, basis, s)
-                assert row == standard_polynomial_row(xs, s)
+                assert row == full.rows[s - 1]
                 assert [element_to_oracle(e) for e in row] == naive[s - 1]
                 nonzero += any(row)
         assert nonzero > 0
@@ -574,10 +573,28 @@ class TestSimplifyBasisTuple:
         with pytest.raises(error):
             simplify_basis_tuple(xs)
 
+    @pytest.mark.parametrize("bad, error", [
+        ("int", TypeError), ("shape", ShapeError), ("algebra", ShapeError)])
+    def test_tuple_errors_come_before_the_zero_verdict(self, bad, error):
+        # the first two inputs share v1, but the tuple is read whole first
+        v1 = GrassmannElement.generator(2, 1)
+        last = {"int": 1, "shape": GrassmannMatrix.unit(3, 2, 1, 2),
+                "algebra": GrassmannMatrix.unit(2, 1, 1, 2)}[bad]
+        xs = [GrassmannMatrix.unit(2, 2, 1, 1, v1), GrassmannMatrix.unit(2, 2, 1, 2, v1), last]
+        assert simplify_basis_tuple(xs[:2]).zero
+        with pytest.raises(error):
+            simplify_basis_tuple(xs)
+
     @pytest.mark.parametrize("mapping", [{1: 2, 2: 1}, {1: 1, 2: 1}])
     def test_substitution_needs_an_increasing_map(self, mapping):
         with pytest.raises(ValueError):
             substitute_generators(GrassmannElement.generator(2, 1), mapping, 2)
+
+    def test_substitution_names_a_generator_the_map_misses(self):
+        x = GrassmannElement(3, {0b101: 2})
+        with pytest.raises(ValueError, match="no image for generator 3$"):
+            substitute_generators(x, {1: 1}, 3)
+        assert substitute_generators(x, {1: 1, 3: 2}, 2) == GrassmannElement(2, {0b11: 2})
 
     def test_evaluation_factors_through_simplification(self):
         rng = random.Random(13)

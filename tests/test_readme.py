@@ -1,9 +1,12 @@
 """The README's Library and Command line examples, run as written, with
 each commented result checked, so that the examples cannot drift."""
 
+import functools
+import importlib
 import re
 from pathlib import Path
 
+import trailsum
 from trailsum import GrassmannElement, GrassmannMatrix, cli, make_gn, signed_trails
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -40,6 +43,35 @@ def test_library_example():
     assert names["holds"] is True
     assert "# c.histogram == ((0, 994),)" in code
     assert names["c"].histogram == ((0, 994),)
+
+
+def resolves(dotted):
+    """Whether a name such as ``standard_polynomial``, ``trailsum.grassmann``
+    or ``trails.SignedTrailWalk`` is an attribute of trailsum or of one of
+    its modules."""
+    parts = dotted.removeprefix("trailsum.").split(".")
+    homes = [trailsum] + [importlib.import_module(f"trailsum.{name}")
+                          for name in ("bridge", "cli", "digraph", "grassmann", "trails")]
+    for home in homes:
+        try:
+            functools.reduce(getattr, parts, home)
+        except AttributeError:
+            continue
+        return True
+    return False
+
+
+def test_named_identifiers_exist():
+    # every backticked name of the Modules paragraph and every name the
+    # Library block imports, so that a retired name cannot linger
+    section = README.split("\n## Library\n", 1)[1]
+    modules = re.search(r"^Modules: (.*?)\n\n", section, re.S | re.M).group(1)
+    names = re.findall(r"`([A-Za-z_][\w.]*)`", modules)
+    imported = re.search(r"from trailsum import \((.*?)\)", code_block("Library", "python"), re.S)
+    names += re.findall(r"\w+", imported.group(1))
+    assert {"trailsum.grassmann", "standard_polynomial_basis_row", "signed_trails",
+            "search_classes"} <= set(names)
+    assert [name for name in names if not resolves(name)] == []
 
 
 def test_command_line_example(capsys, tmp_path):

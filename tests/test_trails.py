@@ -11,9 +11,9 @@ from oracles import (brute_filtered_sum, brute_marked_graphs, brute_signed_sum,
                      walk_steps)
 from trailsum.digraph import (MarkedDigraph, class_graph, enumerate_marked_graphs,
                               extend, make_gn, opposite, random_feasible_graph)
-from trailsum.trails import (_TAIL_EDGES, AtPosition, BudgetExceededError, Precedes,
-                             Subtrail, _trail_count, class_sums, enumerate_trails,
-                             filtered_signed_sum, invert_permutation, is_trail,
+from trailsum.trails import (_TAIL_EDGES, DEFAULT_NODE_BUDGET, AtPosition,
+                             BudgetExceededError, Precedes, Subtrail, _trail_count,
+                             class_sums, filtered_signed_sum, invert_permutation, is_trail,
                              marked_order_sign, relabel, sgn_perm, sigma_M,
                              signed_sum, signed_trails, swan_identity,
                              swap_parallel_subtrails, trail_signs)
@@ -25,6 +25,11 @@ def graph(n, edges, s, t, marked=()):
 
 def path_graph(k):
     return graph(k + 1, [(i, i + 1) for i in range(1, k + 1)], 1, k + 1)
+
+
+def listed(g, max_nodes=DEFAULT_NODE_BUDGET):
+    """The trails signed_trails lists, without their signs."""
+    return [trail for trail, _, _ in signed_trails(g, max_nodes)]
 
 
 # Either side of the walk's tail depth (_TAIL_EDGES = 5 edges left): G_2 with
@@ -215,50 +220,50 @@ class TestIsTrail:
 
 
 class TestEnumerateTrails:
+    """Every trail once, in lexicographic order, as signed_trails lists them."""
+
     def test_two_loops(self):
         g = graph(1, [(1, 1), (1, 1)], 1, 1)
-        assert list(enumerate_trails(g)) == [(1, 2), (2, 1)]
+        assert listed(g) == [(1, 2), (2, 1)]
 
     def test_single_edge(self):
         g = graph(2, [(1, 2)], 1, 2)
-        assert list(enumerate_trails(g)) == [(1,)]
+        assert listed(g) == [(1,)]
 
     def test_g2_has_eight_trails(self):
-        trails = list(enumerate_trails(make_gn(2, 1)))
-        assert len(trails) == 8
+        assert len(listed(make_gn(2, 1))) == 8
 
     def test_empty_graph(self):
-        assert list(enumerate_trails(graph(1, [], 1, 1))) == [()]
-        assert list(enumerate_trails(graph(2, [], 1, 2))) == []
+        assert listed(graph(1, [], 1, 1)) == [()]
+        assert listed(graph(2, [], 1, 2)) == []
 
     def test_infeasible_graph_yields_nothing(self):
-        assert list(enumerate_trails(graph(2, [(1, 2)], 1, 1))) == []
+        assert listed(graph(2, [(1, 2)], 1, 1)) == []
 
     def test_matches_unpruned_enumeration(self):
         for g, _ in random_graphs(21, 40, k_max=5):
-            got = list(enumerate_trails(g))
+            got = listed(g)
             assert got == sorted(brute_trails(g))
             assert all(is_trail(g, t) for t in got)
 
     def test_lexicographic_order(self):
         for g, _ in random_graphs(22, 20, k_max=6):
-            seqs = list(enumerate_trails(g))
+            seqs = listed(g)
             assert seqs == sorted(seqs)
 
     def test_budget_exceeded(self):
         with pytest.raises(BudgetExceededError):
-            list(enumerate_trails(make_gn(2, 2), max_nodes=3))
+            listed(make_gn(2, 2), max_nodes=3)
 
     def test_long_path_is_not_bounded_by_recursion(self):
-        trails = list(enumerate_trails(path_graph(1200)))
-        assert trails == [tuple(range(1, 1201))]
+        assert listed(path_graph(1200)) == [tuple(range(1, 1201))]
 
 
 class TestSignedTrails:
     def test_matches_trail_signs_and_brute_force(self):
         for g, _ in random_graphs(27, 80, k_max=6, bmax=4):
             got = list(signed_trails(g))
-            assert got == [(t, *trail_signs(g, t)) for t in enumerate_trails(g)]
+            assert got == [(t, *trail_signs(g, t)) for t in listed(g)]
             marked = set(g.marked)
             assert got == [(per, inversion_sign(per),
                             inversion_sign([e for e in per if e in marked]))
@@ -288,7 +293,7 @@ class TestSignedTrails:
         g = make_gn(3, 3)
         walk = signed_trails(g, max_nodes=294351)
         got = list(walk)
-        assert got == [(t, *trail_signs(g, t)) for t in enumerate_trails(g)]
+        assert got == [(t, *trail_signs(g, t)) for t in listed(g)]
         assert len(got) == 51840
         assert (walk.steps, walk.floods) == (294351, 1981)
         lists = [(g.k - used.bit_count(), stored) for known in walk._memo.values()
@@ -483,7 +488,7 @@ class TestSignedSum:
         for g, _ in random_graphs(24, 30, k_max=6):
             total = 0
             count = 0
-            for trail in enumerate_trails(g):
+            for trail in listed(g):
                 sg, sm = trail_signs(g, trail)
                 total += sg * sm
                 count += 1
@@ -769,7 +774,7 @@ class TestFilteredSums:
     def test_subtrail_requires_adjacency(self):
         g = graph(1, [(1, 1), (1, 1), (1, 1)], 1, 1)
         # edges 1,3 adjacent in exactly two of six trails: (1,3,2) and (2,1,3)
-        vals = [t for t in enumerate_trails(g) if Subtrail([1, 3]).satisfied(t)]
+        vals = [t for t in listed(g) if Subtrail([1, 3]).satisfied(t)]
         assert vals == [(1, 3, 2), (2, 1, 3)]
 
     def test_constraint_validation(self):
@@ -834,7 +839,7 @@ class TestFilteredSums:
 
     def test_random_partition_additivity(self):
         for g, rng in random_graphs(26, 30, k_max=6):
-            trails = list(enumerate_trails(g))
+            trails = listed(g)
             base = rng.choice(trails)
             i = rng.randrange(len(base))
             j = rng.randint(i + 1, len(base))
@@ -943,7 +948,7 @@ class TestSwap:
 
     def test_prediction_matches_recomputation(self):
         for g, rng in random_graphs(27, 40, k_max=6, k_min=2):
-            for count, seq in enumerate(enumerate_trails(g)):
+            for count, seq in enumerate(listed(g)):
                 if count >= 15:
                     break
                 sg, sm = trail_signs(g, seq)
